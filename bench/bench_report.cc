@@ -129,16 +129,10 @@ struct SweepFile
     std::uint64_t mruHits = 0;      ///< DSVMT-walk MRU granule hits
     std::uint64_t mruLookups = 0;   ///< DSVMT-walk lookups
 
-    // Fast-forward engine coverage (DESIGN §5.5) and the predecoded
-    // superblock cache, summed over the cells' stats blocks. The
-    // uop/cycle denominators are the simulated totals of the ok
-    // cells.
-    std::uint64_t ffUops = 0;       ///< uops committed via the replica
-    std::uint64_t ffCycles = 0;     ///< cycles skipped/replicated
+    // The predecoded superblock cache, summed over the cells' stats
+    // blocks.
     std::uint64_t sbHits = 0;       ///< superblock cache hits
     std::uint64_t sbMisses = 0;     ///< superblock cache builds
-    std::uint64_t simCycles = 0;    ///< total simulated cycles (ok)
-    std::uint64_t simInstructions = 0; ///< total simulated uops (ok)
 
     // Dynamic-update exposure: stale allows plus the transient-gap
     // histogram, aggregated count-weighted over the cells (the JSON
@@ -281,14 +275,8 @@ loadSweep(const std::string &path, bool skipHeavy = false,
             f.mruLookups += uintOr0(st, "dsvmt.mru.lookups");
             f.staleAllows +=
                 uintOr0(st, "perspective.revocation.stale_allows");
-            f.ffUops += uintOr0(st, "ff.uops");
-            f.ffCycles += uintOr0(st, "ff.cycles");
             f.sbHits += uintOr0(st, "sb.cache.hits");
             f.sbMisses += uintOr0(st, "sb.cache.misses");
-        }
-        if (c.ok) {
-            f.simCycles += c.cycles;
-            f.simInstructions += c.instructions;
         }
         if (cj.contains("histograms") &&
             cj.at("histograms").contains("transient_gap_cycles")) {
@@ -458,17 +446,6 @@ summarize(const SweepFile &f)
                     static_cast<unsigned long long>(f.mruLookups),
                     100.0 * static_cast<double>(f.mruHits) /
                         static_cast<double>(f.mruLookups));
-    if (f.ffUops + f.ffCycles > 0)
-        std::printf("  fast-forward: %.1f%% of uops, %.1f%% of "
-                    "cycles through the replica\n",
-                    f.simInstructions
-                        ? 100.0 * static_cast<double>(f.ffUops) /
-                              static_cast<double>(f.simInstructions)
-                        : 0.0,
-                    f.simCycles
-                        ? 100.0 * static_cast<double>(f.ffCycles) /
-                              static_cast<double>(f.simCycles)
-                        : 0.0);
     if (f.sbHits + f.sbMisses > 0)
         std::printf("  superblock cache: %llu/%llu hits (%.1f%%)\n",
                     static_cast<unsigned long long>(f.sbHits),

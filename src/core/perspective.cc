@@ -469,7 +469,7 @@ PerspectivePolicy::warmAccess(const SpecContext &ctx)
     // no burst runs, no histogram samples, no wake-slot writes —
     // warming has no timeline, so fills land immediately ready and
     // deferred-LRU is off. The pipeline only warms while
-    // allowFastForward() holds, so no revocation window is open.
+    // allowFunctionalPhases() holds, so no revocation window is open.
     if (!ctx.kernelMode)
         return;
 

@@ -5,7 +5,7 @@
  * socket (wire format: proto.hh). Idle workers pull the next cell,
  * so load balancing is work stealing by construction — no static
  * assignment exists to go stale when cell costs are skewed (detailed
- * vs fast-forward cells differ ~3x; leak-budget sweeps far more).
+ * vs sampled cells differ ~9x; leak-budget sweeps far more).
  *
  * Roles:
  *  - FleetCoordinator (bench run with --fleet N / --fleet-socket):

@@ -79,8 +79,7 @@ probeWritable(const std::string &path, const char *what)
 std::string
 hashCellConfig(const std::string &workload, const std::string &scheme,
                std::uint64_t seed, unsigned iterations,
-               unsigned warmup, bool fastForward,
-               const sim::SamplingParams &sampling,
+               unsigned warmup, const sim::SamplingParams &sampling,
                const std::map<std::string, std::string> &tags)
 {
     // FNV-1a 64 over every knob that determines the cell's outcome;
@@ -102,7 +101,10 @@ hashCellConfig(const std::string &workload, const std::string &scheme,
     mix(std::to_string(seed));
     mix(std::to_string(iterations));
     mix(std::to_string(warmup));
-    mix(fastForward ? "ff" : "detailed");
+    // The timing-engine field: always the detailed loop. Keeping the
+    // literal keeps exact hashes stable against committed baselines
+    // and cache entries.
+    mix("detailed");
     // Sampled cells mix their full sampling spec so sampled and
     // exact runs can never share cache entries, shards or matches.
     // Disabled sampling mixes nothing: exact cells keep hashing
@@ -149,8 +151,7 @@ executeCell(const SweepCell &cell, CellResult &slot)
             slot.result = cell.body(cell);
         } else {
             workloads::Experiment e(cell.profile, cell.scheme,
-                                    cell.seed, cell.fastForward,
-                                    cell.sampling);
+                                    cell.seed, cell.sampling);
             slot.result = e.run(cell.iterations, cell.warmup);
         }
         slot.ok = true;
@@ -452,7 +453,6 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
         slot.seed = cell.seed;
         slot.iterations = cell.iterations;
         slot.warmup = cell.warmup;
-        slot.fastForward = cell.fastForward;
         slot.sampling = cell.sampling;
         slot.tags = cell.tags;
         slot.gridIndex = nextGridIndex_++;
@@ -478,7 +478,6 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
         p.idx = i;
         p.hash = std::move(hash);
         p.mode = cell.sampling.enabled ? ExecMode::Sampled
-                 : cell.fastForward    ? ExecMode::FastForward
                                        : ExecMode::Detailed;
         p.weight = workloads::estimatedRequestWeight(cell.profile) *
                    (cell.iterations + cell.warmup + 1.0);
@@ -492,35 +491,35 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
     // long cell lands last. Measured costs are seconds; heuristic
     // weights are calibrated into seconds against whatever measured
     // cells this batch has, so the two sort comparably. The
-    // calibration is per execution mode: fast-forward runs ~3x
-    // faster than detailed (PR 8) and sampled ~9x (DESIGN §5.8), so
-    // one shared scale would leave every unseen cell of a minority
-    // mode badly mis-estimated. A mode with no measurements in this
-    // batch borrows a measured lane's scale through those nominal
-    // speed ratios. The *output* stays in deterministic grid order
-    // regardless (slots are fixed).
-    constexpr double kModeSpeedup[3] = {1.0, 3.0, 9.0};
-    double mSecs[3] = {0, 0, 0}, mWeight[3] = {0, 0, 0};
+    // calibration is per execution mode: sampled runs ~9x faster
+    // than detailed (DESIGN §5.8), so one shared scale would leave
+    // every unseen cell of a minority mode badly mis-estimated. A
+    // mode with no measurements in this batch borrows the measured
+    // lane's scale through that nominal speed ratio. The *output*
+    // stays in deterministic grid order regardless (slots are fixed).
+    constexpr int kModes = 2;
+    constexpr double kModeSpeedup[kModes] = {1.0, 9.0};
+    double mSecs[kModes] = {0, 0}, mWeight[kModes] = {0, 0};
     for (const Pending &p : pending) {
         if (p.measured >= 0) {
             mSecs[static_cast<int>(p.mode)] += p.measured;
             mWeight[static_cast<int>(p.mode)] += p.weight;
         }
     }
-    double scale[3];
-    for (int m = 0; m < 3; ++m)
+    double scale[kModes];
+    for (int m = 0; m < kModes; ++m)
         scale[m] = (mWeight[m] > 0 && mSecs[m] > 0)
                        ? mSecs[m] / mWeight[m]
                        : -1;
     // Normalize any measured lane to a detailed-equivalent scale and
     // fill the unmeasured lanes from it (no lane measured: unit).
     double base = 1.0;
-    for (int m = 0; m < 3; ++m)
+    for (int m = 0; m < kModes; ++m)
         if (scale[m] >= 0) {
             base = scale[m] * kModeSpeedup[m];
             break;
         }
-    for (int m = 0; m < 3; ++m)
+    for (int m = 0; m < kModes; ++m)
         if (scale[m] < 0)
             scale[m] = base / kModeSpeedup[m];
     auto keyOf = [&scale](const Pending &p) {
@@ -653,7 +652,6 @@ SweepRunner::runAsFleetWorker(const std::vector<SweepCell> &cells)
         slot.seed = cell.seed;
         slot.iterations = cell.iterations;
         slot.warmup = cell.warmup;
-        slot.fastForward = cell.fastForward;
         slot.sampling = cell.sampling;
         slot.tags = cell.tags;
         slot.gridIndex = nextGridIndex_++;
@@ -680,8 +678,7 @@ std::string
 cellConfigHash(const CellResult &r)
 {
     return hashCellConfig(r.workload, r.scheme, r.seed, r.iterations,
-                          r.warmup, r.fastForward, r.sampling,
-                          r.tags);
+                          r.warmup, r.sampling, r.tags);
 }
 
 std::string
@@ -689,8 +686,8 @@ cellConfigHash(const SweepCell &c)
 {
     return hashCellConfig(c.profile.name,
                           workloads::schemeName(c.scheme), c.seed,
-                          c.iterations, c.warmup, c.fastForward,
-                          c.sampling, c.tags);
+                          c.iterations, c.warmup, c.sampling,
+                          c.tags);
 }
 
 CellResult
@@ -702,8 +699,6 @@ cellFromCachedJson(const Json &cell)
     r.seed = uintField(cell, "seed");
     r.iterations = static_cast<unsigned>(uintField(cell, "iterations"));
     r.warmup = static_cast<unsigned>(uintField(cell, "warmup"));
-    if (cell.contains("fast_forward"))
-        r.fastForward = cell.at("fast_forward").asBool();
     if (cell.contains("sampling")) {
         const Json &sj = cell.at("sampling");
         // The spec string round-trips the exact configuration
@@ -818,7 +813,6 @@ cellToJson(const CellResult &r, unsigned jobs)
     o["seed"] = r.seed;
     o["iterations"] = r.iterations;
     o["warmup"] = r.warmup;
-    o["fast_forward"] = r.fastForward;
     o["wall_seconds"] = r.wallSeconds;
     o["ok"] = r.ok;
     o["grid_index"] = r.gridIndex;

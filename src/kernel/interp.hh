@@ -6,7 +6,8 @@
  *
  *  - the ftrace-style tracer that builds dynamic ISVs (Section 5.3),
  *  - the Kasper/Syzkaller-style fuzzing loop of the gadget scanner,
- *  - the fast-forward executor's functional half (DESIGN §5.5).
+ *  - the reference semantics of the pipeline's functional sampling
+ *    phases (sim::Pipeline::functionalAdvance, DESIGN §5.8).
  *
  * Dispatch is threaded over predecoded superblocks (sim/superblock.hh)
  * instead of a per-op decode switch; the call stack persists across

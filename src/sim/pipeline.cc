@@ -49,9 +49,6 @@ Pipeline::Pipeline(const Program &prog, Memory &mem,
     ctrSquashes_ = stats_.counter("squashes");
     ctrGateChecks_ = stats_.counter("gate.checks");
     ctrGateElided_ = stats_.counter("gate.elided");
-    ctrFfUops_ = stats_.counter("ff.uops");
-    ctrFfEntries_ = stats_.counter("ff.entries");
-    ctrFfCycles_ = stats_.counter("ff.cycles");
 
     // Registered up front so every run — even one with no squash or
     // fence — reports the full set of distribution summaries.
@@ -919,28 +916,17 @@ Pipeline::doFetch()
         return;
 
     SpeculationPolicy *pol = policy_ ? policy_ : &unsafe_;
-    unsigned n = 0;
-    // Quiescent point: hand the straight-line run to the fast-forward
-    // replica (pipeline_ff.cc). It returns having consumed part of
-    // this cycle's fetch width; the loop below dispatches the
-    // region's terminator through the detailed path.
-    // The armed leakage ledger does not disengage regions: a region
-    // is non-speculative by construction, so its loads are never
-    // classified (classification requires speculation) and carry no
-    // taint (transmission requires a tainted address) — the ledger
-    // observes exactly nothing on either path (DESIGN §5.5).
-    if (ffMode_ && rob_.empty() && scheduled_.empty() &&
-        pol->allowFastForward()) {
-        // Sampled mode: run functional skip/warm phases to their
-        // boundaries first; the machine returns inside a detailed
-        // window (or halted, in which case nothing is left to fetch).
-        if (sampleMode_) {
-            samplingStep(*pol);
-            if (halted_ || fetch_.halted)
-                return;
-        }
-        n = fastForwardRegion();
+    // Quiescent point (DESIGN §5.8): in sampled mode, run the
+    // functional skip/warm phases to their boundaries; the machine
+    // returns inside a detailed window (or halted, in which case
+    // nothing is left to fetch).
+    if (sampleMode_ && rob_.empty() && scheduled_.empty() &&
+        pol->allowFunctionalPhases()) {
+        samplingStep(*pol);
+        if (halted_ || fetch_.halted)
+            return;
     }
+    unsigned n = 0;
     while (n < params_.width && rob_.size() < params_.robSize) {
         // Predecoded superblock stream: the function descriptor, op
         // PCs, dispatch kinds and cache-line transitions are resolved
@@ -1293,21 +1279,20 @@ Pipeline::run(FuncId entry)
     eventsOn_ = trace::eventsEnabled();
     ledgerArmed_ = ledger_.armed();
     entryFunc_ = entry;
-    // Fast-forward engages only when nothing needs the per-cycle
+    // Sampling engages only when nothing needs the per-cycle
     // detailed path: no per-cycle sampling, no structured events, no
     // text tracing. The policy is consulted again at each engagement
-    // (its answer can change as dynamic-update state drains).
-    ffMode_ = params_.fastForward && !params_.detailedTelemetry &&
-              !eventsOn_ && !trace::anyEnabled();
-    // Sampling rides on the fast-forward preconditions: anything that
-    // demands the per-cycle detailed path also invalidates functional
-    // skipping. The armed leakage ledger does not disengage it either
-    // — functional phases are non-speculative by construction (same
-    // argument as regions above) — but the ledger then only observes
-    // the detailed windows; leak *measurement* runs force the
-    // detailed path via the policy's allowFastForward hook and by
-    // leaving sampling off (DESIGN §5.8).
-    sampleMode_ = params_.sampling.enabled && ffMode_;
+    // (its answer can change as dynamic-update state drains). The
+    // armed leakage ledger does not disengage it: functional phases
+    // are non-speculative by construction, so their loads are never
+    // classified (classification requires speculation), but the
+    // ledger then only observes the detailed windows; leak
+    // *measurement* runs force the detailed path via the policy's
+    // allowFunctionalPhases hook and by leaving sampling off
+    // (DESIGN §5.8).
+    sampleMode_ = params_.sampling.enabled &&
+                  !params_.detailedTelemetry && !eventsOn_ &&
+                  !trace::anyEnabled();
 
     Cycle start = now_;
     std::uint64_t start_inst = stats_.get("committed");
@@ -1322,8 +1307,6 @@ Pipeline::run(FuncId entry)
         doExecute();
         doFetch();
         sampleTelemetry();
-        if (ffMode_)
-            skipIdleCycles();
         if (now_ - start > params_.maxCycles) {
             throw std::runtime_error(
                 "Pipeline::run exceeded maxCycles; likely deadlock");
@@ -1332,9 +1315,7 @@ Pipeline::run(FuncId entry)
 
     // Superblock-cache telemetry for the harness (bench_report's
     // summary): published as deltas because the cache spans runs
-    // while the stats may be cleared between them. Harness-side
-    // counters, like ff.*: the two execution modes may legitimately
-    // disagree on them.
+    // while the stats may be cleared between them.
     stats_.counter("sb.cache.hits")
         .inc(sbCache_.hits() - sbHitsSeen_);
     stats_.counter("sb.cache.misses")

@@ -81,18 +81,9 @@ struct PipelineParams
      * additionally gated on a classifier being installed; simulated
      * cycle counts are identical either way. */
     bool leakLedger = true;
-    /** Fast-forward execution (DESIGN §5.5): at quiescent points the
-     * core executes gate-clear straight-line regions on a compact
-     * functional engine and skips provably-idle cycles, dropping back
-     * to full out-of-order simulation at the first control op, fence
-     * or gateable situation. Timing-exact by construction — every
-     * reported cycle, counter and histogram sample is bit-identical
-     * to the detailed path — but requires detailedTelemetry off and
-     * disengages whenever tracing or the active policy demands the
-     * detailed path. */
-    bool fastForward = false;
-    /** Sampled simulation (DESIGN §5.8): when enabled (and the fast-
-     * forward preconditions above hold), the core runs the periodic
+    /** Sampled simulation (DESIGN §5.8): when enabled (and neither
+     * detailedTelemetry nor tracing demands the per-cycle detailed
+     * path), the core runs the periodic
      * functional-skip -> functional-warm -> detailed-window cycle and
      * estimates mean CPI with a confidence interval instead of
      * simulating every instruction cycle-accurately. Explicitly
@@ -207,7 +198,8 @@ class Pipeline
     const SamplingEstimator &sampler() const { return sampler_; }
 
     /** True when the most recent run() executed in sampled mode
-     * (sampling enabled and the fast-forward preconditions held). */
+     * (sampling enabled and no per-cycle telemetry, structured
+     * events or tracing demanded the detailed path). */
     bool sampledMode() const { return sampleMode_; }
 
     /**
@@ -418,9 +410,7 @@ class Pipeline
          *  - wakeEvery/wakeNumGens/wakeGen/wakeGenSeen/wakeRecheckAt/
          *    wakeHorizonGen/wakeTally: set by captureGateWake, read
          *    only while state == Blocked, and Blocked is entered
-         *    through captureGateWake.
-         * The fast-forward materializer whole-assigns its entries, so
-         * it is indifferent to what reset() leaves behind. */
+         *    through captureGateWake. */
         void reset()
         {
             wakeup.clear();   // keeps its allocation
@@ -531,26 +521,12 @@ class Pipeline
     std::uint64_t evalAlu(const RobEntry &e) const;
     bool evalBranch(const RobEntry &e) const;
 
-    // -- fast-forward engine (pipeline_ff.cc) -----------------------------
-    /** Advance now_ past cycles where provably nothing can happen
-     * (empty ready queue, no due completion/scheduled event, stalled
-     * or blocked front end). Exact: skipped cycles perform no state
-     * change and sample no telemetry in fast-forward mode. */
-    void skipIdleCycles();
-    /** Quiescent-point region executor: runs gate-clear straight-line
-     * micro-ops on a compact replica of the commit/execute/fetch
-     * phases, then materializes the in-flight suffix back into the
-     * ROB at the first control op or fence. Called from doFetch when
-     * ffMode_ holds and the ROB is empty; returns the fetch width
-     * already consumed in the current cycle. */
-    unsigned fastForwardRegion();
-
-    // -- sampled simulation (pipeline_ff.cc, DESIGN §5.8) -----------------
+    // -- sampled simulation (pipeline_sampling.cc, DESIGN §5.8) -----------
     /** Phase controller: called at the quiescent engagement point in
      * sampled mode. Runs functional skip/warm phases to their
      * instruction-count boundaries, records completed detailed
      * windows into sampler_, and returns with the machine either
-     * inside a detailed window (detailed/FF execution proceeds) or
+     * inside a detailed window (the detailed loop proceeds) or
      * halted. */
     void samplingStep(SpeculationPolicy &pol);
     /** Architectural-only executor: commits up to @p budget micro-ops
@@ -658,8 +634,8 @@ class Pipeline
     FuncId fetchFuncCached_ = kNoFunc;
     const Function *fetchFuncPtr_ = nullptr;
 
-    /** Predecoded superblocks for the front end (and the fast-forward
-     * engine): op pointers, PCs, line-transition flags and flat
+    /** Predecoded superblocks for the front end (and the functional
+     * sampling phases): op pointers, PCs, line-transition flags and flat
      * dispatch kinds, resolved once per straight-line run. */
     SuperblockCache sbCache_;
     /** Fetch cursor into the current superblock; null after any
@@ -674,13 +650,7 @@ class Pipeline
     std::uint64_t sbHitsSeen_ = 0;
     std::uint64_t sbMissesSeen_ = 0;
 
-    // Fast-forward engine state (see pipeline_ff.cc). Latched per run.
-    bool ffMode_ = false;
-    Counter ctrFfUops_;
-    Counter ctrFfEntries_;
-    Counter ctrFfCycles_;
-
-    // Sampled-simulation controller state (pipeline_ff.cc). The phase
+    // Sampled-simulation controller state (pipeline_sampling.cc). The phase
     // machine anchors on the cumulative committed-micro-op count, so
     // phases span run() boundaries and request streams; it is
     // re-anchored only by resetSampling().
@@ -698,49 +668,6 @@ class Pipeline
     std::uint64_t sampleWindowStartInsts_ = 0;
     Cycle sampleWindowStartCycle_ = 0;
     SamplingEstimator sampler_;
-
-    /** One in-flight micro-op of a fast-forward region: the fields of
-     * RobEntry the replica phases actually exercise, flat and small.
-     * Region indices substitute for seqs (the region owns a dense seq
-     * range starting at its entry nextSeq_). */
-    struct FfEntry
-    {
-        const MicroOp *op = nullptr;
-        Addr pc = 0;
-        FuncId func = kNoFunc;
-        std::uint32_t idx = 0;
-        std::uint8_t kind = 0; ///< SbKind
-        std::uint8_t state = 0; ///< 0 wait, 1 exec, 2 done, 3 committed
-        std::uint8_t pendingSrcs = 0;
-        bool kernel = false;
-        bool addrValid = false;
-        std::array<RegId, 2> srcReg = {kNoReg, kNoReg};
-        std::array<bool, 2> srcReady = {true, true};
-        std::array<std::int32_t, 2> srcProd = {-1, -1};
-        std::array<std::uint64_t, 2> srcVal = {0, 0};
-        std::uint64_t result = 0;
-        Addr effAddr = 0;
-        Cycle dispatch = 0;
-        Cycle issue = 0;
-        Cycle done = 0;
-        std::int32_t wakeHead = -1; ///< into ffWake_, -1 = none
-    };
-    /** Wakeup-list node (intrusive list per producer, pooled). */
-    struct FfWake
-    {
-        std::uint32_t cons;
-        std::uint8_t slot;
-        std::int32_t next;
-    };
-    // Region scratch, reused across engagements (no allocation in
-    // steady state). Only valid inside fastForwardRegion().
-    std::vector<FfEntry> ffEnts_;
-    std::vector<std::uint32_t> ffReady_; ///< issue candidates, sorted
-    std::vector<std::pair<Cycle, std::uint32_t>> ffHeap_; ///< completions
-    std::vector<std::uint32_t> ffStores_; ///< dispatched, uncommitted
-    std::vector<std::uint32_t> ffPendSt_; ///< dispatched, unissued
-    std::vector<FfWake> ffWake_;
-    std::array<std::int32_t, kNumRegs> ffRegWriter_{};
 
     // -- incremental scheduling structures --------------------------------
     // All are keyed/sorted by seq; RobEntry pointers are stable (the

@@ -174,14 +174,14 @@ class SpeculationPolicy
     virtual bool shadowStack() const { return false; }
 
     /**
-     * May the core engage the fast-forward engine right now
-     * (PipelineParams::fastForward, DESIGN §5.5)? Fast-forwarded
-     * regions are non-speculative by construction and never reach
-     * gateLoad, so the default is yes; a policy holding state it
-     * wants re-examined on the detailed path (e.g. an open deferred-
-     * revocation window) answers no until that state drains.
+     * May the core enter the functional sampling phases (skip/warm,
+     * DESIGN §5.8) right now? Functional execution is non-speculative
+     * by construction and never reaches gateLoad, so the default is
+     * yes; a policy holding state it wants re-examined on the
+     * detailed path (e.g. an open deferred-revocation window) answers
+     * no until that state drains.
      */
-    virtual bool allowFastForward() const { return true; }
+    virtual bool allowFunctionalPhases() const { return true; }
 
     /**
      * Functional-warming hook (sampled simulation, DESIGN §5.8): the

@@ -6,9 +6,8 @@
  * sampling estimator that turns per-window CPI observations into a
  * mean with a 95% confidence interval.
  *
- * Sampling is the repo's first explicitly *statistical* mode: unlike
- * the PR 8 fast-forward path it does not reproduce the detailed run
- * bit-for-bit, it estimates mean CPI (and hence per-scheme overhead)
+ * Sampling is the repo's explicitly *statistical* mode: it does not
+ * reproduce the detailed run bit-for-bit, it estimates mean CPI (and hence per-scheme overhead)
  * from evenly spaced detailed windows. Results carry their own error
  * bars; bit-exact comparison (`bench_report --check`) is undefined for
  * sampled cells and `--accuracy-baseline` is the sanctioned check.
@@ -39,7 +38,7 @@ namespace perspective::sim
  * Defaults were tuned on the LEBench grid: 5k-instruction windows
  * with 10k warming every 400k instructions hold every per-scheme
  * mean-overhead estimate within 1% of the exact run while cutting
- * wall time ~4x below the fast-forward path (README "Performance").
+ * wall time ~4x below the detailed loop (README "Performance").
  */
 struct SamplingParams
 {

@@ -2,7 +2,7 @@
  * @file
  * Predecoded superblocks: straight-line runs of micro-ops, decoded
  * once and consumed whole by the interpreter's threaded dispatch, the
- * pipeline front end, and the fast-forward executor.
+ * pipeline front end, and the functional sampling phases.
  *
  * A superblock starts at an arbitrary (function, index) position and
  * runs until the first op that can redirect the op stream — control

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "kernel/process.hh"
 
@@ -61,15 +60,8 @@ isPerspective(Scheme s)
 
 } // namespace
 
-bool
-Experiment::fastForwardDefault()
-{
-    const char *env = std::getenv("PERSPECTIVE_FASTFWD");
-    return env && env[0] == '1' && env[1] == '\0';
-}
-
 Experiment::Experiment(const WorkloadProfile &profile, Scheme scheme,
-                       std::uint64_t seed, bool fastForward,
+                       std::uint64_t seed,
                        sim::SamplingParams sampling)
     : profile_(profile), scheme_(scheme)
 {
@@ -102,14 +94,9 @@ Experiment::Experiment(const WorkloadProfile &profile, Scheme scheme,
                0x5e);
 
     sim::PipelineParams pp;
-    if (fastForward || sampling.enabled) {
-        // Fast-forward mode: timing-exact sprint execution; the
-        // per-cycle distribution sampling is what it gives up.
-        // Sampled simulation (DESIGN §5.8) builds on the same
-        // machinery, so enabling it implies fast-forward.
-        pp.fastForward = true;
-        pp.detailedTelemetry = false;
-    }
+    // Sampled simulation (DESIGN §5.8) gives up the per-cycle
+    // distribution sampling, which would pin it to the detailed path.
+    pp.detailedTelemetry = !sampling.enabled;
     pp.sampling = sampling;
     cpu_ = std::make_unique<sim::Pipeline>(img_->program(), mem_, pp);
     interp_ = std::make_unique<kernel::Interpreter>(img_->program(),

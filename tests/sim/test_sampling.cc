@@ -2,18 +2,27 @@
  * @file
  * Sampled simulation (DESIGN §5.8): the systematic-sampling
  * estimator's mean/CI math on synthetic known-variance streams, the
- * PERSPECTIVE_SAMPLE spec grammar, and two pipeline-level
- * guarantees — an infinite detailed window reproduces the
- * fast-forward run bit for bit (the sampling machinery adds nothing
- * but the phase check), and a finite-window sampled run is
- * architecturally indistinguishable from the detailed one even
- * though most instructions retire through the functional path.
+ * PERSPECTIVE_SAMPLE spec grammar, and the pipeline-level
+ * guarantees — an infinite detailed window reproduces the detailed
+ * run bit for bit (the sampling machinery adds nothing but the phase
+ * check), a finite-window sampled run is architecturally
+ * indistinguishable from the detailed one even though most
+ * instructions retire through the functional path, and a run that
+ * ends inside a functional phase stops its clock there.
+ *
+ * The random-program differential drives the first two over
+ * programs with arithmetic, memory traffic, branches, loops, calls
+ * across the user/kernel boundary and indirect calls including wild
+ * targets, under five schemes. Its suite keeps the
+ * SMARTS name for the functional skip phase: functional
+ * fast-forwarding.
  */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "defenses/schemes.hh"
 #include "sim/pipeline.hh"
 #include "sim/program.hh"
 #include "sim/sampling.hh"
@@ -24,14 +33,25 @@ using namespace perspective::sim;
 namespace
 {
 
+/** Sampling needs the per-cycle telemetry off; the detailed
+ * references run with the same setting so every remaining stat is
+ * comparable one-to-one. */
 PipelineParams
-sampledParams(SamplingParams sp)
+sampledParams(SamplingParams sp = {})
 {
     PipelineParams pp;
     pp.detailedTelemetry = false;
-    pp.fastForward = true;
     pp.sampling = sp;
     return pp;
+}
+
+SamplingParams
+infiniteWindow()
+{
+    SamplingParams sp;
+    sp.enabled = true;
+    sp.windowInsts = SamplingParams::kInfiniteWindow;
+    return sp;
 }
 
 void
@@ -40,6 +60,157 @@ seedMemory(Memory &mem)
     for (unsigned i = 0; i < 64; ++i)
         mem.write(0x100000 + i * 8, i * 3 + 1);
 }
+
+/** Deterministic program generator (splitmix64-driven). */
+class ProgramGen
+{
+  public:
+    explicit ProgramGen(std::uint64_t seed) : state_(seed * 37 + 11) {}
+
+    std::uint64_t
+    rnd(std::uint64_t bound)
+    {
+        state_ += 0x9e3779b97f4a7c15ull;
+        std::uint64_t z = state_;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        z ^= z >> 31;
+        return bound ? z % bound : z;
+    }
+
+    /**
+     * Function 0 is a user entry; higher-numbered functions are
+     * kernel, so call chains cross the privilege boundary and charge
+     * entry/exit microcode stalls. Every function starts a fresh
+     * I-cache line run, so the front end stalls and the ROB drains
+     * often: each drain is a quiescent point where the sampling
+     * controller may switch phases.
+     */
+    Program
+    make(unsigned nfuncs)
+    {
+        Program prog;
+        for (unsigned f = 0; f < nfuncs; ++f)
+            prog.addFunction("f" + std::to_string(f), f != 0);
+        for (unsigned f = 0; f < nfuncs; ++f) {
+            auto &body = prog.func(f).body;
+            unsigned n_ops = 8 + static_cast<unsigned>(rnd(24));
+            for (unsigned i = 0; i < n_ops; ++i) {
+                switch (rnd(8)) {
+                  case 0:
+                    body.push_back(movImm(
+                        static_cast<RegId>(1 + rnd(6)),
+                        static_cast<std::int64_t>(rnd(1000))));
+                    break;
+                  case 1:
+                    body.push_back(add(
+                        static_cast<RegId>(1 + rnd(6)),
+                        static_cast<RegId>(1 + rnd(6)),
+                        static_cast<RegId>(1 + rnd(6))));
+                    break;
+                  case 2:
+                    body.push_back(store(
+                        kNoReg,
+                        static_cast<std::int64_t>(
+                            0x100000 + rnd(64) * 8),
+                        static_cast<RegId>(1 + rnd(6))));
+                    break;
+                  case 3:
+                    body.push_back(loadAbs(
+                        static_cast<RegId>(1 + rnd(6)),
+                        0x100000 + rnd(64) * 8));
+                    break;
+                  case 4: {
+                    // Forward branch over the next instruction.
+                    std::uint32_t target =
+                        static_cast<std::uint32_t>(body.size() + 2);
+                    body.push_back(branchImm(
+                        static_cast<Cond>(rnd(4)),
+                        static_cast<RegId>(1 + rnd(6)),
+                        static_cast<std::int64_t>(rnd(500)), target));
+                    body.push_back(addImm(
+                        static_cast<RegId>(1 + rnd(6)),
+                        static_cast<RegId>(1 + rnd(6)), 1));
+                    break;
+                  }
+                  case 5:
+                    if (f + 1 < nfuncs) {
+                        body.push_back(call(static_cast<FuncId>(
+                            f + 1 + rnd(nfuncs - f - 1))));
+                    } else {
+                        body.push_back(nop());
+                    }
+                    break;
+                  case 6:
+                    // Indirect call: mostly a valid callee, sometimes
+                    // a wild pointer (architected no-op call).
+                    if (f + 1 < nfuncs && rnd(4) != 0) {
+                        body.push_back(movImm(
+                            9, static_cast<std::int64_t>(
+                                   f + 1 + rnd(nfuncs - f - 1))));
+                    } else {
+                        body.push_back(
+                            movImm(9, 0x7fffffff + rnd(100)));
+                    }
+                    body.push_back(indirectCall(9));
+                    break;
+                  default:
+                    body.push_back(addImm(
+                        static_cast<RegId>(1 + rnd(6)),
+                        static_cast<RegId>(1 + rnd(6)),
+                        static_cast<std::int64_t>(rnd(64))));
+                    break;
+                }
+            }
+            // A bounded counted loop at the end of some functions.
+            if (rnd(2)) {
+                RegId ctr = 7;
+                std::uint32_t head =
+                    static_cast<std::uint32_t>(body.size() + 1);
+                body.push_back(movImm(ctr, 0));
+                body.push_back(branchImm(
+                    Cond::Ge, ctr,
+                    static_cast<std::int64_t>(2 + rnd(12)),
+                    static_cast<std::uint32_t>(body.size() + 4)));
+                body.push_back(loadAbs(8, 0x100000 + rnd(64) * 8));
+                body.push_back(addImm(ctr, ctr, 1));
+                body.push_back(jump(head));
+            }
+            body.push_back(ret());
+        }
+        prog.layout();
+        return prog;
+    }
+
+  private:
+    std::uint64_t state_;
+};
+
+/** Every counter and histogram of @p ref and @p sm must match. */
+void
+expectSameStats(StatSet &ref, StatSet &sm, const std::string &what)
+{
+    for (const auto &[name, value] : ref.all())
+        EXPECT_EQ(value, sm.get(name)) << what << " counter " << name;
+    for (const auto &[name, value] : sm.all())
+        EXPECT_EQ(ref.get(name), value) << what << " counter " << name;
+    for (const auto &[name, h] : ref.allHistograms()) {
+        auto it = sm.allHistograms().find(name);
+        ASSERT_NE(it, sm.allHistograms().end())
+            << what << " histogram " << name;
+        const Histogram &o = it->second;
+        EXPECT_EQ(h.count(), o.count()) << what << " histogram " << name;
+        EXPECT_EQ(h.min(), o.min()) << what << " histogram " << name;
+        EXPECT_EQ(h.max(), o.max()) << what << " histogram " << name;
+        EXPECT_DOUBLE_EQ(h.mean(), o.mean())
+            << what << " histogram " << name;
+    }
+}
+
+struct FastForwardDifferential
+    : ::testing::TestWithParam<std::uint64_t>
+{
+};
 
 /**
  * A counted loop with memory traffic, data-dependent forward
@@ -196,42 +367,35 @@ TEST(SamplingParams, ParseRejectsMalformedSpecs)
 /**
  * Warming equivalence: with an infinite detailed window the sampling
  * controller never leaves the detailed phase, so the run must be
- * indistinguishable from plain fast-forward — identical cycles,
+ * indistinguishable from the plain detailed loop — identical cycles,
  * committed uops, architectural state, and every counter.
  */
-TEST(SampledPipeline, InfiniteWindowMatchesFastForwardExactly)
+TEST(SampledPipeline, InfiniteWindowMatchesDetailedExactly)
 {
     Program prog = loopProgram(1500);
 
-    Memory ff_mem;
-    seedMemory(ff_mem);
-    SamplingParams off;
-    Pipeline ff(prog, ff_mem, sampledParams(off));
-    auto ff_res = ff.run(0);
-    EXPECT_FALSE(ff.sampledMode());
+    Memory ref_mem;
+    seedMemory(ref_mem);
+    Pipeline ref(prog, ref_mem, sampledParams());
+    auto ref_res = ref.run(0);
+    EXPECT_FALSE(ref.sampledMode());
 
     Memory sm_mem;
     seedMemory(sm_mem);
-    SamplingParams sp;
-    sp.enabled = true;
-    sp.windowInsts = SamplingParams::kInfiniteWindow;
-    Pipeline sm(prog, sm_mem, sampledParams(sp));
+    Pipeline sm(prog, sm_mem, sampledParams(infiniteWindow()));
     auto sm_res = sm.run(0);
     EXPECT_TRUE(sm.sampledMode());
 
-    EXPECT_EQ(ff_res.cycles, sm_res.cycles);
-    EXPECT_EQ(ff_res.instructions, sm_res.instructions);
+    EXPECT_EQ(ref_res.cycles, sm_res.cycles);
+    EXPECT_EQ(ref_res.instructions, sm_res.instructions);
     EXPECT_EQ(sm.sampler().windows(), 0u); // never left the window
     for (unsigned r = 1; r <= 9; ++r)
-        EXPECT_EQ(ff.regValue(r), sm.regValue(r)) << "reg " << r;
+        EXPECT_EQ(ref.regValue(r), sm.regValue(r)) << "reg " << r;
     for (unsigned i = 0; i < 64; ++i)
-        EXPECT_EQ(ff_mem.read(0x100000 + i * 8),
+        EXPECT_EQ(ref_mem.read(0x100000 + i * 8),
                   sm_mem.read(0x100000 + i * 8))
             << "slot " << i;
-    for (const auto &[name, value] : ff.stats().all())
-        EXPECT_EQ(value, sm.stats().get(name)) << "counter " << name;
-    for (const auto &[name, value] : sm.stats().all())
-        EXPECT_EQ(ff.stats().get(name), value) << "counter " << name;
+    expectSameStats(ref.stats(), sm.stats(), "loop");
 }
 
 /**
@@ -247,9 +411,7 @@ TEST(SampledPipeline, FiniteWindowsPreserveArchitecturalState)
 
     Memory ref_mem;
     seedMemory(ref_mem);
-    PipelineParams ref_pp;
-    ref_pp.detailedTelemetry = false;
-    Pipeline ref(prog, ref_mem, ref_pp);
+    Pipeline ref(prog, ref_mem, sampledParams());
     auto ref_res = ref.run(0);
 
     Memory sm_mem;
@@ -283,4 +445,169 @@ TEST(SampledPipeline, FiniteWindowsPreserveArchitecturalState)
     double exact_cpi = static_cast<double>(ref_res.cycles) /
                        static_cast<double>(ref_res.instructions);
     EXPECT_NEAR(est.cpiMean(), exact_cpi, 0.25 * exact_cpi);
+}
+
+/**
+ * Both guarantees above over random programs, under every scheme:
+ * an infinite window matches the detailed run exactly, and short
+ * windows (most of the stream retired functionally, wild indirect
+ * targets included) preserve its architectural state.
+ */
+TEST_P(FastForwardDifferential, IndistinguishableUnderEveryScheme)
+{
+    std::uint64_t seed = GetParam();
+    ProgramGen gen(seed);
+    Program prog = gen.make(5 + seed % 4);
+
+    defenses::FencePolicy fence;
+    defenses::DomPolicy dom;
+    defenses::SttPolicy stt;
+    defenses::SpotMitigationPolicy spot;
+    std::vector<std::pair<const char *, SpeculationPolicy *>>
+        schemes = {{"unsafe", nullptr}, {"fence", &fence},
+                   {"dom", &dom},       {"stt", &stt},
+                   {"spot", &spot}};
+
+    SamplingParams shortWindows;
+    shortWindows.enabled = true;
+    shortWindows.windowInsts = 8;
+    shortWindows.warmingInsts = 8;
+    shortWindows.periodInsts = 32;
+    shortWindows.seed = seed;
+
+    for (auto [name, policy] : schemes) {
+        std::string what = name;
+        what += " seed " + std::to_string(seed);
+
+        Memory ref_mem;
+        seedMemory(ref_mem);
+        Pipeline ref(prog, ref_mem, sampledParams());
+        ref.setPolicy(policy);
+        auto ref_res = ref.run(0);
+
+        Memory inf_mem;
+        seedMemory(inf_mem);
+        Pipeline inf(prog, inf_mem, sampledParams(infiniteWindow()));
+        inf.setPolicy(policy);
+        auto inf_res = inf.run(0);
+        ASSERT_TRUE(inf.sampledMode()) << what;
+
+        EXPECT_EQ(ref_res.cycles, inf_res.cycles) << what;
+        EXPECT_EQ(ref_res.instructions, inf_res.instructions) << what;
+        for (unsigned r = 1; r <= 9; ++r)
+            EXPECT_EQ(ref.regValue(r), inf.regValue(r))
+                << what << " reg " << r;
+        for (unsigned i = 0; i < 64; ++i)
+            EXPECT_EQ(ref_mem.read(0x100000 + i * 8),
+                      inf_mem.read(0x100000 + i * 8))
+                << what << " slot " << i;
+        expectSameStats(ref.stats(), inf.stats(), what);
+
+        Memory sm_mem;
+        seedMemory(sm_mem);
+        Pipeline sm(prog, sm_mem, sampledParams(shortWindows));
+        sm.setPolicy(policy);
+        auto sm_res = sm.run(0);
+        ASSERT_TRUE(sm.sampledMode()) << what;
+
+        EXPECT_EQ(ref_res.instructions, sm_res.instructions) << what;
+        for (unsigned r = 1; r <= 9; ++r)
+            EXPECT_EQ(ref.regValue(r), sm.regValue(r))
+                << what << " reg " << r;
+        for (unsigned i = 0; i < 64; ++i)
+            EXPECT_EQ(ref_mem.read(0x100000 + i * 8),
+                      sm_mem.read(0x100000 + i * 8))
+                << what << " slot " << i;
+        EXPECT_LT(sm.sampler().sampledInsts(), sm_res.instructions)
+            << what << ": the functional path retired nothing";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomPrograms, FastForwardDifferential,
+                         ::testing::Range<std::uint64_t>(1, 33));
+
+/**
+ * Wild indirect-call targets resolve to an architected no-op call —
+ * the rule shared between the interpreter and the pipeline
+ * (sim/superblock.hh validCallTarget) — on the functional path as on
+ * the detailed one. The padding spans several I-cache lines, so the
+ * first window closes at a line-miss drain and the wild call retires
+ * functionally.
+ */
+TEST(SampledPipeline, WildIndirectTargetMatchesDetailed)
+{
+    Program prog;
+    FuncId f = prog.addFunction("main", false);
+    auto &body = prog.func(f).body;
+    for (unsigned i = 0; i < 48; ++i)
+        body.push_back(addImm(3, 3, 1));
+    body.push_back(movImm(1, 0x7fffffff)); // not a function id
+    body.push_back(indirectCall(1));
+    body.push_back(movImm(2, 1));
+    body.push_back(ret());
+    prog.layout();
+
+    SamplingParams sp;
+    sp.enabled = true;
+    sp.windowInsts = 1;
+    sp.warmingInsts = 1;
+    sp.periodInsts = 1'000'000;
+
+    Memory ref_mem, sm_mem;
+    Pipeline ref(prog, ref_mem, sampledParams());
+    Pipeline sm(prog, sm_mem, sampledParams(sp));
+    auto ref_res = ref.run(f);
+    auto sm_res = sm.run(f);
+
+    // The wild call architecturally skips to fall-through: the next
+    // op commits in both modes.
+    EXPECT_EQ(ref.regValue(2), 1u);
+    EXPECT_EQ(sm.regValue(2), 1u);
+    EXPECT_EQ(ref.regValue(3), sm.regValue(3));
+    EXPECT_EQ(ref_res.instructions, sm_res.instructions);
+    EXPECT_LT(sm.sampler().sampledInsts(), 48u)
+        << "the wild call should retire on the functional path";
+}
+
+/**
+ * A run that halts inside a functional phase ends on the halt
+ * cycle. Functional phases freeze the clock, so every cycle of such
+ * a run elapses inside the closed detailed windows, plus the
+ * engagement cycle that opened the first one. The branch below is
+ * mispredicted onto a DRAM-missing load; the squashed load's
+ * completion stays scheduled past the drain where the window
+ * closes, and must not be waited for.
+ */
+TEST(SampledPipeline, FunctionalHaltEndsTheRunOnTheHaltCycle)
+{
+    Program prog;
+    FuncId f = prog.addFunction("main", false);
+    prog.func(f).body = {
+        movImm(1, 0),
+        branchImm(Cond::Ne, 1, 0, 4), // cold predictor: taken
+        movImm(3, 7),
+        ret(),
+        loadAbs(2, 0x300000), // wrong path: squashed in flight
+        ret(),
+    };
+    prog.layout();
+
+    SamplingParams sp;
+    sp.enabled = true;
+    sp.windowInsts = 1;
+    sp.warmingInsts = 1;
+    sp.periodInsts = 1'000'000;
+
+    Memory mem;
+    Pipeline sm(prog, mem, sampledParams(sp));
+    auto res = sm.run(f);
+    ASSERT_TRUE(sm.sampledMode());
+    EXPECT_EQ(sm.regValue(3), 7u);
+    EXPECT_EQ(res.instructions, 4u);
+
+    const SamplingEstimator &est = sm.sampler();
+    ASSERT_EQ(est.windows(), 1u);
+    EXPECT_LT(est.sampledInsts(), res.instructions)
+        << "the run should end on the functional path";
+    EXPECT_EQ(res.cycles, est.sampledCycles() + 1);
 }

@@ -266,3 +266,39 @@ TEST(Experiment, RunRequestAsSwitchesContext)
     EXPECT_GT(r1.instructions, 0u);
     EXPECT_GT(r2.instructions, 0u);
 }
+
+/**
+ * Sampled mmap cells at the sweep defaults (30 measured + 3 warmup
+ * iterations, DESIGN §5.8 default sampling) pin their raw detailed-
+ * window cycles. Several requests end inside a functional phase;
+ * those must stop the clock on the halt cycle rather than wait out
+ * a squashed load's completion, which once added ~100 cycles each.
+ */
+TEST(Experiment, SampledMeasuredCyclesPinnedForMmap)
+{
+    struct Pin
+    {
+        Scheme scheme;
+        std::uint64_t seed;
+        std::uint64_t measuredCycles;
+    };
+    constexpr Pin kPins[] = {
+        {Scheme::Unsafe, 42, 1693}, {Scheme::Stt, 42, 1693},
+        {Scheme::Spot, 42, 1793},   {Scheme::Unsafe, 7, 1699},
+        {Scheme::Stt, 7, 1699},     {Scheme::Spot, 7, 1799},
+    };
+    WorkloadProfile mmap;
+    for (const auto &w : lebenchSuite())
+        if (w.name == "mmap")
+            mmap = w;
+    ASSERT_EQ(mmap.name, "mmap");
+    for (const Pin &p : kPins) {
+        SCOPED_TRACE(std::string(schemeName(p.scheme)) + " seed " +
+                     std::to_string(p.seed));
+        Experiment e(mmap, p.scheme, p.seed,
+                     sim::SamplingParams::parse("1"));
+        RunResult r = e.run(30, 3);
+        ASSERT_TRUE(r.sampling.active);
+        EXPECT_EQ(r.sampling.measuredCycles, p.measuredCycles);
+    }
+}

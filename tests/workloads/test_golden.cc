@@ -117,24 +117,17 @@ profileNamed(const char *name)
 void
 checkGolden(const char *workload, const Golden &g)
 {
-    // One table pins both execution modes: fast-forward (DESIGN
-    // §5.5) is timing-exact by contract, so the very same golden
-    // constants must hold bit for bit with the replica engaged.
-    for (bool ff : {false, true}) {
-        SCOPED_TRACE(std::string(workload) + " / " +
-                     schemeName(g.scheme) +
-                     (ff ? " / fast-forward" : " / detailed"));
-        Experiment e(profileNamed(workload), g.scheme, 42, ff);
-        RunResult r = e.run(8, 2);
-        EXPECT_EQ(r.cycles, g.cycles);
-        EXPECT_EQ(r.instructions, g.instructions);
-        EXPECT_EQ(r.kernelInstructions, g.kernelInstructions);
-        EXPECT_EQ(r.fences, g.fences);
-        EXPECT_EQ(r.isvFences, g.isvFences);
-        EXPECT_EQ(r.dsvFences, g.dsvFences);
-        EXPECT_DOUBLE_EQ(r.isvCacheHitRate, g.isvCacheHitRate);
-        EXPECT_DOUBLE_EQ(r.dsvCacheHitRate, g.dsvCacheHitRate);
-    }
+    SCOPED_TRACE(std::string(workload) + " / " + schemeName(g.scheme));
+    Experiment e(profileNamed(workload), g.scheme, 42);
+    RunResult r = e.run(8, 2);
+    EXPECT_EQ(r.cycles, g.cycles);
+    EXPECT_EQ(r.instructions, g.instructions);
+    EXPECT_EQ(r.kernelInstructions, g.kernelInstructions);
+    EXPECT_EQ(r.fences, g.fences);
+    EXPECT_EQ(r.isvFences, g.isvFences);
+    EXPECT_EQ(r.dsvFences, g.dsvFences);
+    EXPECT_DOUBLE_EQ(r.isvCacheHitRate, g.isvCacheHitRate);
+    EXPECT_DOUBLE_EQ(r.dsvCacheHitRate, g.dsvCacheHitRate);
 }
 
 } // namespace
