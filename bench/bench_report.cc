@@ -3,9 +3,10 @@
  * Sweep-result comparison and regression reporting: reads one or
  * more sweep JSON files (emitted by any bench's --json flag), prints
  * a per-file summary, and — given a baseline file — a per-cell delta
- * report on the deterministic metrics (cycles, instructions,
- * fences). Cells are matched by their provenance config hash, so a
- * reordered grid still lines up.
+ * report on the deterministic metrics (cycles, instructions, fences,
+ * and every counter of the cell's `stats` block, a key present on one
+ * side only counting as a difference). Cells are matched by their
+ * provenance config hash, so a reordered grid still lines up.
  *
  *   bench_report out.json                       # summarize
  *   bench_report out.json --baseline base.json  # per-cell deltas
@@ -71,6 +72,8 @@ struct Cell
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
     std::uint64_t fences = 0;
+    /** Every counter of the cell's `stats` block (compared exactly). */
+    std::map<std::string, std::uint64_t> stats;
     double wallSeconds = 0;
     double mips = 0; ///< instructions / wallSeconds / 1e6
 
@@ -269,6 +272,9 @@ loadSweep(const std::string &path, bool skipHeavy = false,
         c.key = hash + "#" + std::to_string(n);
         if (cj.contains("stats")) {
             const Json &st = cj.at("stats");
+            for (const auto &[name, v] : st.asObject())
+                if (v.isNumber())
+                    c.stats[name] = v.asUint();
             f.gateChecks += uintOr0(st, "gate.checks");
             f.gateElided += uintOr0(st, "gate.elided");
             f.mruHits += uintOr0(st, "dsvmt.mru.hits");
@@ -525,6 +531,33 @@ delta(std::uint64_t now, std::uint64_t base)
     return d == 0 ? "0" : buf;
 }
 
+/** Names of the `stats` counters that differ between @p now and
+ * @p base, in name order; a counter present on one side only
+ * differs. */
+std::vector<std::string>
+statDiffs(const Cell &now, const Cell &base)
+{
+    std::vector<std::string> out;
+    for (const auto &[name, v] : now.stats) {
+        auto it = base.stats.find(name);
+        if (it == base.stats.end() || it->second != v)
+            out.push_back(name);
+    }
+    for (const auto &[name, v] : base.stats)
+        if (!now.stats.count(name))
+            out.push_back(name);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** "1234" or "absent" for counter @p name of @p c. */
+std::string
+statValue(const Cell &c, const std::string &name)
+{
+    auto it = c.stats.find(name);
+    return it == c.stats.end() ? "absent" : std::to_string(it->second);
+}
+
 unsigned
 compare(const SweepFile &now, const SweepFile &base, bool verbose)
 {
@@ -544,9 +577,10 @@ compare(const SweepFile &now, const SweepFile &base, bool verbose)
             continue;
         }
         const Cell &b = *it->second;
+        std::vector<std::string> statDiff = statDiffs(c, b);
         bool same = c.cycles == b.cycles &&
                     c.instructions == b.instructions &&
-                    c.fences == b.fences;
+                    c.fences == b.fences && statDiff.empty();
         if (!same)
             ++diffs;
         if (same && !verbose)
@@ -564,6 +598,16 @@ compare(const SweepFile &now, const SweepFile &base, bool verbose)
                     delta(c.instructions, b.instructions).c_str(),
                     delta(c.fences, b.fences).c_str(), c.mips,
                     speedup);
+        // Name the first few differing counters (now vs baseline).
+        constexpr std::size_t kShown = 3;
+        for (std::size_t i = 0; i < statDiff.size() && i < kShown; ++i)
+            std::printf("    stats.%s: %s vs %s\n",
+                        statDiff[i].c_str(),
+                        statValue(c, statDiff[i]).c_str(),
+                        statValue(b, statDiff[i]).c_str());
+        if (statDiff.size() > kShown)
+            std::printf("    ... and %zu more differing counter(s)\n",
+                        statDiff.size() - kShown);
     }
     std::printf("\n%u of %zu cells differ from baseline"
                 " (%u unmatched)\n",
@@ -775,7 +819,9 @@ usage(int code)
         "  --baseline F       per-cell delta of every input against"
         " F\n"
         "  --check            exit 1 if any cell differs from the\n"
-        "                     baseline (regression gate)\n"
+        "                     baseline in cycles, instructions,\n"
+        "                     fences or any stats counter\n"
+        "                     (regression gate)\n"
         "  --strict           exit 1 if any input matches cells by\n"
         "                     the provenance-less workload|scheme\n"
         "                     fallback key\n"

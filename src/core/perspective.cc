@@ -250,6 +250,8 @@ PerspectivePolicy::setStats(sim::StatSet *stats)
     ctrIsvMiss_ = stats->counter("perspective.fence.isv_miss");
     ctrDsvFence_ = stats->counter("perspective.fence.dsv");
     ctrDsvMiss_ = stats->counter("perspective.fence.dsv_miss");
+    histIsvMissBurst_ = sim::LazyHistogram(stats, "isv_miss_burst");
+    histDsvMissBurst_ = sim::LazyHistogram(stats, "dsv_miss_burst");
     // Dynamic-update metrics ("update_latency",
     // "transient_gap_cycles", "revocation.stale_allows") are created
     // lazily at event time: static configurations must emit exactly
@@ -258,7 +260,7 @@ PerspectivePolicy::setStats(sim::StatSet *stats)
 
 void
 PerspectivePolicy::noteHit(std::uint64_t &run,
-                           const char *hist_name)
+                           sim::LazyHistogram &hist)
 {
     if (run == 0)
         return;
@@ -266,7 +268,7 @@ PerspectivePolicy::noteHit(std::uint64_t &run,
     // cache-behaviour analyses can tell scattered misses (capacity)
     // from bursts (cold regions / view reconfigurations).
     if (stats_)
-        stats_->histogram(hist_name).sample(run);
+        hist.sample(run);
     run = 0;
 }
 
@@ -400,7 +402,7 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
             return blockOnViews(look.readyAt);
         }
         if (ctx.firstCheck)
-            noteHit(isvMissRun_, "isv_miss_burst");
+            noteHit(isvMissRun_, histIsvMissBurst_);
         if (!look.allow) {
             if (stats_ && ctx.firstCheck)
                 ctrIsvFence_.inc();
@@ -426,7 +428,7 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
             return blockOnViews(look.readyAt);
         }
         if (ctx.firstCheck)
-            noteHit(dsvMissRun_, "dsv_miss_burst");
+            noteHit(dsvMissRun_, histDsvMissBurst_);
         if (!look.allow) {
             if (stats_ && ctx.firstCheck)
                 ctrDsvFence_.inc();

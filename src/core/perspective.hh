@@ -296,6 +296,9 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     sim::Counter ctrIsvMiss_;
     sim::Counter ctrDsvFence_;
     sim::Counter ctrDsvMiss_;
+    /** Miss-burst histograms, created at their first sample. */
+    sim::LazyHistogram histIsvMissBurst_;
+    sim::LazyHistogram histDsvMissBurst_;
 
     /** DSV-cache refill value for @p va under context @p c: walk the
      * domain's DSVMT mirror (MRU-cached), falling back to the
@@ -326,9 +329,9 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     }
 
     /** Record a miss (or a run-ending hit) on one view cache and
-     * sample completed burst lengths into @p hist_name. */
+     * sample completed burst lengths into @p hist. */
     void noteMiss(std::uint64_t &run) { ++run; }
-    void noteHit(std::uint64_t &run, const char *hist_name);
+    void noteHit(std::uint64_t &run, sim::LazyHistogram &hist);
 
     // Current consecutive-miss run length per view cache; a hit
     // closes the run and samples it into the burst histogram.

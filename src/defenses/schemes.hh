@@ -191,11 +191,22 @@ class InvisiSpecPolicy : public sim::SpeculationPolicy
         if (!ctx.speculative)
             return sim::Gate::Allow;
         if (stats_)
-            stats_->inc("invisispec.invisible_loads");
+            invisibleLoads_.inc();
         return sim::Gate::AllowInvisible;
     }
 
+    void
+    setStats(sim::StatSet *stats) override
+    {
+        SpeculationPolicy::setStats(stats);
+        invisibleLoads_ =
+            sim::LazyCounter(stats, "invisispec.invisible_loads");
+    }
+
     const char *name() const override { return "invisispec"; }
+
+  private:
+    sim::LazyCounter invisibleLoads_;
 };
 
 /**

@@ -116,10 +116,10 @@ CacheHierarchy::CacheHierarchy(const CacheParams &l1i,
 }
 
 Cycle
-CacheHierarchy::accessData(Addr addr, StatSet *stats)
+CacheHierarchy::accessData(Addr addr, CacheCounters *ctrs)
 {
-    if (stats)
-        stats->inc("l1d.accesses");
+    if (ctrs)
+        ctrs->l1dAccesses.inc();
     if (l1d_.access(addr))
         return l1d_.params().hit_latency;
     Cycle latency = l1d_.params().hit_latency;
@@ -128,12 +128,12 @@ CacheHierarchy::accessData(Addr addr, StatSet *stats)
     } else {
         latency += l2_.params().hit_latency + dramLatency_;
         l2_.fill(addr);
-        if (stats)
-            stats->inc("l2.data_misses");
+        if (ctrs)
+            ctrs->l2DataMisses.inc();
     }
     l1d_.fill(addr);
-    if (stats)
-        stats->inc("l1d.misses");
+    if (ctrs)
+        ctrs->l1dMisses.inc();
     // Next-line prefetcher (Table 7.1): a demand miss triggers a
     // background fill of the following line. No latency is charged —
     // the prefetch overlaps with the demand access.
@@ -142,18 +142,18 @@ CacheHierarchy::accessData(Addr addr, StatSet *stats)
         if (!l1d_.probe(next)) {
             l2_.fill(next);
             l1d_.fill(next);
-            if (stats)
-                stats->inc("l1d.prefetches");
+            if (ctrs)
+                ctrs->l1dPrefetches.inc();
         }
     }
     return latency;
 }
 
 Cycle
-CacheHierarchy::accessInst(Addr addr, StatSet *stats)
+CacheHierarchy::accessInst(Addr addr, CacheCounters *ctrs)
 {
-    if (stats)
-        stats->inc("l1i.accesses");
+    if (ctrs)
+        ctrs->l1iAccesses.inc();
     if (l1i_.access(addr))
         return l1i_.params().hit_latency;
     Cycle latency = l1i_.params().hit_latency;
@@ -164,15 +164,15 @@ CacheHierarchy::accessInst(Addr addr, StatSet *stats)
         l2_.fill(addr);
     }
     l1i_.fill(addr);
-    if (stats)
-        stats->inc("l1i.misses");
+    if (ctrs)
+        ctrs->l1iMisses.inc();
     if (prefetch_) {
         Addr next = addr + l1i_.params().line_bytes;
         if (!l1i_.probe(next)) {
             l2_.fill(next);
             l1i_.fill(next);
-            if (stats)
-                stats->inc("l1i.prefetches");
+            if (ctrs)
+                ctrs->l1iPrefetches.inc();
         }
     }
     return latency;

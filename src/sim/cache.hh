@@ -96,6 +96,35 @@ class Cache
 };
 
 /**
+ * The stat handles a demand access through CacheHierarchy bumps. The
+ * caller (the Pipeline) owns them, not the hierarchy: the hierarchy is
+ * copied into snapshots, while the handles belong to one StatSet.
+ * Each binds on its first event, so a cell where it never fires
+ * reports no such key.
+ */
+struct CacheCounters
+{
+    explicit CacheCounters(StatSet &stats)
+        : l1dAccesses(&stats, "l1d.accesses"),
+          l1dMisses(&stats, "l1d.misses"),
+          l1dPrefetches(&stats, "l1d.prefetches"),
+          l2DataMisses(&stats, "l2.data_misses"),
+          l1iAccesses(&stats, "l1i.accesses"),
+          l1iMisses(&stats, "l1i.misses"),
+          l1iPrefetches(&stats, "l1i.prefetches")
+    {
+    }
+
+    LazyCounter l1dAccesses;
+    LazyCounter l1dMisses;
+    LazyCounter l1dPrefetches;
+    LazyCounter l2DataMisses;
+    LazyCounter l1iAccesses;
+    LazyCounter l1iMisses;
+    LazyCounter l1iPrefetches;
+};
+
+/**
  * Two-level hierarchy with a DRAM backstop. Returns the total
  * round-trip latency of a demand access and installs lines on the way
  * up, as a non-inclusive hierarchy would.
@@ -107,11 +136,12 @@ class CacheHierarchy
                    const CacheParams &l2, Cycle dram_latency,
                    bool prefetch = true);
 
-    /** Data access: charge latency, install in L1D/L2. */
-    Cycle accessData(Addr addr, StatSet *stats = nullptr);
+    /** Data access: charge latency, install in L1D/L2; counts into
+     * @p ctrs when given. */
+    Cycle accessData(Addr addr, CacheCounters *ctrs = nullptr);
 
     /** Instruction fetch access through L1I/L2. */
-    Cycle accessInst(Addr addr, StatSet *stats = nullptr);
+    Cycle accessInst(Addr addr, CacheCounters *ctrs = nullptr);
 
     /** True if @p addr hits in L1D without touching LRU/contents. */
     bool probeL1D(Addr addr) const { return l1d_.probe(addr); }

@@ -345,7 +345,7 @@ Pipeline::execLatency(const RobEntry &e)
         // An attacker who evicts this line widens the transient
         // window of a poisoned RSB prediction.
         if (!e.sawHalt && e.effAddr != 0)
-            return caches_.accessData(e.effAddr, &stats_);
+            return caches_.accessData(e.effAddr, &cacheCtrs_);
         return 1;
       default:
         return 1;
@@ -452,7 +452,7 @@ Pipeline::tryIssueLoad(RobEntry &e)
         ctrLoadsInvisible_.inc();
     } else {
         tlb_lat = dtlb_.translate(e.effAddr, asid_);
-        mem_lat = caches_.accessData(e.effAddr, &stats_);
+        mem_lat = caches_.accessData(e.effAddr, &cacheCtrs_);
         lat = mem_lat + (tlb_lat > 1 ? tlb_lat : 0);
         e.result = mem_.read(e.effAddr);
     }
@@ -679,9 +679,9 @@ Pipeline::resolveControl(RobEntry &e)
         fetchStallUntil_ = now_ + params_.mispredictPenalty;
         ctrMispredicts_.inc();
         switch (e.op->op) {
-          case Op::Branch: stats_.inc("mispredicts.branch"); break;
-          case Op::IndirectCall: stats_.inc("mispredicts.icall"); break;
-          case Op::Return: stats_.inc("mispredicts.ret"); break;
+          case Op::Branch: ctrMispredBranch_.inc(); break;
+          case Op::IndirectCall: ctrMispredIcall_.inc(); break;
+          case Op::Return: ctrMispredRet_.inc(); break;
           default: break;
         }
         ctrSquashes_.inc();
@@ -720,7 +720,7 @@ Pipeline::applyCommit(RobEntry &e)
     }
     if (e.op->op == Op::Store) {
         mem_.write(e.effAddr, e.srcVal[1]);
-        caches_.accessData(e.effAddr, &stats_);
+        caches_.accessData(e.effAddr, &cacheCtrs_);
         --inflightStores_;
         // In-order commit: this store is the oldest in flight.
         assert(!storeQ_.empty() && storeQ_.front().first == e.seq);
@@ -729,7 +729,7 @@ Pipeline::applyCommit(RobEntry &e)
         // An invisibly-executed load becomes architecturally visible
         // at commit: install its line now (the InvisiSpec "expose").
         if (e.invisible)
-            caches_.accessData(e.effAddr, &stats_);
+            caches_.accessData(e.effAddr, &cacheCtrs_);
         --inflightLoads_;
     }
     if (e.leakSrcBit != LeakLedger::kNoSource)
@@ -820,7 +820,7 @@ Pipeline::tryIssue(RobEntry &e)
     } else if (e.op->op == Op::Call) {
         // Return-address push: allocate the stack line.
         if (e.effAddr != 0)
-            caches_.accessData(e.effAddr, &stats_);
+            caches_.accessData(e.effAddr, &cacheCtrs_);
     }
     e.state = EState::Executing;
     e.issueCycle = now_;
@@ -960,7 +960,7 @@ Pipeline::doFetch()
             Addr line = pc / 64;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
-                Cycle lat = caches_.accessInst(pc, &stats_);
+                Cycle lat = caches_.accessInst(pc, &cacheCtrs_);
                 if (lat > caches_.l1i().params().hit_latency) {
                     fetchStallUntil_ = now_ + lat;
                     break;
@@ -1033,7 +1033,7 @@ Pipeline::doFetch()
                           pol->kernelEntryCost();
                 if (c > 0)
                     fetchStallUntil_ = now_ + c;
-                stats_.inc("kernel_entries");
+                ctrKernelEntries_.inc();
             }
             fetch_.func = op.callee;
             fetch_.idx = 0;
@@ -1097,7 +1097,7 @@ Pipeline::doFetch()
                 if (alt != kNoFunc) {
                     pred.func = alt;
                     pred.idx = 0;
-                    stats_.inc("rsb_underflow_btb");
+                    ctrRsbUnderflowBtb_.inc();
                 } else {
                     pred.func = truth.func;
                     pred.idx = truth.retIdx;
@@ -1295,7 +1295,7 @@ Pipeline::run(FuncId entry)
                   !trace::anyEnabled();
 
     Cycle start = now_;
-    std::uint64_t start_inst = stats_.get("committed");
+    std::uint64_t start_inst = ctrCommitted_.value();
 
     while (!halted_) {
         ++now_;
@@ -1316,16 +1316,14 @@ Pipeline::run(FuncId entry)
     // Superblock-cache telemetry for the harness (bench_report's
     // summary): published as deltas because the cache spans runs
     // while the stats may be cleared between them.
-    stats_.counter("sb.cache.hits")
-        .inc(sbCache_.hits() - sbHitsSeen_);
-    stats_.counter("sb.cache.misses")
-        .inc(sbCache_.misses() - sbMissesSeen_);
+    ctrSbHits_.inc(sbCache_.hits() - sbHitsSeen_);
+    ctrSbMisses_.inc(sbCache_.misses() - sbMissesSeen_);
     sbHitsSeen_ = sbCache_.hits();
     sbMissesSeen_ = sbCache_.misses();
 
     RunResult r;
     r.cycles = now_ - start;
-    r.instructions = stats_.get("committed") - start_inst;
+    r.instructions = ctrCommitted_.value() - start_inst;
     return r;
 }
 

@@ -551,8 +551,8 @@ class Pipeline
     Rsb rsb_;
     StatSet stats_;
 
-    // Cached stat handles for the per-cycle/per-op hot paths (cold
-    // paths keep the name-based StatSet::inc API). Handles survive
+    // Cached stat handles: every per-cycle, per-op and per-run stat
+    // bumps through one, never by name. Handles survive
     // StatSet::clear(), so the warmup/measure reset keeps them live.
     Counter ctrCommitted_;
     Counter ctrCommittedKernel_;
@@ -568,6 +568,18 @@ class Pipeline
     Counter ctrSquashes_;
     Counter ctrGateChecks_; ///< real policy gateLoad invocations
     Counter ctrGateElided_; ///< per-cycle re-gates skipped by wakes
+
+    // Handles for stats that exist only once their event fires: each
+    // binds on first use, so the key set matches what name-keyed
+    // increments would leave (DESIGN §5.2).
+    CacheCounters cacheCtrs_{stats_};
+    LazyCounter ctrMispredBranch_{&stats_, "mispredicts.branch"};
+    LazyCounter ctrMispredIcall_{&stats_, "mispredicts.icall"};
+    LazyCounter ctrMispredRet_{&stats_, "mispredicts.ret"};
+    LazyCounter ctrKernelEntries_{&stats_, "kernel_entries"};
+    LazyCounter ctrRsbUnderflowBtb_{&stats_, "rsb_underflow_btb"};
+    LazyCounter ctrSbHits_{&stats_, "sb.cache.hits"};
+    LazyCounter ctrSbMisses_{&stats_, "sb.cache.misses"};
 
     // Distribution / time-series telemetry (registered once in the
     // constructor; pointees are stable map nodes inside stats_).

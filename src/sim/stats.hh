@@ -212,6 +212,7 @@ class StatSet
     void
     inc(const std::string &name, std::uint64_t delta = 1)
     {
+        ++nameLookups_;
         counters_[name] += delta;
     }
 
@@ -224,6 +225,7 @@ class StatSet
     Counter
     counter(const std::string &name)
     {
+        ++nameLookups_;
         return Counter(&counters_[name]);
     }
 
@@ -231,6 +233,7 @@ class StatSet
     Histogram &
     histogram(const std::string &name)
     {
+        ++nameLookups_;
         return histograms_[name];
     }
 
@@ -242,6 +245,7 @@ class StatSet
     timeSeries(const std::string &name,
                Cycle interval = TimeSeries::kDefaultInterval)
     {
+        ++nameLookups_;
         auto it = series_.find(name);
         if (it == series_.end())
             it = series_.emplace(name, TimeSeries(interval)).first;
@@ -252,8 +256,8 @@ class StatSet
     std::uint64_t
     get(const std::string &name) const
     {
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
+        ++nameLookups_;
+        return find(name);
     }
 
     /** Ratio helper: get(num) / get(den), 0 when the denominator is 0. */
@@ -293,7 +297,7 @@ class StatSet
     assignFrom(const StatSet &o)
     {
         for (auto &[name, value] : counters_)
-            value = o.get(name);
+            value = o.find(name);
         for (const auto &[name, value] : o.counters_)
             counters_[name] = value;
         for (auto &[name, h] : histograms_) {
@@ -338,10 +342,84 @@ class StatSet
         return series_;
     }
 
+    /**
+     * How many name-keyed accesses (inc(name), get, counter,
+     * histogram, timeSeries) this set has served. Per-event paths
+     * bump through Counter/LazyCounter handles instead; tests use
+     * this to pin that no name lookup creeps back into them.
+     */
+    std::uint64_t nameLookups() const { return nameLookups_; }
+
   private:
+    /** get() without the lookup tally: assignFrom() reads the source
+     * set through it, which may be shared read-only across threads. */
+    std::uint64_t
+    find(const std::string &name) const
+    {
+        auto it = counters_.find(name);
+        return it == counters_.end() ? 0 : it->second;
+    }
+
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, Histogram> histograms_;
     std::map<std::string, TimeSeries> series_;
+    mutable std::uint64_t nameLookups_ = 0;
+};
+
+/**
+ * A Counter bound on its first increment. Some stats exist only once
+ * their event has fired (a cell with no L2 miss reports no
+ * "l2.data_misses" key); binding at first use keeps that key set
+ * exactly as a name-keyed inc() would leave it, while every later
+ * event bumps through the handle. @p name is kept by pointer, so it
+ * must outlive the handle (pass a string literal).
+ */
+class LazyCounter
+{
+  public:
+    LazyCounter() = default;
+    LazyCounter(StatSet *stats, const char *name)
+        : stats_(stats), name_(name)
+    {
+    }
+
+    void
+    inc(std::uint64_t delta = 1)
+    {
+        if (!ctr_.valid()) [[unlikely]]
+            ctr_ = stats_->counter(name_);
+        ctr_.inc(delta);
+    }
+
+  private:
+    StatSet *stats_ = nullptr;
+    const char *name_ = nullptr;
+    Counter ctr_;
+};
+
+/** The histogram counterpart of LazyCounter: created, and its name
+ * resolved, at the first sample. */
+class LazyHistogram
+{
+  public:
+    LazyHistogram() = default;
+    LazyHistogram(StatSet *stats, const char *name)
+        : stats_(stats), name_(name)
+    {
+    }
+
+    void
+    sample(std::uint64_t value)
+    {
+        if (!hist_) [[unlikely]]
+            hist_ = &stats_->histogram(name_);
+        hist_->sample(value);
+    }
+
+  private:
+    StatSet *stats_ = nullptr;
+    const char *name_ = nullptr;
+    Histogram *hist_ = nullptr;
 };
 
 } // namespace perspective::sim

@@ -60,6 +60,62 @@ TEST(Counter, CreationIsIdempotent)
     EXPECT_EQ(b.value(), 5u);
 }
 
+// ---- Lazily bound handles ------------------------------------------
+
+TEST(LazyCounter, KeyAppearsOnlyAtFirstIncrement)
+{
+    StatSet s;
+    LazyCounter c(&s, "l2.data_misses");
+    EXPECT_EQ(s.all().count("l2.data_misses"), 0u);
+    c.inc();
+    c.inc(2);
+    ASSERT_EQ(s.all().count("l2.data_misses"), 1u);
+    EXPECT_EQ(s.get("l2.data_misses"), 3u);
+}
+
+TEST(LazyCounter, BindsOnceAndSurvivesClear)
+{
+    StatSet s;
+    LazyCounter c(&s, "kernel_entries");
+    c.inc();
+    std::uint64_t bound = s.nameLookups();
+    s.clear();
+    c.inc(5);
+    c.inc();
+    EXPECT_EQ(s.nameLookups(), bound);
+    EXPECT_EQ(s.get("kernel_entries"), 6u);
+}
+
+TEST(LazyHistogram, KeyAppearsOnlyAtFirstSample)
+{
+    StatSet s;
+    LazyHistogram h(&s, "isv_miss_burst");
+    EXPECT_EQ(s.allHistograms().count("isv_miss_burst"), 0u);
+    h.sample(4);
+    std::uint64_t bound = s.nameLookups();
+    h.sample(8);
+    EXPECT_EQ(s.nameLookups(), bound);
+    ASSERT_EQ(s.allHistograms().count("isv_miss_burst"), 1u);
+    EXPECT_EQ(s.allHistograms().at("isv_miss_burst").count(), 2u);
+}
+
+TEST(StatSet, CountsEveryNameKeyedAccess)
+{
+    StatSet s;
+    EXPECT_EQ(s.nameLookups(), 0u);
+    s.inc("a");
+    (void)s.get("a");
+    (void)s.counter("b");
+    (void)s.histogram("h");
+    (void)s.timeSeries("t");
+    EXPECT_EQ(s.nameLookups(), 5u);
+    // Reads of the whole set and in-place restores are not lookups.
+    StatSet o = s;
+    (void)s.all();
+    s.assignFrom(o);
+    EXPECT_EQ(s.nameLookups(), 5u);
+}
+
 // ---- Histogram ------------------------------------------------------
 
 TEST(Histogram, EmptyReportsZeros)
