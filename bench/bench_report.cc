@@ -132,11 +132,6 @@ struct SweepFile
     std::uint64_t mruHits = 0;      ///< DSVMT-walk MRU granule hits
     std::uint64_t mruLookups = 0;   ///< DSVMT-walk lookups
 
-    // The predecoded superblock cache, summed over the cells' stats
-    // blocks.
-    std::uint64_t sbHits = 0;       ///< superblock cache hits
-    std::uint64_t sbMisses = 0;     ///< superblock cache builds
-
     // Dynamic-update exposure: stale allows plus the transient-gap
     // histogram, aggregated count-weighted over the cells (the JSON
     // carries per-cell percentile summaries, not raw samples).
@@ -281,8 +276,6 @@ loadSweep(const std::string &path, bool skipHeavy = false,
             f.mruLookups += uintOr0(st, "dsvmt.mru.lookups");
             f.staleAllows +=
                 uintOr0(st, "perspective.revocation.stale_allows");
-            f.sbHits += uintOr0(st, "sb.cache.hits");
-            f.sbMisses += uintOr0(st, "sb.cache.misses");
         }
         if (cj.contains("histograms") &&
             cj.at("histograms").contains("transient_gap_cycles")) {
@@ -452,13 +445,6 @@ summarize(const SweepFile &f)
                     static_cast<unsigned long long>(f.mruLookups),
                     100.0 * static_cast<double>(f.mruHits) /
                         static_cast<double>(f.mruLookups));
-    if (f.sbHits + f.sbMisses > 0)
-        std::printf("  superblock cache: %llu/%llu hits (%.1f%%)\n",
-                    static_cast<unsigned long long>(f.sbHits),
-                    static_cast<unsigned long long>(f.sbHits +
-                                                    f.sbMisses),
-                    100.0 * static_cast<double>(f.sbHits) /
-                        static_cast<double>(f.sbHits + f.sbMisses));
     if (f.gapSamples > 0 || f.staleAllows > 0)
         std::printf("  transient gaps: %llu windows, p50~%.0f "
                     "p99~%.0f cycles (count-weighted); %llu stale "

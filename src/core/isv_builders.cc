@@ -91,8 +91,10 @@ IsvView
 DynamicIsvBuilder::build() const
 {
     IsvView view(img_.program());
-    for (FuncId f : seen_)
-        view.includeFunction(f);
+    for (FuncId f = 0; f < seen_.size(); ++f) {
+        if (seen_[f])
+            view.includeFunction(f);
+    }
     return view;
 }
 

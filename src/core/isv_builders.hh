@@ -85,7 +85,7 @@ class DynamicIsvBuilder
 {
   public:
     explicit DynamicIsvBuilder(const kernel::KernelImage &img)
-        : img_(img)
+        : img_(img), seen_(img.numKernelFunctions())
     {
     }
 
@@ -93,23 +93,23 @@ class DynamicIsvBuilder
     void
     observe(sim::FuncId f)
     {
-        if (f < img_.numKernelFunctions())
-            seen_.insert(f);
+        if (f < seen_.size() && !seen_[f]) {
+            seen_[f] = true;
+            ++numSeen_;
+        }
     }
 
     /** Number of distinct kernel functions observed so far. */
-    std::size_t numObserved() const { return seen_.size(); }
-    const std::unordered_set<sim::FuncId> &observed() const
-    {
-        return seen_;
-    }
+    std::size_t numObserved() const { return numSeen_; }
 
     /** Emit the personalized dynamic ISV. */
     IsvView build() const;
 
   private:
     const kernel::KernelImage &img_;
-    std::unordered_set<sim::FuncId> seen_;
+    /** Kernel-FuncId-indexed bitmap of observed functions. */
+    std::vector<bool> seen_;
+    std::size_t numSeen_ = 0;
 };
 
 /**

@@ -69,12 +69,12 @@ PerspectivePolicy::registerContext(sim::Asid asid, DomainId domain,
     // listener keeps it in sync afterwards.
     auto [it, fresh] = dsvmts_.try_emplace(domain);
     if (fresh) {
-        for (kernel::Pfn pfn = 0; pfn < ownership_.numFrames();
-             ++pfn) {
-            DomainId owner = ownership_.ownerOf(pfn);
-            if (owner == domain || owner == kDomainReplicated)
-                it->second.setPage(pfn, true);
-        }
+        Dsvmt &tree = it->second;
+        ownership_.forEachAssigned(
+            [&tree, domain](kernel::Pfn pfn, DomainId owner) {
+                if (owner == domain || owner == kDomainReplicated)
+                    tree.setPage(pfn, true);
+            });
     }
 }
 

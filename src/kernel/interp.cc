@@ -1,27 +1,74 @@
 #include "interp.hh"
 
+#include <iterator>
+
 namespace perspective::kernel
 {
 
 using namespace sim;
 
-SuperblockCache &
-Interpreter::cache()
+namespace
 {
-    if (blocks_)
-        return *blocks_;
-    if (!ownBlocks_)
-        ownBlocks_ = std::make_unique<SuperblockCache>(prog_);
-    return *ownBlocks_;
+
+/**
+ * Flat dispatch kind: Op with AluOp unfolded, so threaded dispatch
+ * needs a single indexed jump and no secondary switch.
+ */
+enum OpKind : std::uint8_t
+{
+    kKindNop = 0,
+    kKindAdd,
+    kKindSub,
+    kKindAnd,
+    kKindShl,
+    kKindShr,
+    kKindMovI,
+    kKindMov,
+    kKindMul,
+    kKindLoad,
+    kKindStore,
+    kKindBranch,
+    kKindJump,
+    kKindCall,
+    kKindIndirectCall,
+    kKindReturn,
+    kKindFence,
+    kNumOpKinds,
+};
+
+/** Flat kind of each Op, indexed by Op; IntAlu's entry is refined by
+ * its AluOp (kindOf). */
+constexpr std::uint8_t kKindOfOp[] = {
+    kKindNop,   kKindAdd,    kKindMul,  kKindLoad,
+    kKindStore, kKindBranch, kKindJump, kKindCall,
+    kKindIndirectCall, kKindReturn, kKindFence,
+};
+static_assert(std::size(kKindOfOp) == static_cast<int>(Op::Fence) + 1,
+              "one kind per Op");
+static_assert(kKindMov - kKindAdd == static_cast<int>(AluOp::Mov) -
+                                         static_cast<int>(AluOp::Add),
+              "ALU kinds follow AluOp's order");
+
+/** Map a micro-op to its flat dispatch kind: one table load, no
+ * branch, computed at every dispatch. */
+inline std::uint8_t
+kindOf(const MicroOp &op)
+{
+    return static_cast<std::uint8_t>(
+        kKindOfOp[static_cast<int>(op.op)] +
+        (op.op == Op::IntAlu) * static_cast<int>(op.alu));
 }
 
+} // namespace
+
 /*
- * Dispatch is threaded over predecoded superblocks: every op carries a
- * flat SbKind, so the hot loop is "execute handler, bump cursor,
- * indexed jump" with no per-op decode switch and no bounds check (the
- * block's last op is always a terminator, kSbEnd included). GCC/Clang
- * get labels-as-values; other compilers fall back to a switch over the
- * same handlers.
+ * Dispatch is threaded over the ops' flat kinds: the hot loop is
+ * "execute handler, bump cursor, indexed jump" with no nested decode
+ * switch. The cursor walks Function::body directly; one pointer
+ * compare per op catches a run off the end of the body, which applies
+ * the ran-off-the-end rule (a defensive return, no uop charged).
+ * GCC/Clang get labels-as-values; other compilers fall back to a
+ * switch over the same handlers.
  */
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -32,7 +79,6 @@ Interpreter::Result
 Interpreter::run(FuncId entry, std::uint64_t max_uops,
                  const std::function<void(FuncId)> &on_func)
 {
-    SuperblockCache &sbc = cache();
     stack_.clear();
     FuncId func = entry;
     std::uint32_t idx = 0;
@@ -41,212 +87,223 @@ Interpreter::run(FuncId entry, std::uint64_t max_uops,
     if (on_func)
         on_func(func);
 
-    const SbOp *cur = nullptr;
-    const SbOp *blockBase = nullptr;
-    std::uint32_t blockIdx = 0;
+    const MicroOp *body = nullptr; ///< current function's first op
+    const MicroOp *end = nullptr;  ///< one past its last op
+    const MicroOp *cur = nullptr;
 
-    // Index of the op `cur` points at, valid inside terminator
-    // handlers (straight-line handlers never need it).
-#define PERSPECTIVE_CUR_IDX()                                          \
-    (blockIdx + static_cast<std::uint32_t>(cur - blockBase))
+    // Index of the op `cur` points at (terminator handlers only).
+#define PERSPECTIVE_CUR_IDX() static_cast<std::uint32_t>(cur - body)
 
+// Budget check precedes every dispatch, the end-of-body check
+// included, exactly like the original per-op while loop; real
+// handlers count their own uop.
 #ifdef PERSPECTIVE_THREADED_DISPATCH
-
-    static const void *const kJump[kSbNumKinds] = {
-        &&h_nop,    &&h_add,  &&h_sub,   &&h_and,   &&h_shl,
-        &&h_shr,    &&h_movi, &&h_mov,   &&h_mul,   &&h_load,
+    static const void *const kJump[kNumOpKinds] = {
+        &&h_nop,    &&h_add,  &&h_sub,    &&h_and,  &&h_shl,
+        &&h_shr,    &&h_movi, &&h_mov,    &&h_mul,  &&h_load,
         &&h_store,  &&h_branch, &&h_jump, &&h_call, &&h_icall,
-        &&h_return, &&h_fence, &&h_end,
+        &&h_return, &&h_fence,
     };
-
-// Budget check precedes every dispatch, exactly like the original
-// per-op while loop; real handlers count their own uop.
+#define PERSPECTIVE_CASE(label, kind) label:
 #define DISPATCH()                                                     \
     do {                                                               \
         if (res.uops >= max_uops) [[unlikely]]                         \
             return res;                                                \
-        goto *kJump[cur->kind];                                        \
+        if (cur == end) [[unlikely]]                                   \
+            goto h_end;                                                \
+        goto *kJump[kindOf(*cur)];                                     \
     } while (0)
+#else
+#define PERSPECTIVE_CASE(label, kind) case kind:
+#define DISPATCH() goto dispatch
+#endif
 
-next_block:
+next_func:
     {
-        const Superblock &sb = sbc.at(func, idx);
-        blockBase = cur = sb.ops.data();
-        blockIdx = idx;
+        const Function &f = prog_.func(func);
+        body = f.body.data();
+        end = body + f.body.size();
     }
+same_func:
+    cur = idx < static_cast<std::size_t>(end - body) ? body + idx : end;
+#ifdef PERSPECTIVE_THREADED_DISPATCH
     DISPATCH();
+#else
+dispatch:
+    if (res.uops >= max_uops)
+        return res;
+    if (cur == end)
+        goto h_end;
+    switch (kindOf(*cur)) {
+#endif
 
-h_nop:
+    PERSPECTIVE_CASE(h_nop, kKindNop)
     ++res.uops;
     ++cur;
     DISPATCH();
 
-h_add: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    regs_[op.dst] =
-        op.src2 != kNoReg
-            ? a + regs_[op.src2] + static_cast<std::uint64_t>(op.imm)
-            : a + static_cast<std::uint64_t>(op.imm);
-    ++cur;
-    DISPATCH();
-}
+    PERSPECTIVE_CASE(h_add, kKindAdd) {
+        ++res.uops;
+        const MicroOp &op = *cur;
+        std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
+        regs_[op.dst] =
+            op.src2 != kNoReg
+                ? a + regs_[op.src2] + static_cast<std::uint64_t>(op.imm)
+                : a + static_cast<std::uint64_t>(op.imm);
+        ++cur;
+        DISPATCH();
+    }
 
-h_sub: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    std::uint64_t b = op.src2 != kNoReg
-                          ? regs_[op.src2]
-                          : static_cast<std::uint64_t>(op.imm);
-    regs_[op.dst] = a - b;
-    ++cur;
-    DISPATCH();
-}
+    PERSPECTIVE_CASE(h_sub, kKindSub) {
+        ++res.uops;
+        const MicroOp &op = *cur;
+        std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
+        std::uint64_t b = op.src2 != kNoReg
+                              ? regs_[op.src2]
+                              : static_cast<std::uint64_t>(op.imm);
+        regs_[op.dst] = a - b;
+        ++cur;
+        DISPATCH();
+    }
 
-h_and: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    regs_[op.dst] = a & static_cast<std::uint64_t>(op.imm);
-    ++cur;
-    DISPATCH();
-}
+    PERSPECTIVE_CASE(h_and, kKindAnd) {
+        ++res.uops;
+        const MicroOp &op = *cur;
+        std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
+        regs_[op.dst] = a & static_cast<std::uint64_t>(op.imm);
+        ++cur;
+        DISPATCH();
+    }
 
-h_shl: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    regs_[op.dst] = a << (op.imm & 63);
-    ++cur;
-    DISPATCH();
-}
+    PERSPECTIVE_CASE(h_shl, kKindShl) {
+        ++res.uops;
+        const MicroOp &op = *cur;
+        std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
+        regs_[op.dst] = a << (op.imm & 63);
+        ++cur;
+        DISPATCH();
+    }
 
-h_shr: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    regs_[op.dst] = a >> (op.imm & 63);
-    ++cur;
-    DISPATCH();
-}
+    PERSPECTIVE_CASE(h_shr, kKindShr) {
+        ++res.uops;
+        const MicroOp &op = *cur;
+        std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
+        regs_[op.dst] = a >> (op.imm & 63);
+        ++cur;
+        DISPATCH();
+    }
 
-h_movi: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    regs_[op.dst] = static_cast<std::uint64_t>(op.imm);
-    ++cur;
-    DISPATCH();
-}
+    PERSPECTIVE_CASE(h_movi, kKindMovI) {
+        ++res.uops;
+        regs_[cur->dst] = static_cast<std::uint64_t>(cur->imm);
+        ++cur;
+        DISPATCH();
+    }
 
-h_mov: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    regs_[op.dst] = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    ++cur;
-    DISPATCH();
-}
+    PERSPECTIVE_CASE(h_mov, kKindMov) {
+        ++res.uops;
+        const MicroOp &op = *cur;
+        regs_[op.dst] = op.src1 != kNoReg ? regs_[op.src1] : 0;
+        ++cur;
+        DISPATCH();
+    }
 
-h_mul: {
-    // IntMul's value function is whatever its AluOp says (the stock
-    // builder leaves AluOp::Add; only the pipeline charges multiply
-    // latency), so defer to evalAluOp rather than multiplying.
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    std::uint64_t b = op.src2 != kNoReg
-                          ? regs_[op.src2]
-                          : static_cast<std::uint64_t>(op.imm);
-    regs_[op.dst] = evalAluOp(op, a, b);
-    ++cur;
-    DISPATCH();
-}
+    PERSPECTIVE_CASE(h_mul, kKindMul) {
+        // IntMul's value function is whatever its AluOp says (the
+        // stock builder leaves AluOp::Add; only the pipeline charges
+        // multiply latency), so defer to evalAluOp rather than
+        // multiplying.
+        ++res.uops;
+        const MicroOp &op = *cur;
+        std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
+        std::uint64_t b = op.src2 != kNoReg
+                              ? regs_[op.src2]
+                              : static_cast<std::uint64_t>(op.imm);
+        regs_[op.dst] = evalAluOp(op, a, b);
+        ++cur;
+        DISPATCH();
+    }
 
-h_load: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-              static_cast<std::uint64_t>(op.imm);
-    regs_[op.dst] = mem_.read(ea);
-    ++cur;
-    DISPATCH();
-}
-
-h_store: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    if (!dryStores_) {
+    PERSPECTIVE_CASE(h_load, kKindLoad) {
+        ++res.uops;
+        const MicroOp &op = *cur;
         Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
                   static_cast<std::uint64_t>(op.imm);
-        mem_.write(ea, regs_[op.src2]);
+        regs_[op.dst] = mem_.read(ea);
+        ++cur;
+        DISPATCH();
     }
+
+    PERSPECTIVE_CASE(h_store, kKindStore) {
+        ++res.uops;
+        const MicroOp &op = *cur;
+        if (!dryStores_) {
+            Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
+                      static_cast<std::uint64_t>(op.imm);
+            mem_.write(ea, regs_[op.src2]);
+        }
+        ++cur;
+        DISPATCH();
+    }
+
+    PERSPECTIVE_CASE(h_branch, kKindBranch) {
+        ++res.uops;
+        const MicroOp &op = *cur;
+        std::uint64_t a = regs_[op.src1];
+        std::uint64_t b = op.src2 != kNoReg
+                              ? regs_[op.src2]
+                              : static_cast<std::uint64_t>(op.imm);
+        idx = evalCondOp(op.cond, a, b) ? op.target
+                                        : PERSPECTIVE_CUR_IDX() + 1;
+        goto same_func;
+    }
+
+    PERSPECTIVE_CASE(h_jump, kKindJump)
+    ++res.uops;
+    idx = cur->target;
+    goto same_func;
+
+    PERSPECTIVE_CASE(h_call, kKindCall)
+    ++res.uops;
+    stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
+    func = cur->callee;
+    idx = 0;
+    if (on_func)
+        on_func(func);
+    goto next_func;
+
+    PERSPECTIVE_CASE(h_icall, kKindIndirectCall) {
+        ++res.uops;
+        std::uint64_t raw = regs_[cur->src1];
+        if (!validCallTarget(prog_, raw)) {
+            // Wild pointer: architected no-op call, fall through.
+            ++cur;
+            DISPATCH();
+        }
+        stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
+        func = static_cast<FuncId>(raw);
+        idx = 0;
+        if (on_func)
+            on_func(func);
+        goto next_func;
+    }
+
+    PERSPECTIVE_CASE(h_return, kKindReturn)
+    ++res.uops;
+    goto pop_frame;
+
+    PERSPECTIVE_CASE(h_fence, kKindFence)
+    ++res.uops;
     ++cur;
     DISPATCH();
-}
 
-h_branch: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t a = regs_[op.src1];
-    std::uint64_t b = op.src2 != kNoReg
-                          ? regs_[op.src2]
-                          : static_cast<std::uint64_t>(op.imm);
-    idx = evalCondOp(op.cond, a, b) ? op.target
-                                    : PERSPECTIVE_CUR_IDX() + 1;
-    goto next_block;
-}
-
-h_jump:
-    ++res.uops;
-    idx = cur->op->target;
-    goto next_block;
-
-h_call: {
-    ++res.uops;
-    stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
-    func = cur->op->callee;
-    idx = 0;
-    if (on_func)
-        on_func(func);
-    goto next_block;
-}
-
-h_icall: {
-    ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t raw = regs_[op.src1];
-    if (!validCallTarget(prog_, raw)) {
-        // Wild pointer: architected no-op call, fall through.
-        idx = PERSPECTIVE_CUR_IDX() + 1;
-        goto next_block;
+#ifndef PERSPECTIVE_THREADED_DISPATCH
     }
-    stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
-    func = static_cast<FuncId>(raw);
-    idx = 0;
-    if (on_func)
-        on_func(func);
-    goto next_block;
-}
-
-h_return:
-    ++res.uops;
-    if (stack_.empty()) {
-        res.completed = true;
-        return res;
-    }
-    func = stack_.back().func;
-    idx = stack_.back().idx;
-    stack_.pop_back();
-    goto next_block;
-
-h_fence:
-    ++res.uops;
-    idx = PERSPECTIVE_CUR_IDX() + 1;
-    goto next_block;
+#endif
 
 h_end:
     // Ran off the end of the body: defensive return (no uop charged).
+pop_frame:
     if (stack_.empty()) {
         res.completed = true;
         return res;
@@ -254,120 +311,10 @@ h_end:
     func = stack_.back().func;
     idx = stack_.back().idx;
     stack_.pop_back();
-    goto next_block;
+    goto next_func;
 
 #undef DISPATCH
-
-#else // !PERSPECTIVE_THREADED_DISPATCH
-
-    for (;;) {
-        const Superblock &sb = sbc.at(func, idx);
-        blockBase = cur = sb.ops.data();
-        blockIdx = idx;
-        for (;;) {
-            if (res.uops >= max_uops)
-                return res;
-            const std::uint8_t kind = cur->kind;
-            if (kind != kSbEnd)
-                ++res.uops;
-            switch (kind) {
-              case kSbNop:
-                ++cur;
-                continue;
-              case kSbAluAdd:
-              case kSbAluSub:
-              case kSbAluAnd:
-              case kSbAluShl:
-              case kSbAluShr:
-              case kSbAluMovI:
-              case kSbAluMov:
-              case kSbMul: {
-                const MicroOp &op = *cur->op;
-                std::uint64_t a =
-                    op.src1 != kNoReg ? regs_[op.src1] : 0;
-                std::uint64_t b =
-                    op.src2 != kNoReg
-                        ? regs_[op.src2]
-                        : static_cast<std::uint64_t>(op.imm);
-                regs_[op.dst] = evalAluOp(op, a, b);
-                ++cur;
-                continue;
-              }
-              case kSbLoad: {
-                const MicroOp &op = *cur->op;
-                Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-                          static_cast<std::uint64_t>(op.imm);
-                regs_[op.dst] = mem_.read(ea);
-                ++cur;
-                continue;
-              }
-              case kSbStore: {
-                const MicroOp &op = *cur->op;
-                if (!dryStores_) {
-                    Addr ea =
-                        (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-                        static_cast<std::uint64_t>(op.imm);
-                    mem_.write(ea, regs_[op.src2]);
-                }
-                ++cur;
-                continue;
-              }
-              case kSbBranch: {
-                const MicroOp &op = *cur->op;
-                std::uint64_t a = regs_[op.src1];
-                std::uint64_t b =
-                    op.src2 != kNoReg
-                        ? regs_[op.src2]
-                        : static_cast<std::uint64_t>(op.imm);
-                idx = evalCondOp(op.cond, a, b)
-                          ? op.target
-                          : PERSPECTIVE_CUR_IDX() + 1;
-                break;
-              }
-              case kSbJump:
-                idx = cur->op->target;
-                break;
-              case kSbCall:
-                stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
-                func = cur->op->callee;
-                idx = 0;
-                if (on_func)
-                    on_func(func);
-                break;
-              case kSbIndirectCall: {
-                const MicroOp &op = *cur->op;
-                std::uint64_t raw = regs_[op.src1];
-                if (!validCallTarget(prog_, raw)) {
-                    idx = PERSPECTIVE_CUR_IDX() + 1;
-                    break;
-                }
-                stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
-                func = static_cast<FuncId>(raw);
-                idx = 0;
-                if (on_func)
-                    on_func(func);
-                break;
-              }
-              case kSbReturn:
-              case kSbEnd:
-                if (stack_.empty()) {
-                    res.completed = true;
-                    return res;
-                }
-                func = stack_.back().func;
-                idx = stack_.back().idx;
-                stack_.pop_back();
-                break;
-              case kSbFence:
-                idx = PERSPECTIVE_CUR_IDX() + 1;
-                break;
-            }
-            break; // terminator handled: fetch the next block
-        }
-    }
-
-#endif // PERSPECTIVE_THREADED_DISPATCH
-
+#undef PERSPECTIVE_CASE
 #undef PERSPECTIVE_CUR_IDX
 }
 

@@ -9,9 +9,9 @@
  *  - the reference semantics of the pipeline's functional sampling
  *    phases (sim::Pipeline::functionalAdvance, DESIGN §5.8).
  *
- * Dispatch is threaded over predecoded superblocks (sim/superblock.hh)
- * instead of a per-op decode switch; the call stack persists across
- * run() invocations so steady-state tracing allocates nothing.
+ * Dispatch is threaded over each op's flat kind, read straight from
+ * the program text; the call stack persists across run() invocations
+ * so steady-state tracing allocates nothing.
  */
 
 #ifndef PERSPECTIVE_KERNEL_INTERP_HH
@@ -20,12 +20,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/memory.hh"
 #include "sim/program.hh"
-#include "sim/superblock.hh"
 #include "types.hh"
 
 namespace perspective::kernel
@@ -35,15 +33,8 @@ namespace perspective::kernel
 class Interpreter
 {
   public:
-    /**
-     * @p blocks (optional) injects a shared predecoded-superblock
-     * cache so short-lived interpreters (the per-request tracers) do
-     * not re-decode the image; without one the interpreter builds its
-     * own lazily.
-     */
-    Interpreter(const sim::Program &prog, sim::Memory &mem,
-                sim::SuperblockCache *blocks = nullptr)
-        : prog_(prog), mem_(mem), blocks_(blocks)
+    Interpreter(const sim::Program &prog, sim::Memory &mem)
+        : prog_(prog), mem_(mem)
     {
     }
 
@@ -57,7 +48,7 @@ class Interpreter
     /** Restore the freshly-constructed architectural state (all
      * registers zero, stores live) so one long-lived interpreter can
      * replace a construct-per-invocation pattern without behavioral
-     * difference. Decoded superblocks are retained. */
+     * difference. */
     void
     reset()
     {
@@ -79,12 +70,8 @@ class Interpreter
                const std::function<void(sim::FuncId)> &on_func = {});
 
   private:
-    sim::SuperblockCache &cache();
-
     const sim::Program &prog_;
     sim::Memory &mem_;
-    sim::SuperblockCache *blocks_ = nullptr;
-    std::unique_ptr<sim::SuperblockCache> ownBlocks_;
     std::array<std::uint64_t, sim::kNumRegs> regs_{};
     bool dryStores_ = false;
 

@@ -9,6 +9,7 @@
 #ifndef PERSPECTIVE_KERNEL_OWNERSHIP_HH
 #define PERSPECTIVE_KERNEL_OWNERSHIP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -94,6 +95,35 @@ class OwnershipMap
     }
 
     std::uint64_t numFrames() const { return owner_.size(); }
+
+    /**
+     * Call @p fn(pfn, owner) for every assigned frame (owner !=
+     * kDomainUnknown) in pfn order. Unassigned frames are skipped a
+     * 64-byte block at a time, so a walk costs little more than the
+     * assigned frames themselves.
+     */
+    template <class F>
+    void
+    forEachAssigned(F &&fn) const
+    {
+        static_assert(kDomainUnknown == 0,
+                      "block skipping tests owner words against zero");
+        constexpr std::size_t kBlock = 64 / sizeof(DomainId);
+        const DomainId *o = owner_.data();
+        const std::size_t n = owner_.size();
+        for (std::size_t base = 0; base < n; base += kBlock) {
+            const std::size_t end = std::min(n, base + kBlock);
+            DomainId any = 0;
+            for (std::size_t p = base; p < end; ++p)
+                any |= o[p];
+            if (any == 0)
+                continue;
+            for (std::size_t p = base; p < end; ++p) {
+                if (o[p] != kDomainUnknown)
+                    fn(Pfn{p}, o[p]);
+            }
+        }
+    }
 
     /** Bumped on every change; DSV caches use it to invalidate. */
     std::uint64_t epoch() const { return epoch_; }

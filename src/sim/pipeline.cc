@@ -1,6 +1,5 @@
 #include "pipeline.hh"
 
-#include "superblock.hh"
 #include "trace.hh"
 
 #include <algorithm>
@@ -26,8 +25,7 @@ Pipeline::Pipeline(const Program &prog, Memory &mem,
       caches_(defaultL1I(), defaultL1D(), defaultL2(),
               params.dramLatency),
       dtlb_(512, 4, 30),
-      stackBase_(kDefaultStackBase),
-      sbCache_(prog)
+      stackBase_(kDefaultStackBase)
 {
     rob_.init(params_.robSize);
     renameValid_.fill(false);
@@ -602,7 +600,7 @@ Pipeline::resolveControl(RobEntry &e)
       case Op::IndirectCall: {
         if (!validCallTarget(prog_, e.srcVal[0])) {
             // Wild pointer: architected no-op call (the rule shared
-            // with the interpreter — see sim/superblock.hh). No
+            // with the interpreter — see sim/program.hh). No
             // predictor learns the wild value and no frame is pushed;
             // whatever the front end did (followed a stale BTB target
             // or stalled) is undone and fetch resumes at fall-through.
@@ -675,7 +673,6 @@ Pipeline::resolveControl(RobEntry &e)
         }
         if (eventsOn_)
             recordSpan(trace::Flag::Squash, e, now_, " (mispredict)");
-        fetchSb_ = nullptr; // front-end redirect: drop the block cursor
         fetchStallUntil_ = now_ + params_.mispredictPenalty;
         ctrMispredicts_.inc();
         switch (e.op->op) {
@@ -689,7 +686,7 @@ Pipeline::resolveControl(RobEntry &e)
     return mispredict;
 }
 
-void
+unsigned
 Pipeline::doCommit()
 {
     unsigned n = 0;
@@ -708,6 +705,7 @@ Pipeline::doCommit()
             break;
         }
     }
+    return n;
 }
 
 void
@@ -835,7 +833,7 @@ Pipeline::tryIssue(RobEntry &e)
     return true;
 }
 
-void
+bool
 Pipeline::doExecute()
 {
     // 1) Completions and control resolution, driven by the event
@@ -847,10 +845,12 @@ Pipeline::doExecute()
     // squashed (lookup fails) are dropped; after a mispredict squash,
     // the remaining due events are exactly the squashed younger
     // entries the rescan would no longer find.
-    eventQ_.drainUpTo(now_, [this](const EventRing::Ev &ev) {
+    bool busy = false;
+    eventQ_.drainUpTo(now_, [this, &busy](const EventRing::Ev &ev) {
         RobEntry *e = ev.entry;
         if (e->seq != ev.seq || e->state != EState::Executing)
             return; // squashed since issue (slot maybe recycled)
+        busy = true;
         e->state = EState::Done;
         onComplete(*e);
         if (e->isControl && !e->resolved)
@@ -873,9 +873,12 @@ Pipeline::doExecute()
     // policy's per-call tally) is replicated so the stats are
     // bit-identical to the every-cycle re-evaluation. Once the
     // issue width is consumed, nothing downstream is attempted —
-    // the legacy scan short-circuited the same way.
+    // the legacy scan short-circuited the same way. The elided count
+    // and earliest recheck cycle feed skipIdleCycles.
     unsigned issues = 0;
     std::size_t keep = 0;
+    idleElided_ = 0;
+    idleRecheckAt_ = 0;
     for (std::size_t i = 0; i < readyQ_.size(); ++i) {
         RobEntry &e = *readyQ_[i].second;
         if (issues < params_.width) {
@@ -884,6 +887,11 @@ Pipeline::doExecute()
                     e.wakeTally->inc();
                 ctrBlockedCycles_.inc();
                 ctrGateElided_.inc();
+                ++idleElided_;
+                if (e.wakeRecheckAt != 0 &&
+                    (idleRecheckAt_ == 0 ||
+                     e.wakeRecheckAt < idleRecheckAt_))
+                    idleRecheckAt_ = e.wakeRecheckAt;
                 readyQ_[keep++] = readyQ_[i];
                 continue;
             }
@@ -895,6 +903,7 @@ Pipeline::doExecute()
                 readyQ_[keep++] = readyQ_[i];
                 continue;
             }
+            busy = true;
             if (tryIssue(e)) {
                 ++issues;
                 continue;
@@ -903,17 +912,18 @@ Pipeline::doExecute()
         readyQ_[keep++] = readyQ_[i];
     }
     readyQ_.resize(keep);
+    return busy;
 }
 
-void
+unsigned
 Pipeline::doFetch()
 {
     if (halted_ || fetch_.halted)
-        return;
+        return 0;
     if (now_ < fetchStallUntil_)
-        return;
+        return 0;
     if (fetchBlockedOnSeq_ != RobEntry::kNoSeq)
-        return;
+        return 0;
 
     SpeculationPolicy *pol = policy_ ? policy_ : &unsafe_;
     // Quiescent point (DESIGN §5.8): in sampled mode, run the
@@ -924,47 +934,35 @@ Pipeline::doFetch()
         pol->allowFunctionalPhases()) {
         samplingStep(*pol);
         if (halted_ || fetch_.halted)
-            return;
+            return 0;
     }
     unsigned n = 0;
     while (n < params_.width && rob_.size() < params_.robSize) {
-        // Predecoded superblock stream: the function descriptor, op
-        // PCs, dispatch kinds and cache-line transitions are resolved
-        // once per straight-line run, not per fetched micro-op. The
-        // cursor survives width/capacity/stall breaks mid-block and
-        // is dropped on every front-end redirect.
-        if (!fetchSb_) {
-            if (fetch_.func != fetchFuncCached_) {
-                fetchFuncCached_ = fetch_.func;
-                fetchFuncPtr_ = &prog_.func(fetch_.func);
-            }
-            fetchSb_ = &sbCache_.at(fetch_.func, fetch_.idx);
-            fetchSbPos_ = 0;
+        // Ops are read straight out of the function body; the PC
+        // derives from the function's base.
+        if (fetch_.func != fetchFuncCached_) {
+            fetchFuncCached_ = fetch_.func;
+            fetchFuncPtr_ = &prog_.func(fetch_.func);
         }
-        const SbOp &d = fetchSb_->ops[fetchSbPos_];
-        assert(d.kind != kSbEnd &&
-               "fetch ran off a function body; bodies must end in ret");
         const Function &f = *fetchFuncPtr_;
-        const MicroOp &op = *d.op;
+        assert(fetch_.idx < f.body.size() &&
+               "fetch ran off a function body; bodies must end in ret");
+        const MicroOp &op = f.body[fetch_.idx];
 
         if (op.op == Op::Load && inflightLoads_ >= params_.lqSize)
             break;
         if (op.op == Op::Store && inflightStores_ >= params_.sqSize)
             break;
 
-        Addr pc = d.pc;
-        // Ops past the first of a line were always preceded (same
-        // block) by an op on the same line, so only line transitions
-        // consult the I-cache.
-        if (d.newLine) {
-            Addr line = pc / 64;
-            if (line != lastFetchLine_) {
-                lastFetchLine_ = line;
-                Cycle lat = caches_.accessInst(pc, &cacheCtrs_);
-                if (lat > caches_.l1i().params().hit_latency) {
-                    fetchStallUntil_ = now_ + lat;
-                    break;
-                }
+        // Only line transitions consult the I-cache.
+        Addr pc = f.instAddr(fetch_.idx);
+        Addr line = pc / 64;
+        if (line != lastFetchLine_) {
+            lastFetchLine_ = line;
+            Cycle lat = caches_.accessInst(pc, &cacheCtrs_);
+            if (lat > caches_.l1i().params().hit_latency) {
+                fetchStallUntil_ = now_ + lat;
+                break;
             }
         }
 
@@ -1125,14 +1123,6 @@ Pipeline::doFetch()
             break;
         }
 
-        // Straight-line ops advance the cursor; any terminator
-        // (including a fence or an untaken-path branch) ends the
-        // block and the next iteration re-resolves from fetch_.
-        if (d.kind >= kSbBranch)
-            fetchSb_ = nullptr;
-        else
-            ++fetchSbPos_;
-
         if (op.op == Op::Load)
             ++inflightLoads_;
         else if (op.op == Op::Store)
@@ -1155,6 +1145,7 @@ Pipeline::doFetch()
         if (stop_fetch)
             break;
     }
+    return n;
 }
 
 void
@@ -1206,10 +1197,6 @@ Pipeline::restore(const Snapshot &s)
     // rewind; firing them against restored state would be a use of a
     // dead world. The rewound experiment re-schedules its own.
     scheduled_.clear();
-    // Decoded superblocks derive from the immutable Program and stay
-    // valid; only the cursor (front-end position) is rewound.
-    fetchSb_ = nullptr;
-    fetchSbPos_ = 0;
     // The sampling phase machine anchors on the cumulative committed
     // count, which just rewound with the stats.
     resetSampling();
@@ -1250,6 +1237,57 @@ Pipeline::runScheduled()
     scheduled_.resize(kept);
 }
 
+void
+Pipeline::skipIdleCycles(Cycle start)
+{
+    // Every input the idle cycle read that can change without a
+    // pipeline event is a function of now_; each becomes a bound.
+    constexpr Cycle kNever = ~Cycle{0};
+    Cycle bound = kNever;
+    auto atMost = [&bound](Cycle c) { bound = std::min(bound, c); };
+    if (!eventQ_.empty())
+        atMost(eventQ_.nextCycle());
+    if (fetchStallUntil_ > now_)
+        atMost(fetchStallUntil_);
+    if (idleRecheckAt_ != 0)
+        atMost(idleRecheckAt_);
+    for (const auto &sc : scheduled_)
+        atMost(sc.first);
+    if (params_.detailedTelemetry) {
+        atMost(tsRobOcc_->nextDue());
+        atMost(tsCommitted_->nextDue());
+        atMost(tsFences_->nextDue());
+    }
+    // No finite bound (a deadlock): keep stepping so the maxCycles
+    // guard fires exactly as it would have. Otherwise stop no later
+    // than the cycle at which the guard throws.
+    if (bound == kNever)
+        return;
+    Cycle last = bound - 1;
+    if (params_.maxCycles < kNever - start - 1)
+        last = std::min(last, start + params_.maxCycles + 1);
+    if (last <= now_)
+        return;
+    const Cycle k = last - now_;
+
+    // The skipped cycles' accounting, k times this cycle's: each
+    // elided re-gate bumps the blocked-cycle and elided counters and
+    // its policy tally. Every blocked entry was elided (a due one
+    // would have been tried), so the tallies are the blocked entries'.
+    if (idleElided_ != 0) {
+        ctrBlockedCycles_.inc(k * idleElided_);
+        ctrGateElided_.inc(k * idleElided_);
+        for (const auto &[seq, e] : readyQ_) {
+            if (e->state == EState::Blocked && e->wakeTally)
+                e->wakeTally->inc(k);
+        }
+    }
+    if (params_.detailedTelemetry)
+        histRobOcc_->sample(rob_.size(), k);
+    now_ = last;
+    cyclesSkipped_ += k;
+}
+
 RunResult
 Pipeline::run(FuncId entry)
 {
@@ -1271,8 +1309,6 @@ Pipeline::run(FuncId entry)
     fetchBlockedOnSeq_ = RobEntry::kNoSeq;
     fetchStallUntil_ = 0;
     lastFetchLine_ = ~Addr{0};
-    fetchSb_ = nullptr;
-    fetchSbPos_ = 0;
     // Per-run latch: the structured event log is consulted once, not
     // per committed/squashed micro-op. Same for the leakage ledger's
     // armed state and the run's syscall entry point (attribution).
@@ -1299,27 +1335,24 @@ Pipeline::run(FuncId entry)
 
     while (!halted_) {
         ++now_;
+        // Callbacks run before the stages, so an idle cycle has
+        // already seen whatever state they changed.
         if (!scheduled_.empty())
             runScheduled();
-        doCommit();
+        bool busy = doCommit() != 0;
         if (halted_)
             break;
-        doExecute();
-        doFetch();
+        busy |= doExecute();
+        busy |= doFetch() != 0;
         sampleTelemetry();
+        // A functional phase can halt the run from inside fetch.
+        if (!busy && !halted_)
+            skipIdleCycles(start);
         if (now_ - start > params_.maxCycles) {
             throw std::runtime_error(
                 "Pipeline::run exceeded maxCycles; likely deadlock");
         }
     }
-
-    // Superblock-cache telemetry for the harness (bench_report's
-    // summary): published as deltas because the cache spans runs
-    // while the stats may be cleared between them.
-    ctrSbHits_.inc(sbCache_.hits() - sbHitsSeen_);
-    ctrSbMisses_.inc(sbCache_.misses() - sbMissesSeen_);
-    sbHitsSeen_ = sbCache_.hits();
-    sbMissesSeen_ = sbCache_.misses();
 
     RunResult r;
     r.cycles = now_ - start;

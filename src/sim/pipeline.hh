@@ -43,7 +43,6 @@
 #include "program.hh"
 #include "sampling.hh"
 #include "stats.hh"
-#include "superblock.hh"
 #include "tlb.hh"
 #include "trace.hh"
 #include "types.hh"
@@ -230,6 +229,11 @@ class Pipeline
     StatSet &stats() { return stats_; }
     const Program &program() const { return prog_; }
     const PipelineParams &params() const { return params_; }
+
+    /** Host-side telemetry, not a stat: cycles the run loop jumped
+     * over as provably idle (see skipIdleCycles) over the pipeline's
+     * lifetime. Simulated results are identical either way. */
+    std::uint64_t cyclesSkipped() const { return cyclesSkipped_; }
 
   private:
     /** A frame of the speculative call stack. */
@@ -489,9 +493,11 @@ class Pipeline
     };
 
     // -- per-cycle stages ------------------------------------------------
-    void doCommit();
-    void doExecute();
-    void doFetch();
+    // Each reports whether it did anything this cycle; a cycle in
+    // which none did is idle (see skipIdleCycles).
+    unsigned doCommit();
+    bool doExecute();
+    unsigned doFetch();
 
     // -- helpers ---------------------------------------------------------
     RobEntry *findBySeq(std::uint64_t seq);
@@ -518,6 +524,20 @@ class Pipeline
                     const char *suffix = nullptr);
     void sampleTelemetry();
     void runScheduled();
+    /**
+     * Called after an idle cycle: one that committed, completed,
+     * issued, tried and dispatched nothing. Every ready-queue entry
+     * was then a policy-blocked load whose wake conditions all held
+     * still, or a load behind an unchanged fence/store front, and
+     * every following cycle repeats this one until a time-bound
+     * source fires: the next completion event, the fetch stall's
+     * end, a blocked load's recheck cycle, a scheduled callback or a
+     * telemetry sample. Jumps now_ to the cycle before the earliest
+     * of them, charging the skipped cycles' blocked-cycle, elided-gate,
+     * policy-tally and ROB-occupancy accounting exactly (DESIGN §5.5).
+     * @p start is the run's first cycle, for the maxCycles guard.
+     */
+    void skipIdleCycles(Cycle start);
     std::uint64_t evalAlu(const RobEntry &e) const;
     bool evalBranch(const RobEntry &e) const;
 
@@ -532,13 +552,15 @@ class Pipeline
     /** Architectural-only executor: commits up to @p budget micro-ops
      * with correct register/memory/control-flow semantics but no
      * timing (now_ does not advance) and, in the skip phase, no
-     * microarchitectural updates at all. With @p warm set it drives
+     * microarchitectural updates at all. With @p kWarm set it drives
      * the L1/L2 caches, D-TLB, branch predictors, BTB, RSB and the
      * policy's warmAccess hook, so detailed windows open on the state
-     * a continuously-detailed run would have. Only the committed-
-     * micro-op counters advance; all other stats stay untouched. */
-    void functionalAdvance(std::uint64_t budget, bool warm,
-                           SpeculationPolicy &pol);
+     * a continuously-detailed run would have; the skip phase's
+     * instantiation compiles without any warm check. Only the
+     * committed-micro-op counters advance; all other stats stay
+     * untouched. */
+    template <bool kWarm>
+    void functionalAdvance(std::uint64_t budget, SpeculationPolicy &pol);
 
     const Program &prog_;
     Memory &mem_;
@@ -578,8 +600,6 @@ class Pipeline
     LazyCounter ctrMispredRet_{&stats_, "mispredicts.ret"};
     LazyCounter ctrKernelEntries_{&stats_, "kernel_entries"};
     LazyCounter ctrRsbUnderflowBtb_{&stats_, "rsb_underflow_btb"};
-    LazyCounter ctrSbHits_{&stats_, "sb.cache.hits"};
-    LazyCounter ctrSbMisses_{&stats_, "sb.cache.misses"};
 
     // Distribution / time-series telemetry (registered once in the
     // constructor; pointees are stable map nodes inside stats_).
@@ -641,26 +661,16 @@ class Pipeline
      * at 1 so a fresh entry's memGen (0) never matches. */
     std::uint64_t memGen_ = 1;
 
-    // Fetch fast path: the current function's descriptor, resolved
-    // once per front-end redirect instead of per micro-op.
+    // Descriptor of the function fetch is in; re-resolved only when
+    // fetch_.func changes.
     FuncId fetchFuncCached_ = kNoFunc;
     const Function *fetchFuncPtr_ = nullptr;
 
-    /** Predecoded superblocks for the front end (and the functional
-     * sampling phases): op pointers, PCs, line-transition flags and flat
-     * dispatch kinds, resolved once per straight-line run. */
-    SuperblockCache sbCache_;
-    /** Fetch cursor into the current superblock; null after any
-     * front-end redirect (taken branch, call, return, squash) and
-     * re-resolved from (fetch_.func, fetch_.idx) on demand. Survives
-     * width/capacity/stall breaks mid-block. */
-    const Superblock *fetchSb_ = nullptr;
-    std::size_t fetchSbPos_ = 0;
-    /** Cache hit/miss totals already published into stats_ (the
-     * cache accumulates for the pipeline's lifetime while stats may
-     * be cleared between runs, so run() publishes deltas). */
-    std::uint64_t sbHitsSeen_ = 0;
-    std::uint64_t sbMissesSeen_ = 0;
+    // Idle-cycle skipping (skipIdleCycles): what the current cycle's
+    // issue walk elided, and the lifetime skip total.
+    unsigned idleElided_ = 0;   ///< blocked loads elided this cycle
+    Cycle idleRecheckAt_ = 0;   ///< their earliest recheck (0 = none)
+    std::uint64_t cyclesSkipped_ = 0;
 
     // Sampled-simulation controller state (pipeline_sampling.cc). The phase
     // machine anchors on the cumulative committed-micro-op count, so

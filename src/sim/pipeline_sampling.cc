@@ -58,8 +58,10 @@ Pipeline::samplingStep(SpeculationPolicy &pol)
         if (committed < samplePhaseEnd_) {
             if (samplePhase_ == SamplePhase::Detailed)
                 return; // the detailed loop runs the window
-            functionalAdvance(samplePhaseEnd_ - committed,
-                              samplePhase_ == SamplePhase::Warm, pol);
+            if (samplePhase_ == SamplePhase::Warm)
+                functionalAdvance<true>(samplePhaseEnd_ - committed, pol);
+            else
+                functionalAdvance<false>(samplePhaseEnd_ - committed, pol);
             if (halted_ || fetch_.halted)
                 return;
             continue;
@@ -98,9 +100,9 @@ Pipeline::samplingStep(SpeculationPolicy &pol)
     }
 }
 
+template <bool kWarm>
 void
-Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
-                            SpeculationPolicy &pol)
+Pipeline::functionalAdvance(std::uint64_t budget, SpeculationPolicy &pol)
 {
     // Architectural-only execution for the functional sampling phases
     // (DESIGN §5.8): the machine is at a quiescent point, so
@@ -114,181 +116,175 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
     // caches via warmAccess — are driven with accounting-free
     // accesses; the skip phase touches nothing microarchitectural.
     // Only the committed-micro-op counters advance.
-    fetchSb_ = nullptr; // the front end moves; drop the cursor
-
     FuncId func = fetch_.func;
     std::uint32_t idx = fetch_.idx;
-    const Superblock *sb = nullptr;
-    std::size_t pos = 0;
-    const Function *fn = nullptr;
+    // Frames called in this phase stay on a flat vector and move onto
+    // the persistent CowStack only when the phase returns; returns pop
+    // them first, then the frames the phase inherited.
+    std::vector<Frame> frames;
+    auto pushFrame = [&](FuncId caller) {
+        Frame fr;
+        fr.func = caller;
+        fr.retIdx = idx + 1;
+        fr.slotVa =
+            stackBase_ - 8 * (fetch_.stack.size() + frames.size() + 1);
+        frames.push_back(fr);
+        if constexpr (kWarm) {
+            rsb_.push({fr.func, fr.retIdx});
+            caches_.accessData(fr.slotVa, nullptr);
+        }
+    };
 
+    // The committed counters are bumped once, when the phase returns;
+    // kernel ops are counted a straight-line run at a time.
     std::uint64_t done = 0;
-    while (done < budget) {
-        if (!sb) {
-            if (func != fetchFuncCached_) {
-                fetchFuncCached_ = func;
-                fetchFuncPtr_ = &prog_.func(func);
-            }
-            fn = fetchFuncPtr_;
-            sb = &sbCache_.at(func, idx);
-            pos = 0;
-        }
-        const SbOp &d = sb->ops[pos];
-        assert(d.kind != kSbEnd &&
-               "functional advance ran off a function body");
-        const MicroOp &op = *d.op;
-        if (warm && d.newLine) {
-            Addr line = d.pc / 64;
-            if (line != lastFetchLine_) {
-                lastFetchLine_ = line;
-                caches_.accessInst(d.pc, nullptr);
-            }
-        }
-        ++done;
-        ctrCommitted_.inc();
-        if (fn->kernel)
-            ctrCommittedKernel_.inc();
-
-        switch (d.kind) {
-          case kSbLoad: {
-            Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-                      static_cast<std::uint64_t>(op.imm);
-            if (warm) {
-                dtlb_.translate(ea, asid_);
-                caches_.accessData(ea, nullptr);
-                if (fn->kernel) {
-                    SpecContext ctx;
-                    ctx.pc = d.pc;
-                    ctx.dataVa = ea;
-                    ctx.func = func;
-                    ctx.kernelMode = true;
-                    ctx.asid = asid_;
-                    ctx.now = now_;
-                    pol.warmAccess(ctx);
+    std::uint64_t doneKernel = 0;
+    bool halt = false;
+    while (done < budget && !halt) {
+        const Function &fn = prog_.func(func);
+        const std::uint64_t runStart = done;
+        for (;;) {
+            assert(idx < fn.body.size() &&
+                   "functional advance ran off a function body");
+            const MicroOp &op = fn.body[idx];
+            if constexpr (kWarm) {
+                Addr line = fn.instAddr(idx) / 64;
+                if (line != lastFetchLine_) {
+                    lastFetchLine_ = line;
+                    caches_.accessInst(fn.instAddr(idx), nullptr);
                 }
             }
-            regs_[op.dst] = mem_.read(ea);
-            ++idx;
-            ++pos;
-            break;
-          }
-          case kSbStore: {
-            Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-                      static_cast<std::uint64_t>(op.imm);
-            mem_.write(ea, op.src2 != kNoReg ? regs_[op.src2] : 0);
-            if (warm)
-                caches_.accessData(ea, nullptr);
-            ++idx;
-            ++pos;
-            break;
-          }
-          case kSbBranch: {
-            std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
-            std::uint64_t b =
-                op.src2 != kNoReg
-                    ? regs_[op.src2]
-                    : static_cast<std::uint64_t>(op.imm);
-            bool taken = evalCondOp(op.cond, a, b);
-            if (warm) {
-                // Net architectural effect of a correctly predicted,
-                // resolved branch: history advanced by the outcome,
-                // tables trained against the pre-branch history.
-                std::uint64_t h = cond_.history();
-                cond_.speculate(taken);
-                cond_.update(d.pc, taken, h);
+            ++done;
+            if (op.op < Op::Branch) {
+                // Straight-line: ALU ops (incl. mul, nop), loads and
+                // stores.
+                if (op.op == Op::Load) {
+                    Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
+                              static_cast<std::uint64_t>(op.imm);
+                    if constexpr (kWarm) {
+                        dtlb_.translate(ea, asid_);
+                        caches_.accessData(ea, nullptr);
+                        if (fn.kernel) {
+                            SpecContext ctx;
+                            ctx.pc = fn.instAddr(idx);
+                            ctx.dataVa = ea;
+                            ctx.func = func;
+                            ctx.kernelMode = true;
+                            ctx.asid = asid_;
+                            ctx.now = now_;
+                            pol.warmAccess(ctx);
+                        }
+                    }
+                    regs_[op.dst] = mem_.read(ea);
+                } else if (op.op == Op::Store) {
+                    Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
+                              static_cast<std::uint64_t>(op.imm);
+                    mem_.write(ea,
+                               op.src2 != kNoReg ? regs_[op.src2] : 0);
+                    if constexpr (kWarm)
+                        caches_.accessData(ea, nullptr);
+                } else if (op.dst != kNoReg) {
+                    std::uint64_t a =
+                        op.src1 != kNoReg ? regs_[op.src1] : 0;
+                    std::uint64_t b =
+                        op.src2 != kNoReg
+                            ? regs_[op.src2]
+                            : static_cast<std::uint64_t>(op.imm);
+                    regs_[op.dst] = evalAluOp(op, a, b);
+                }
+                ++idx;
+                if (done == budget)
+                    break;
+                continue;
             }
-            idx = taken ? op.target : idx + 1;
-            sb = nullptr;
-            break;
-          }
-          case kSbJump:
-            idx = op.target;
-            sb = nullptr;
-            break;
-          case kSbCall: {
-            Frame fr;
-            fr.func = func;
-            fr.retIdx = idx + 1;
-            fr.slotVa = stackBase_ - 8 * (fetch_.stack.size() + 1);
-            fetch_.stack.push_back(fr);
-            if (warm) {
-                rsb_.push({fr.func, fr.retIdx});
-                caches_.accessData(fr.slotVa, nullptr);
-            }
-            func = op.callee;
-            idx = 0;
-            sb = nullptr;
-            break;
-          }
-          case kSbIndirectCall: {
-            std::uint64_t raw =
-                op.src1 != kNoReg ? regs_[op.src1] : 0;
-            if (!validCallTarget(prog_, raw)) {
-                // Wild pointer: architected no-op call.
-                idx += 1;
-                sb = nullptr;
-                break;
-            }
-            if (warm)
-                btb_.update(d.pc, static_cast<FuncId>(raw));
-            Frame fr;
-            fr.func = func;
-            fr.retIdx = idx + 1;
-            fr.slotVa = stackBase_ - 8 * (fetch_.stack.size() + 1);
-            fetch_.stack.push_back(fr);
-            if (warm) {
-                rsb_.push({fr.func, fr.retIdx});
-                caches_.accessData(fr.slotVa, nullptr);
-            }
-            func = static_cast<FuncId>(raw);
-            idx = 0;
-            sb = nullptr;
-            break;
-          }
-          case kSbReturn: {
-            if (fetch_.stack.empty()) {
-                // Outermost return: the run is over (the op counts,
-                // exactly like the committing detailed return).
-                fetch_.halted = true;
-                halted_ = true;
-                fetch_.func = func;
-                fetch_.idx = idx;
-                return;
-            }
-            Frame truth = fetch_.stack.back();
-            fetch_.stack.pop_back();
-            if (warm) {
-                rsb_.pop();
-                caches_.accessData(truth.slotVa, nullptr);
-            }
-            func = truth.func;
-            idx = truth.retIdx;
-            sb = nullptr;
-            break;
-          }
-          case kSbFence:
-            // Architecturally a no-op; it only orders the detailed
-            // machine, which is idle here.
-            idx += 1;
-            sb = nullptr;
-            break;
-          default: { // straight-line ALU kinds (incl. kSbMul, kSbNop)
-            if (op.dst != kNoReg) {
-                std::uint64_t a =
-                    op.src1 != kNoReg ? regs_[op.src1] : 0;
+
+            // Terminator: ends the straight-line run.
+            switch (op.op) {
+              case Op::Branch: {
+                std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
                 std::uint64_t b =
                     op.src2 != kNoReg
                         ? regs_[op.src2]
                         : static_cast<std::uint64_t>(op.imm);
-                regs_[op.dst] = evalAluOp(op, a, b);
+                bool taken = evalCondOp(op.cond, a, b);
+                if constexpr (kWarm) {
+                    // Net architectural effect of a correctly
+                    // predicted, resolved branch: history advanced by
+                    // the outcome, tables trained against the
+                    // pre-branch history.
+                    std::uint64_t h = cond_.history();
+                    cond_.speculate(taken);
+                    cond_.update(fn.instAddr(idx), taken, h);
+                }
+                idx = taken ? op.target : idx + 1;
+                break;
+              }
+              case Op::Jump:
+                idx = op.target;
+                break;
+              case Op::Call:
+                pushFrame(func);
+                func = op.callee;
+                idx = 0;
+                break;
+              case Op::IndirectCall: {
+                std::uint64_t raw =
+                    op.src1 != kNoReg ? regs_[op.src1] : 0;
+                if (!validCallTarget(prog_, raw)) {
+                    // Wild pointer: architected no-op call.
+                    idx += 1;
+                    break;
+                }
+                if constexpr (kWarm)
+                    btb_.update(fn.instAddr(idx),
+                                static_cast<FuncId>(raw));
+                pushFrame(func);
+                func = static_cast<FuncId>(raw);
+                idx = 0;
+                break;
+              }
+              case Op::Return: {
+                if (frames.empty() && fetch_.stack.empty()) {
+                    // Outermost return: the run is over (the op
+                    // counts, exactly like the committing detailed
+                    // return).
+                    fetch_.halted = true;
+                    halted_ = true;
+                    halt = true;
+                    break;
+                }
+                Frame truth;
+                if (!frames.empty()) {
+                    truth = frames.back();
+                    frames.pop_back();
+                } else {
+                    truth = fetch_.stack.back();
+                    fetch_.stack.pop_back();
+                }
+                if constexpr (kWarm) {
+                    rsb_.pop();
+                    caches_.accessData(truth.slotVa, nullptr);
+                }
+                func = truth.func;
+                idx = truth.retIdx;
+                break;
+              }
+              default: // Op::Fence
+                // Architecturally a no-op; it only orders the detailed
+                // machine, which is idle here.
+                idx += 1;
+                break;
             }
-            ++idx;
-            ++pos;
             break;
-          }
         }
+        if (fn.kernel)
+            doneKernel += done - runStart;
     }
 
+    ctrCommitted_.inc(done);
+    ctrCommittedKernel_.inc(doneKernel);
+    for (const Frame &fr : frames)
+        fetch_.stack.push_back(fr);
     fetch_.func = func;
     fetch_.idx = idx;
 }

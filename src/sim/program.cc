@@ -71,7 +71,6 @@ Program::layout()
         }
     }
     laidOut_ = true;
-    ++codeGen_; // predecoded-superblock caches must drop their blocks
 }
 
 std::pair<FuncId, std::uint32_t>

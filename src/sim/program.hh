@@ -81,15 +81,6 @@ class Program
     /** Highest kernel-text VA in use (exclusive), for sizing tables. */
     Addr kernelTextEnd() const { return kernelTextEnd_; }
 
-    /**
-     * Code generation: ticks on every layout() (the only operation
-     * that moves or rewrites text once simulation starts never runs
-     * mid-simulation; module load/unload flips *data* reachability
-     * only). Predecoded-superblock caches record this and drop their
-     * contents whenever it moves — see sim/superblock.hh.
-     */
-    std::uint64_t codeGen() const { return codeGen_; }
-
   private:
     std::vector<Function> funcs_;
     std::unordered_map<std::string, FuncId> byName_;
@@ -105,9 +96,22 @@ class Program
     std::vector<std::uint32_t> kernelPageIdx_;
 
     Addr kernelTextEnd_ = kKernelTextBase;
-    std::uint64_t codeGen_ = 1;
     bool laidOut_ = false;
 };
+
+/**
+ * Shared wild-indirect-target rule (single source of truth for the
+ * pipeline and the interpreter): a register value names a callable
+ * function iff it is in range. An out-of-range value — possible under
+ * fuzzing or attack gadgets — architecturally behaves as a no-op
+ * call: execution falls through to the next op, no frame is pushed
+ * and no predictor learns the wild value.
+ */
+inline bool
+validCallTarget(const Program &prog, std::uint64_t raw)
+{
+    return raw < prog.numFunctions();
+}
 
 } // namespace perspective::sim
 

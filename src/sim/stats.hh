@@ -174,6 +174,9 @@ class TimeSeries
 
     Cycle interval() const { return interval_; }
 
+    /** First cycle at which tick() records a sample. */
+    Cycle nextDue() const { return nextDue_; }
+
     const std::vector<std::pair<Cycle, std::uint64_t>> &
     samples() const
     {

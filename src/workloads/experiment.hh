@@ -190,8 +190,8 @@ class Experiment
     std::unique_ptr<kernel::SyscallExecutor> exec_;
     std::unique_ptr<sim::Pipeline> cpu_;
     /** Long-lived tracing interpreter: reset() per invocation, so its
-     * predecoded superblocks and call stack persist across the whole
-     * ISV build instead of being rebuilt per syscall. */
+     * call stack persists across the whole ISV build instead of being
+     * rebuilt per syscall. */
     std::unique_ptr<kernel::Interpreter> interp_;
 
     kernel::Pid mainPid_ = 0;

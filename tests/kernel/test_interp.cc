@@ -135,3 +135,26 @@ TEST(Interp, WildIndirectTargetIsSkipped)
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(in.regValue(2), 1u);
 }
+
+TEST(Interp, RunningOffTheBodyReturnsWithoutAUop)
+{
+    // A body that ends without a ret — by falling through its last op
+    // or by a jump past its end — returns to its caller; the missing
+    // ret is not charged as a uop.
+    Program prog;
+    FuncId fall = prog.addFunction("fall", true);
+    FuncId leap = prog.addFunction("leap", true);
+    FuncId top = prog.addFunction("top", true);
+    prog.func(fall).body = {movImm(1, 5)};
+    prog.func(leap).body = {jump(7), movImm(3, 1)};
+    prog.func(top).body = {call(fall), call(leap), movImm(2, 9)};
+    prog.layout();
+    Memory mem;
+    Interpreter in(prog, mem);
+    auto r = in.run(top);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.uops, 5u); // call, movImm, call, jump, movImm
+    EXPECT_EQ(in.regValue(1), 5u);
+    EXPECT_EQ(in.regValue(2), 9u);
+    EXPECT_EQ(in.regValue(3), 0u);
+}

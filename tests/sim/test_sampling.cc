@@ -529,7 +529,7 @@ INSTANTIATE_TEST_SUITE_P(RandomPrograms, FastForwardDifferential,
 /**
  * Wild indirect-call targets resolve to an architected no-op call —
  * the rule shared between the interpreter and the pipeline
- * (sim/superblock.hh validCallTarget) — on the functional path as on
+ * (sim/program.hh validCallTarget) — on the functional path as on
  * the detailed one. The padding spans several I-cache lines, so the
  * first window closes at a line-miss drain and the wild call retires
  * functionally.

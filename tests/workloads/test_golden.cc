@@ -128,6 +128,9 @@ checkGolden(const char *workload, const Golden &g)
     EXPECT_EQ(r.dsvFences, g.dsvFences);
     EXPECT_DOUBLE_EQ(r.isvCacheHitRate, g.isvCacheHitRate);
     EXPECT_DOUBLE_EQ(r.dsvCacheHitRate, g.dsvCacheHitRate);
+    // The constants above were captured cycle by cycle; they must
+    // hold with the run loop jumping over idle cycles (DESIGN §5.5).
+    EXPECT_GT(e.pipeline().cyclesSkipped(), 0u);
 }
 
 } // namespace

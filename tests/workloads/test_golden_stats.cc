@@ -115,8 +115,7 @@ const std::set<std::string> kBaseStats = {
     "l1i.accesses",     "l1i.misses",        "l1i.prefetches",
     "l2.data_misses",   "loads",             "loads.invisible",
     "loads.speculative", "mispredicts",      "mispredicts.branch",
-    "mispredicts.ret",  "sb.cache.hits",     "sb.cache.misses",
-    "squashed_uops",    "squashes"};
+    "mispredicts.ret",  "squashed_uops",     "squashes"};
 
 const std::set<std::string> kBaseHistograms = {
     "fence_stall_cycles", "load_issue_wait", "rob_occupancy",
