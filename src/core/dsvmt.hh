@@ -16,7 +16,8 @@
  * entirely for the common case of consecutive probes into the same
  * 2 MB granule; its hit rate is exported as simulator telemetry. The
  * original hash-map implementation survives as `DsvmtRef`
- * (views_ref.hh), the oracle for the differential fuzz test.
+ * (tests/core/views_ref.hh), the oracle for the differential fuzz
+ * test.
  */
 
 #ifndef PERSPECTIVE_CORE_DSVMT_HH

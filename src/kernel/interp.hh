@@ -6,24 +6,21 @@
  *
  *  - the ftrace-style tracer that builds dynamic ISVs (Section 5.3),
  *  - the Kasper/Syzkaller-style fuzzing loop of the gadget scanner,
- *  - the reference semantics of the pipeline's functional sampling
- *    phases (sim::Pipeline::functionalAdvance, DESIGN §5.8).
+ *  - the reference the pipeline is differentially tested against.
  *
- * Dispatch is threaded over each op's flat kind, read straight from
- * the program text; the call stack persists across run() invocations
- * so steady-state tracing allocates nothing.
+ * It steps through the same core as the pipeline's functional
+ * sampling phases (sim/functional.hh); the call stack persists
+ * across run() invocations so steady-state tracing allocates nothing.
  */
 
 #ifndef PERSPECTIVE_KERNEL_INTERP_HH
 #define PERSPECTIVE_KERNEL_INTERP_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "sim/memory.hh"
-#include "sim/program.hh"
+#include "sim/functional.hh"
 #include "types.hh"
 
 namespace perspective::kernel
@@ -72,14 +69,17 @@ class Interpreter
   private:
     const sim::Program &prog_;
     sim::Memory &mem_;
-    std::array<std::uint64_t, sim::kNumRegs> regs_{};
+    sim::RegFile regs_{};
     bool dryStores_ = false;
 
+    /** A return point: (caller, index of the op after the call). */
     struct Frame
     {
         sim::FuncId func;
         std::uint32_t idx;
     };
+    /** The hook set run() steps the core with (interp.cc). */
+    struct TraceHooks;
     /** Persistent call stack: cleared, never reallocated, per run. */
     std::vector<Frame> stack_;
 };

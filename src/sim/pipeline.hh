@@ -549,18 +549,20 @@ class Pipeline
      * inside a detailed window (the detailed loop proceeds) or
      * halted. */
     void samplingStep(SpeculationPolicy &pol);
-    /** Architectural-only executor: commits up to @p budget micro-ops
-     * with correct register/memory/control-flow semantics but no
-     * timing (now_ does not advance) and, in the skip phase, no
-     * microarchitectural updates at all. With @p kWarm set it drives
-     * the L1/L2 caches, D-TLB, branch predictors, BTB, RSB and the
-     * policy's warmAccess hook, so detailed windows open on the state
-     * a continuously-detailed run would have; the skip phase's
-     * instantiation compiles without any warm check. Only the
-     * committed-micro-op counters advance; all other stats stay
-     * untouched. */
+    /** Commits up to @p budget micro-ops through the architectural
+     * stepping core (functional.hh) with no timing (now_ does not
+     * advance) and, in the skip phase, no microarchitectural updates
+     * at all. With @p kWarm set its hooks drive the L1/L2 caches,
+     * D-TLB, branch predictors, BTB, RSB and the policy's warmAccess
+     * hook, so detailed windows open on the state a continuously-
+     * detailed run would have. Only the committed-micro-op counters
+     * advance; all other stats stay untouched. */
     template <bool kWarm>
     void functionalAdvance(std::uint64_t budget, SpeculationPolicy &pol);
+    /** The functional phases' hooks into the stepping core
+     * (pipeline_sampling.cc). */
+    template <bool kWarm>
+    struct PhaseHooks;
 
     const Program &prog_;
     Memory &mem_;

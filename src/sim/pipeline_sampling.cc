@@ -2,14 +2,14 @@
  * @file
  * Sampled simulation's functional half (DESIGN §5.8): the phase
  * controller that runs functional skip -> functional warm ->
- * detailed window periods, and the architectural-only executor the
- * two functional phases retire through. Detailed windows run on the
- * ordinary cycle loop in pipeline.cc.
+ * detailed window periods, and the hooks the two functional phases
+ * step the architectural core (functional.hh) with. Detailed windows
+ * run on the ordinary cycle loop in pipeline.cc.
  */
 
 #include "pipeline.hh"
 
-#include <cassert>
+#include "functional.hh"
 
 namespace perspective::sim
 {
@@ -100,193 +100,142 @@ Pipeline::samplingStep(SpeculationPolicy &pol)
     }
 }
 
+/**
+ * The functional phases' hooks into the stepping core. Frames called
+ * in the phase stay on a flat vector and move onto the persistent
+ * CowStack only when the phase returns; returns pop them first, then
+ * the frames the phase inherited. With kWarm set the structures a
+ * later detailed window reads through (L1I/L1D/L2, D-TLB, conditional
+ * predictor, BTB, RSB, and the policy's view caches via warmAccess)
+ * see accounting-free accesses; the skip instantiation's hooks compile
+ * to nothing.
+ */
+template <bool kWarm>
+struct Pipeline::PhaseHooks : FunctionalHooks
+{
+    Pipeline &p;
+    SpeculationPolicy &pol;
+    std::vector<Frame> frames;
+
+    void
+    fetch(const Function &fn, std::uint32_t idx)
+    {
+        if constexpr (kWarm) {
+            Addr line = fn.instAddr(idx) / 64;
+            if (line != p.lastFetchLine_) {
+                p.lastFetchLine_ = line;
+                p.caches_.accessInst(fn.instAddr(idx), nullptr);
+            }
+        }
+    }
+
+    void
+    load(const Function &fn, std::uint32_t idx, Addr ea)
+    {
+        if constexpr (kWarm) {
+            p.dtlb_.translate(ea, p.asid_);
+            p.caches_.accessData(ea, nullptr);
+            if (fn.kernel) {
+                SpecContext ctx;
+                ctx.pc = fn.instAddr(idx);
+                ctx.dataVa = ea;
+                ctx.func = fn.id;
+                ctx.kernelMode = true;
+                ctx.asid = p.asid_;
+                ctx.now = p.now_;
+                pol.warmAccess(ctx);
+            }
+        }
+    }
+
+    bool
+    store(Addr ea)
+    {
+        if constexpr (kWarm)
+            p.caches_.accessData(ea, nullptr);
+        return true;
+    }
+
+    void
+    branch(const Function &fn, std::uint32_t idx, bool taken)
+    {
+        if constexpr (kWarm) {
+            // Net architectural effect of a correctly predicted,
+            // resolved branch: history advanced by the outcome, tables
+            // trained against the pre-branch history.
+            std::uint64_t h = p.cond_.history();
+            p.cond_.speculate(taken);
+            p.cond_.update(fn.instAddr(idx), taken, h);
+        }
+    }
+
+    void
+    indirectCall(const Function &fn, std::uint32_t idx, FuncId target)
+    {
+        if constexpr (kWarm)
+            p.btb_.update(fn.instAddr(idx), target);
+    }
+
+    void
+    call(const Function &caller, std::uint32_t idx, FuncId)
+    {
+        Frame fr;
+        fr.func = caller.id;
+        fr.retIdx = idx + 1;
+        fr.slotVa =
+            p.stackBase_ - 8 * (p.fetch_.stack.size() + frames.size() + 1);
+        frames.push_back(fr);
+        if constexpr (kWarm) {
+            p.rsb_.push({fr.func, fr.retIdx});
+            p.caches_.accessData(fr.slotVa, nullptr);
+        }
+    }
+
+    bool
+    ret(FuncId &func, std::uint32_t &idx)
+    {
+        Frame truth;
+        if (!frames.empty()) {
+            truth = frames.back();
+            frames.pop_back();
+        } else if (!p.fetch_.stack.empty()) {
+            truth = p.fetch_.stack.back();
+            p.fetch_.stack.pop_back();
+        } else {
+            return false;
+        }
+        if constexpr (kWarm) {
+            p.rsb_.pop();
+            p.caches_.accessData(truth.slotVa, nullptr);
+        }
+        func = truth.func;
+        idx = truth.retIdx;
+        return true;
+    }
+};
+
 template <bool kWarm>
 void
 Pipeline::functionalAdvance(std::uint64_t budget, SpeculationPolicy &pol)
 {
-    // Architectural-only execution for the functional sampling phases
-    // (DESIGN §5.8): the machine is at a quiescent point, so
-    // registers, memory and control flow advance with the same
-    // semantics as kernel::Interpreter — no timing (now_ is frozen),
-    // no speculation, no squashes, and so nothing here is ever
-    // classified by the leakage ledger (classification requires
-    // speculation). In the warm phase the
-    // structures a later detailed window reads through — L1I/L1D/L2,
-    // D-TLB, conditional predictor, BTB, RSB, and the policy's view
-    // caches via warmAccess — are driven with accounting-free
-    // accesses; the skip phase touches nothing microarchitectural.
-    // Only the committed-micro-op counters advance.
-    FuncId func = fetch_.func;
-    std::uint32_t idx = fetch_.idx;
-    // Frames called in this phase stay on a flat vector and move onto
-    // the persistent CowStack only when the phase returns; returns pop
-    // them first, then the frames the phase inherited.
-    std::vector<Frame> frames;
-    auto pushFrame = [&](FuncId caller) {
-        Frame fr;
-        fr.func = caller;
-        fr.retIdx = idx + 1;
-        fr.slotVa =
-            stackBase_ - 8 * (fetch_.stack.size() + frames.size() + 1);
-        frames.push_back(fr);
-        if constexpr (kWarm) {
-            rsb_.push({fr.func, fr.retIdx});
-            caches_.accessData(fr.slotVa, nullptr);
-        }
-    };
-
-    // The committed counters are bumped once, when the phase returns;
-    // kernel ops are counted a straight-line run at a time.
-    std::uint64_t done = 0;
-    std::uint64_t doneKernel = 0;
-    bool halt = false;
-    while (done < budget && !halt) {
-        const Function &fn = prog_.func(func);
-        const std::uint64_t runStart = done;
-        for (;;) {
-            assert(idx < fn.body.size() &&
-                   "functional advance ran off a function body");
-            const MicroOp &op = fn.body[idx];
-            if constexpr (kWarm) {
-                Addr line = fn.instAddr(idx) / 64;
-                if (line != lastFetchLine_) {
-                    lastFetchLine_ = line;
-                    caches_.accessInst(fn.instAddr(idx), nullptr);
-                }
-            }
-            ++done;
-            if (op.op < Op::Branch) {
-                // Straight-line: ALU ops (incl. mul, nop), loads and
-                // stores.
-                if (op.op == Op::Load) {
-                    Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-                              static_cast<std::uint64_t>(op.imm);
-                    if constexpr (kWarm) {
-                        dtlb_.translate(ea, asid_);
-                        caches_.accessData(ea, nullptr);
-                        if (fn.kernel) {
-                            SpecContext ctx;
-                            ctx.pc = fn.instAddr(idx);
-                            ctx.dataVa = ea;
-                            ctx.func = func;
-                            ctx.kernelMode = true;
-                            ctx.asid = asid_;
-                            ctx.now = now_;
-                            pol.warmAccess(ctx);
-                        }
-                    }
-                    regs_[op.dst] = mem_.read(ea);
-                } else if (op.op == Op::Store) {
-                    Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-                              static_cast<std::uint64_t>(op.imm);
-                    mem_.write(ea,
-                               op.src2 != kNoReg ? regs_[op.src2] : 0);
-                    if constexpr (kWarm)
-                        caches_.accessData(ea, nullptr);
-                } else if (op.dst != kNoReg) {
-                    std::uint64_t a =
-                        op.src1 != kNoReg ? regs_[op.src1] : 0;
-                    std::uint64_t b =
-                        op.src2 != kNoReg
-                            ? regs_[op.src2]
-                            : static_cast<std::uint64_t>(op.imm);
-                    regs_[op.dst] = evalAluOp(op, a, b);
-                }
-                ++idx;
-                if (done == budget)
-                    break;
-                continue;
-            }
-
-            // Terminator: ends the straight-line run.
-            switch (op.op) {
-              case Op::Branch: {
-                std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
-                std::uint64_t b =
-                    op.src2 != kNoReg
-                        ? regs_[op.src2]
-                        : static_cast<std::uint64_t>(op.imm);
-                bool taken = evalCondOp(op.cond, a, b);
-                if constexpr (kWarm) {
-                    // Net architectural effect of a correctly
-                    // predicted, resolved branch: history advanced by
-                    // the outcome, tables trained against the
-                    // pre-branch history.
-                    std::uint64_t h = cond_.history();
-                    cond_.speculate(taken);
-                    cond_.update(fn.instAddr(idx), taken, h);
-                }
-                idx = taken ? op.target : idx + 1;
-                break;
-              }
-              case Op::Jump:
-                idx = op.target;
-                break;
-              case Op::Call:
-                pushFrame(func);
-                func = op.callee;
-                idx = 0;
-                break;
-              case Op::IndirectCall: {
-                std::uint64_t raw =
-                    op.src1 != kNoReg ? regs_[op.src1] : 0;
-                if (!validCallTarget(prog_, raw)) {
-                    // Wild pointer: architected no-op call.
-                    idx += 1;
-                    break;
-                }
-                if constexpr (kWarm)
-                    btb_.update(fn.instAddr(idx),
-                                static_cast<FuncId>(raw));
-                pushFrame(func);
-                func = static_cast<FuncId>(raw);
-                idx = 0;
-                break;
-              }
-              case Op::Return: {
-                if (frames.empty() && fetch_.stack.empty()) {
-                    // Outermost return: the run is over (the op
-                    // counts, exactly like the committing detailed
-                    // return).
-                    fetch_.halted = true;
-                    halted_ = true;
-                    halt = true;
-                    break;
-                }
-                Frame truth;
-                if (!frames.empty()) {
-                    truth = frames.back();
-                    frames.pop_back();
-                } else {
-                    truth = fetch_.stack.back();
-                    fetch_.stack.pop_back();
-                }
-                if constexpr (kWarm) {
-                    rsb_.pop();
-                    caches_.accessData(truth.slotVa, nullptr);
-                }
-                func = truth.func;
-                idx = truth.retIdx;
-                break;
-              }
-              default: // Op::Fence
-                // Architecturally a no-op; it only orders the detailed
-                // machine, which is idle here.
-                idx += 1;
-                break;
-            }
-            break;
-        }
-        if (fn.kernel)
-            doneKernel += done - runStart;
+    // Architectural-only execution at a quiescent point (DESIGN §5.8):
+    // no timing (now_ is frozen), no speculation, no squashes, and so
+    // nothing here is ever classified by the leakage ledger
+    // (classification requires speculation). The committed counters
+    // are bumped once, when the phase returns.
+    PhaseHooks<kWarm> hooks{{}, *this, pol, {}};
+    FunctionalResult r = runFunctional(prog_, mem_, regs_, fetch_.func,
+                                       fetch_.idx, budget, hooks);
+    if (r.returned) {
+        // Outermost return: the run is over (the op counts, exactly
+        // like the committing detailed return).
+        fetch_.halted = true;
+        halted_ = true;
     }
-
-    ctrCommitted_.inc(done);
-    ctrCommittedKernel_.inc(doneKernel);
-    for (const Frame &fr : frames)
+    ctrCommitted_.inc(r.uops);
+    ctrCommittedKernel_.inc(r.kernelUops);
+    for (const Frame &fr : hooks.frames)
         fetch_.stack.push_back(fr);
-    fetch_.func = func;
-    fetch_.idx = idx;
 }
 
 } // namespace perspective::sim

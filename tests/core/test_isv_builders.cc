@@ -139,6 +139,43 @@ TEST(DynamicIsv, DynamicSmallerThanStatic)
     EXPECT_LT(dynamic.numFunctions(), stat.numFunctions());
 }
 
+/**
+ * The function-entry trace dynamic ISVs are built from, pinned for
+ * fixed read and poll invocations on a freshly booted stack: its
+ * length, its FNV-1a hash (over each FuncId's four bytes, low byte
+ * first) and the retired uops. Any drift in the interpreter's
+ * committed-path semantics moves these.
+ */
+TEST(DynamicIsv, FunctionEntryTraceIsPinned)
+{
+    Stack fresh;
+    KernelState ks(fresh.mem);
+    Pid pid = ks.createProcess(ks.createCgroup("t"));
+    SyscallExecutor exec(ks, fresh.img);
+
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::size_t entries = 0;
+    std::uint64_t uops = 0;
+    for (Sys sys : {Sys::Read, Sys::Poll}) {
+        SyscallInvocation inv{sys, 0, 8, 0};
+        auto prep = exec.prepare(pid, inv);
+        Interpreter in(fresh.img.program(), fresh.mem);
+        for (auto [r, v] : prep.regs)
+            in.setReg(r, v);
+        auto res = in.run(fresh.img.entryOf(sys), 500'000, [&](FuncId f) {
+            ++entries;
+            for (unsigned b = 0; b < 4; ++b)
+                hash = (hash ^ ((f >> (8 * b)) & 0xff)) * 0x100000001b3ull;
+        });
+        EXPECT_TRUE(res.completed);
+        uops += res.uops;
+        exec.finish(pid, inv);
+    }
+    EXPECT_EQ(entries, 121u);
+    EXPECT_EQ(hash, 0x07ee690004d54158ull);
+    EXPECT_EQ(uops, 1241u);
+}
+
 TEST(Audit, ApplyAuditExcludesVulnerable)
 {
     auto &s = stack();

@@ -18,8 +18,8 @@
 
 #include "core/dsvmt.hh"
 #include "core/isv.hh"
-#include "core/views_ref.hh"
 #include "sim/program.hh"
+#include "views_ref.hh"
 
 using namespace perspective::core;
 using namespace perspective::sim;

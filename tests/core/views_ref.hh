@@ -6,14 +6,14 @@
  * `DsvmtRef` is the original hash-map DSVMT and `IsvFuncSetRef` the
  * original `unordered_set` ISV function membership. The production
  * classes (`Dsvmt`, `IsvView`) were rewritten on flat index-addressed
- * tables for the in-cell fast path; `tests/core/test_views_diff.cc`
- * drives random operation sequences through both and asserts
- * identical observable behaviour, including footprint accounting.
- * Nothing in the simulator links against these at runtime.
+ * tables for the in-cell fast path; `test_views_diff.cc` drives
+ * random operation sequences through both and asserts identical
+ * observable behaviour, including footprint accounting. They build
+ * into the test_core target only.
  */
 
-#ifndef PERSPECTIVE_CORE_VIEWS_REF_HH
-#define PERSPECTIVE_CORE_VIEWS_REF_HH
+#ifndef PERSPECTIVE_TESTS_CORE_VIEWS_REF_HH
+#define PERSPECTIVE_TESTS_CORE_VIEWS_REF_HH
 
 #include <array>
 #include <cstdint>
@@ -89,4 +89,4 @@ class IsvFuncSetRef
 
 } // namespace perspective::core
 
-#endif // PERSPECTIVE_CORE_VIEWS_REF_HH
+#endif // PERSPECTIVE_TESTS_CORE_VIEWS_REF_HH

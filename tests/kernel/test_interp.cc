@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "kernel/interp.hh"
+#include "sim/pipeline.hh"
 #include "sim/program.hh"
 
 using namespace perspective::kernel;
@@ -157,4 +158,70 @@ TEST(Interp, RunningOffTheBodyReturnsWithoutAUop)
     EXPECT_EQ(in.regValue(1), 5u);
     EXPECT_EQ(in.regValue(2), 9u);
     EXPECT_EQ(in.regValue(3), 0u);
+}
+
+/**
+ * Unused (kNoReg) operand slots read as 0 on every executor: a store
+ * of src2, a branch on src1 and an indirect call through src1 (which
+ * therefore calls function 0). The interpreter, the detailed pipeline
+ * and sampled pipelines whose functional skip or warm phase retires
+ * the three ops agree on registers, memory and retired uops. The
+ * padding spans several I-cache lines, so the first detailed window
+ * closes at a line-miss drain and the rest retires functionally.
+ */
+TEST(Interp, UnusedOperandSlotsReadZeroOnEveryExecutor)
+{
+    Program prog;
+    FuncId zero = prog.addFunction("zero", true);
+    FuncId f = prog.addFunction("main", true);
+    prog.func(zero).body = {movImm(5, 55), ret()};
+    auto &body = prog.func(f).body;
+    for (unsigned i = 0; i < 48; ++i)
+        body.push_back(addImm(6, 6, 1));
+    body.push_back(movImm(1, 0xc000));
+    body.push_back(movImm(2, 7));
+    body.push_back(store(1, 0, kNoReg)); // stores 0
+    body.push_back(branchImm(Cond::Eq, kNoReg, 0,
+                             static_cast<std::uint32_t>(body.size() + 2)));
+    body.push_back(movImm(3, 1)); // skipped: 0 == 0
+    body.push_back(indirectCall(kNoReg)); // calls function 0
+    body.push_back(movImm(4, 9));
+    body.push_back(ret());
+    prog.layout();
+
+    Memory ref_mem;
+    ref_mem.write(0xc000, 99);
+    Interpreter ref(prog, ref_mem);
+    auto ref_res = ref.run(f);
+    ASSERT_TRUE(ref_res.completed);
+    EXPECT_EQ(ref_mem.read(0xc000), 0u);
+    EXPECT_EQ(ref.regValue(3), 0u);
+    EXPECT_EQ(ref.regValue(4), 9u);
+    EXPECT_EQ(ref.regValue(5), 55u);
+    EXPECT_EQ(ref_res.uops, 48u + 9u);
+
+    PipelineParams detailed;
+    PipelineParams skip;
+    skip.detailedTelemetry = false;
+    skip.sampling.enabled = true;
+    skip.sampling.windowInsts = 1;
+    skip.sampling.warmingInsts = 1;
+    skip.sampling.periodInsts = 1'000'000;
+    PipelineParams warm = skip;
+    warm.sampling.warmingInsts = 1000;
+    warm.sampling.periodInsts = 1001;
+    for (const PipelineParams *pp : {&detailed, &skip, &warm}) {
+        Memory mem;
+        mem.write(0xc000, 99);
+        Pipeline cpu(prog, mem, *pp);
+        auto res = cpu.run(f);
+        EXPECT_EQ(res.instructions, ref_res.uops);
+        for (unsigned r = 1; r <= 6; ++r)
+            EXPECT_EQ(cpu.regValue(r), ref.regValue(r)) << "reg " << r;
+        EXPECT_EQ(mem.read(0xc000), 0u);
+        ASSERT_EQ(cpu.sampledMode(), pp->sampling.enabled);
+        if (cpu.sampledMode()) {
+            EXPECT_LT(cpu.sampler().sampledInsts(), 48u);
+        }
+    }
 }

@@ -4,8 +4,10 @@
  * randomly generated (but well-formed) programs, the speculative,
  * squashing, policy-gated pipeline must produce exactly the same
  * architectural state as the in-order reference interpreter — under
- * every defense scheme.
+ * every defense scheme, run in detail and sampled.
  */
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,115 +15,13 @@
 #include "kernel/interp.hh"
 #include "sim/pipeline.hh"
 #include "sim/program.hh"
+#include "support/program_gen.hh"
 
 using namespace perspective;
 using namespace perspective::sim;
 
 namespace
 {
-
-/** Deterministic program generator (splitmix64-driven). */
-class ProgramGen
-{
-  public:
-    explicit ProgramGen(std::uint64_t seed) : state_(seed * 31 + 7) {}
-
-    std::uint64_t
-    rnd(std::uint64_t bound)
-    {
-        state_ += 0x9e3779b97f4a7c15ull;
-        std::uint64_t z = state_;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        z ^= z >> 31;
-        return bound ? z % bound : z;
-    }
-
-    /**
-     * Build a program of @p nfuncs functions with arithmetic, memory
-     * traffic, forward branches, loops, and (acyclic) calls. Function
-     * 0 is the entry; it calls into higher-numbered functions only.
-     */
-    Program
-    make(unsigned nfuncs)
-    {
-        Program prog;
-        for (unsigned f = 0; f < nfuncs; ++f)
-            prog.addFunction("f" + std::to_string(f), true);
-        for (unsigned f = 0; f < nfuncs; ++f) {
-            auto &body = prog.func(f).body;
-            unsigned n_ops = 4 + static_cast<unsigned>(rnd(10));
-            for (unsigned i = 0; i < n_ops; ++i) {
-                switch (rnd(6)) {
-                  case 0:
-                    body.push_back(movImm(
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<std::int64_t>(rnd(1000))));
-                    break;
-                  case 1:
-                    body.push_back(add(
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<RegId>(1 + rnd(6))));
-                    break;
-                  case 2:
-                    body.push_back(store(
-                        kNoReg,
-                        static_cast<std::int64_t>(
-                            0x100000 + rnd(64) * 8),
-                        static_cast<RegId>(1 + rnd(6))));
-                    break;
-                  case 3:
-                    body.push_back(loadAbs(
-                        static_cast<RegId>(1 + rnd(6)),
-                        0x100000 + rnd(64) * 8));
-                    break;
-                  case 4: {
-                    // Forward branch over the next instruction.
-                    std::uint32_t target =
-                        static_cast<std::uint32_t>(body.size() + 2);
-                    body.push_back(branchImm(
-                        static_cast<Cond>(rnd(4)),
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<std::int64_t>(rnd(500)), target));
-                    body.push_back(addImm(
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<RegId>(1 + rnd(6)), 1));
-                    break;
-                  }
-                  case 5:
-                    if (f + 1 < nfuncs) {
-                        body.push_back(call(static_cast<FuncId>(
-                            f + 1 + rnd(nfuncs - f - 1))));
-                    } else {
-                        body.push_back(nop());
-                    }
-                    break;
-                }
-            }
-            // A bounded counted loop at the end of some functions.
-            if (rnd(2)) {
-                RegId ctr = 7;
-                std::uint32_t head =
-                    static_cast<std::uint32_t>(body.size() + 1);
-                body.push_back(movImm(ctr, 0));
-                body.push_back(branchImm(
-                    Cond::Ge, ctr,
-                    static_cast<std::int64_t>(2 + rnd(12)),
-                    static_cast<std::uint32_t>(body.size() + 4)));
-                body.push_back(loadAbs(8, 0x100000 + rnd(64) * 8));
-                body.push_back(addImm(ctr, ctr, 1));
-                body.push_back(jump(head));
-            }
-            body.push_back(ret());
-        }
-        prog.layout();
-        return prog;
-    }
-
-  private:
-    std::uint64_t state_;
-};
 
 struct PipelineEquivalence
     : ::testing::TestWithParam<std::uint64_t>
@@ -133,13 +33,17 @@ struct PipelineEquivalence
 TEST_P(PipelineEquivalence, MatchesInterpreterUnderEveryScheme)
 {
     std::uint64_t seed = GetParam();
-    ProgramGen gen(seed);
+    testsupport::ProgramGen gen(seed * 31 + 7);
     Program prog = gen.make(5 + seed % 4);
+
+    auto seedMemory = [](Memory &mem) {
+        for (unsigned i = 0; i < 64; ++i)
+            mem.write(0x100000 + i * 8, i * 3 + 1);
+    };
 
     // Reference: architectural interpreter.
     Memory ref_mem;
-    for (unsigned i = 0; i < 64; ++i)
-        ref_mem.write(0x100000 + i * 8, i * 3 + 1);
+    seedMemory(ref_mem);
     kernel::Interpreter ref(prog, ref_mem);
     auto ref_res = ref.run(0, 2'000'000);
     ASSERT_TRUE(ref_res.completed) << "seed " << seed;
@@ -153,24 +57,49 @@ TEST_P(PipelineEquivalence, MatchesInterpreterUnderEveryScheme)
                    {"dom", &dom},       {"stt", &stt},
                    {"spot", &spot}};
 
-    for (auto [name, policy] : schemes) {
-        Memory mem;
-        for (unsigned i = 0; i < 64; ++i)
-            mem.write(0x100000 + i * 8, i * 3 + 1);
-        Pipeline cpu(prog, mem);
-        cpu.setPolicy(policy);
-        auto res = cpu.run(0);
+    // Detailed, then sampled with most of the stream retired by the
+    // functional skip phase, then by the functional warm phase.
+    PipelineParams detailed;
+    PipelineParams skipHeavy;
+    skipHeavy.detailedTelemetry = false;
+    skipHeavy.sampling.enabled = true;
+    skipHeavy.sampling.windowInsts = 4;
+    skipHeavy.sampling.warmingInsts = 4;
+    skipHeavy.sampling.periodInsts = 128;
+    skipHeavy.sampling.seed = seed;
+    PipelineParams warmHeavy = skipHeavy;
+    warmHeavy.sampling.warmingInsts = 120;
+    std::vector<std::pair<const char *, const PipelineParams *>> modes = {
+        {"detailed", &detailed},
+        {"skip-dominated", &skipHeavy},
+        {"warm-dominated", &warmHeavy}};
 
-        EXPECT_EQ(res.instructions, ref_res.uops)
-            << name << " seed " << seed;
-        for (unsigned r = 1; r <= 8; ++r) {
-            EXPECT_EQ(cpu.regValue(r), ref.regValue(r))
-                << name << " seed " << seed << " reg " << r;
-        }
-        for (unsigned i = 0; i < 64; ++i) {
-            EXPECT_EQ(mem.read(0x100000 + i * 8),
-                      ref_mem.read(0x100000 + i * 8))
-                << name << " seed " << seed << " slot " << i;
+    for (auto [name, policy] : schemes) {
+        for (auto [mode, params] : modes) {
+            std::string what = std::string(name) + " " + mode +
+                               " seed " + std::to_string(seed);
+            Memory mem;
+            seedMemory(mem);
+            Pipeline cpu(prog, mem, *params);
+            cpu.setPolicy(policy);
+            auto res = cpu.run(0);
+            ASSERT_EQ(cpu.sampledMode(), params->sampling.enabled)
+                << what;
+
+            EXPECT_EQ(res.instructions, ref_res.uops) << what;
+            for (unsigned r = 1; r <= 9; ++r) {
+                EXPECT_EQ(cpu.regValue(r), ref.regValue(r))
+                    << what << " reg " << r;
+            }
+            for (unsigned i = 0; i < 64; ++i) {
+                EXPECT_EQ(mem.read(0x100000 + i * 8),
+                          ref_mem.read(0x100000 + i * 8))
+                    << what << " slot " << i;
+            }
+            if (cpu.sampledMode()) {
+                EXPECT_LT(cpu.sampler().sampledInsts(), res.instructions)
+                    << what << ": the functional path retired nothing";
+            }
         }
     }
 }

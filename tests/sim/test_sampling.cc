@@ -12,8 +12,9 @@
  *
  * The random-program differential drives the first two over
  * programs with arithmetic, memory traffic, branches, loops, calls
- * across the user/kernel boundary and indirect calls including wild
- * targets, under five schemes. Its suite keeps the
+ * across the user/kernel boundary, indirect calls including wild
+ * targets and unused operand slots (support/program_gen.hh), under
+ * five schemes. Its suite keeps the
  * SMARTS name for the functional skip phase: functional
  * fast-forwarding.
  */
@@ -26,6 +27,7 @@
 #include "sim/pipeline.hh"
 #include "sim/program.hh"
 #include "sim/sampling.hh"
+#include "support/program_gen.hh"
 
 using namespace perspective;
 using namespace perspective::sim;
@@ -60,131 +62,6 @@ seedMemory(Memory &mem)
     for (unsigned i = 0; i < 64; ++i)
         mem.write(0x100000 + i * 8, i * 3 + 1);
 }
-
-/** Deterministic program generator (splitmix64-driven). */
-class ProgramGen
-{
-  public:
-    explicit ProgramGen(std::uint64_t seed) : state_(seed * 37 + 11) {}
-
-    std::uint64_t
-    rnd(std::uint64_t bound)
-    {
-        state_ += 0x9e3779b97f4a7c15ull;
-        std::uint64_t z = state_;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        z ^= z >> 31;
-        return bound ? z % bound : z;
-    }
-
-    /**
-     * Function 0 is a user entry; higher-numbered functions are
-     * kernel, so call chains cross the privilege boundary and charge
-     * entry/exit microcode stalls. Every function starts a fresh
-     * I-cache line run, so the front end stalls and the ROB drains
-     * often: each drain is a quiescent point where the sampling
-     * controller may switch phases.
-     */
-    Program
-    make(unsigned nfuncs)
-    {
-        Program prog;
-        for (unsigned f = 0; f < nfuncs; ++f)
-            prog.addFunction("f" + std::to_string(f), f != 0);
-        for (unsigned f = 0; f < nfuncs; ++f) {
-            auto &body = prog.func(f).body;
-            unsigned n_ops = 8 + static_cast<unsigned>(rnd(24));
-            for (unsigned i = 0; i < n_ops; ++i) {
-                switch (rnd(8)) {
-                  case 0:
-                    body.push_back(movImm(
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<std::int64_t>(rnd(1000))));
-                    break;
-                  case 1:
-                    body.push_back(add(
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<RegId>(1 + rnd(6))));
-                    break;
-                  case 2:
-                    body.push_back(store(
-                        kNoReg,
-                        static_cast<std::int64_t>(
-                            0x100000 + rnd(64) * 8),
-                        static_cast<RegId>(1 + rnd(6))));
-                    break;
-                  case 3:
-                    body.push_back(loadAbs(
-                        static_cast<RegId>(1 + rnd(6)),
-                        0x100000 + rnd(64) * 8));
-                    break;
-                  case 4: {
-                    // Forward branch over the next instruction.
-                    std::uint32_t target =
-                        static_cast<std::uint32_t>(body.size() + 2);
-                    body.push_back(branchImm(
-                        static_cast<Cond>(rnd(4)),
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<std::int64_t>(rnd(500)), target));
-                    body.push_back(addImm(
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<RegId>(1 + rnd(6)), 1));
-                    break;
-                  }
-                  case 5:
-                    if (f + 1 < nfuncs) {
-                        body.push_back(call(static_cast<FuncId>(
-                            f + 1 + rnd(nfuncs - f - 1))));
-                    } else {
-                        body.push_back(nop());
-                    }
-                    break;
-                  case 6:
-                    // Indirect call: mostly a valid callee, sometimes
-                    // a wild pointer (architected no-op call).
-                    if (f + 1 < nfuncs && rnd(4) != 0) {
-                        body.push_back(movImm(
-                            9, static_cast<std::int64_t>(
-                                   f + 1 + rnd(nfuncs - f - 1))));
-                    } else {
-                        body.push_back(
-                            movImm(9, 0x7fffffff + rnd(100)));
-                    }
-                    body.push_back(indirectCall(9));
-                    break;
-                  default:
-                    body.push_back(addImm(
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<RegId>(1 + rnd(6)),
-                        static_cast<std::int64_t>(rnd(64))));
-                    break;
-                }
-            }
-            // A bounded counted loop at the end of some functions.
-            if (rnd(2)) {
-                RegId ctr = 7;
-                std::uint32_t head =
-                    static_cast<std::uint32_t>(body.size() + 1);
-                body.push_back(movImm(ctr, 0));
-                body.push_back(branchImm(
-                    Cond::Ge, ctr,
-                    static_cast<std::int64_t>(2 + rnd(12)),
-                    static_cast<std::uint32_t>(body.size() + 4)));
-                body.push_back(loadAbs(8, 0x100000 + rnd(64) * 8));
-                body.push_back(addImm(ctr, ctr, 1));
-                body.push_back(jump(head));
-            }
-            body.push_back(ret());
-        }
-        prog.layout();
-        return prog;
-    }
-
-  private:
-    std::uint64_t state_;
-};
 
 /** Every counter and histogram of @p ref and @p sm must match. */
 void
@@ -456,7 +333,7 @@ TEST(SampledPipeline, FiniteWindowsPreserveArchitecturalState)
 TEST_P(FastForwardDifferential, IndistinguishableUnderEveryScheme)
 {
     std::uint64_t seed = GetParam();
-    ProgramGen gen(seed);
+    testsupport::ProgramGen gen(seed * 37 + 11);
     Program prog = gen.make(5 + seed % 4);
 
     defenses::FencePolicy fence;
