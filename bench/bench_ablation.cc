@@ -214,9 +214,6 @@ main(int argc, char **argv)
 
     auto results = sweep.run(cells);
 
-    if (!renderTables(sweep))
-        return sweep.emitOutputs() ? 0 : 1;
-
     // ---- Render ---------------------------------------------------
     banner("Ablation 1: ISV/DSV cache capacity (nginx)");
     std::printf("%-10s %-12s %-12s %-12s\n", "entries", "overhead",

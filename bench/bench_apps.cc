@@ -63,40 +63,38 @@ main(int argc, char **argv)
     }
     auto results = sweep.run(cells);
 
-    if (renderTables(sweep)) {
-        std::printf("%-11s %10s %6s", "app", "RPS", "OS%");
-        for (Scheme s : schemes)
-            std::printf("%12s", schemeName(s));
-        std::printf("\n");
-        rule(28 + 12 * schemes.size());
+    std::printf("%-11s %10s %6s", "app", "RPS", "OS%");
+    for (Scheme s : schemes)
+        std::printf("%12s", schemeName(s));
+    std::printf("\n");
+    rule(28 + 12 * schemes.size());
 
-        const std::size_t stride = 1 + schemes.size();
-        std::map<Scheme, std::vector<double>> norms;
-        for (std::size_t row = 0; row < apps.size(); ++row) {
-            const CellResult &base = results[row * stride];
-            double unsafe_rps = rpsOf(base);
-            std::printf("%-11s %10.0f %5.0f%%",
-                        base.workload.c_str(), unsafe_rps,
-                        100.0 * base.result.kernelFraction());
-            for (std::size_t k = 0; k < schemes.size(); ++k) {
-                const CellResult &r = results[row * stride + 1 + k];
-                double norm = rpsOf(r) / unsafe_rps;
-                norms[schemes[k]].push_back(norm);
-                std::printf("%12.3f", norm);
-            }
-            std::printf("\n");
+    const std::size_t stride = 1 + schemes.size();
+    std::map<Scheme, std::vector<double>> norms;
+    for (std::size_t row = 0; row < apps.size(); ++row) {
+        const CellResult &base = results[row * stride];
+        double unsafe_rps = rpsOf(base);
+        std::printf("%-11s %10.0f %5.0f%%",
+                    base.workload.c_str(), unsafe_rps,
+                    100.0 * base.result.kernelFraction());
+        for (std::size_t k = 0; k < schemes.size(); ++k) {
+            const CellResult &r = results[row * stride + 1 + k];
+            double norm = rpsOf(r) / unsafe_rps;
+            norms[schemes[k]].push_back(norm);
+            std::printf("%12.3f", norm);
         }
-
-        rule(28 + 12 * schemes.size());
-        std::printf("%-28s", "geomean normalized RPS");
-        for (Scheme s : schemes)
-            std::printf("%12.3f", geomean(norms[s]));
         std::printf("\n");
-
-        std::printf("\n[paper: FENCE 0.943, DOM 0.983, STT 0.996, "
-                    "spot 0.95, Perspective flavors 0.987-0.988;\n"
-                    " OS-time fractions 50/65/65/53%% for "
-                    "httpd/nginx/memcached/redis]\n");
     }
+
+    rule(28 + 12 * schemes.size());
+    std::printf("%-28s", "geomean normalized RPS");
+    for (Scheme s : schemes)
+        std::printf("%12.3f", geomean(norms[s]));
+    std::printf("\n");
+
+    std::printf("\n[paper: FENCE 0.943, DOM 0.983, STT 0.996, "
+                "spot 0.95, Perspective flavors 0.987-0.988;\n"
+                " OS-time fractions 50/65/65/53%% for "
+                "httpd/nginx/memcached/redis]\n");
     return sweep.emitOutputs() ? 0 : 1;
 }

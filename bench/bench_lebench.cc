@@ -53,40 +53,38 @@ main(int argc, char **argv)
     }
     auto results = sweep.run(cells);
 
-    if (renderTables(sweep)) {
-        std::printf("%-14s", "benchmark");
-        for (Scheme s : schemes)
-            std::printf("%12s", schemeName(s));
-        std::printf("\n");
-        rule(14 + 12 * schemes.size());
+    std::printf("%-14s", "benchmark");
+    for (Scheme s : schemes)
+        std::printf("%12s", schemeName(s));
+    std::printf("\n");
+    rule(14 + 12 * schemes.size());
 
-        const std::size_t stride = 1 + schemes.size();
-        std::map<Scheme, std::vector<double>> norms;
-        for (std::size_t row = 0; row < suite.size(); ++row) {
-            const CellResult &base = results[row * stride];
-            double unsafe_cycles =
-                static_cast<double>(base.result.cycles);
-            std::printf("%-14s", base.workload.c_str());
-            for (std::size_t k = 0; k < schemes.size(); ++k) {
-                const CellResult &r = results[row * stride + 1 + k];
-                double norm = r.result.cycles / unsafe_cycles;
-                norms[schemes[k]].push_back(norm);
-                std::printf("%12.3f", norm);
-            }
-            std::printf("\n");
+    const std::size_t stride = 1 + schemes.size();
+    std::map<Scheme, std::vector<double>> norms;
+    for (std::size_t row = 0; row < suite.size(); ++row) {
+        const CellResult &base = results[row * stride];
+        double unsafe_cycles =
+            static_cast<double>(base.result.cycles);
+        std::printf("%-14s", base.workload.c_str());
+        for (std::size_t k = 0; k < schemes.size(); ++k) {
+            const CellResult &r = results[row * stride + 1 + k];
+            double norm = r.result.cycles / unsafe_cycles;
+            norms[schemes[k]].push_back(norm);
+            std::printf("%12.3f", norm);
         }
-
-        rule(14 + 12 * schemes.size());
-        std::printf("%-14s", "geomean");
-        for (Scheme s : schemes)
-            std::printf("%12.3f", geomean(norms[s]));
         std::printf("\n");
-
-        std::printf(
-            "\n[paper: FENCE avg 1.475 (select/poll up to 3.28),"
-            " DOM 1.231, STT 1.037,\n"
-            " spot (KPTI+retpoline) 1.145, P-STATIC 1.041, "
-            "PERSPECTIVE 1.036, P++ 1.035]\n");
     }
+
+    rule(14 + 12 * schemes.size());
+    std::printf("%-14s", "geomean");
+    for (Scheme s : schemes)
+        std::printf("%12.3f", geomean(norms[s]));
+    std::printf("\n");
+
+    std::printf(
+        "\n[paper: FENCE avg 1.475 (select/poll up to 3.28),"
+        " DOM 1.231, STT 1.037,\n"
+        " spot (KPTI+retpoline) 1.145, P-STATIC 1.041, "
+        "PERSPECTIVE 1.036, P++ 1.035]\n");
     return sweep.emitOutputs() ? 0 : 1;
 }

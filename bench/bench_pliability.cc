@@ -129,59 +129,57 @@ main(int argc, char **argv)
 
     auto results = sweep.run(cells);
 
-    if (renderTables(sweep)) {
-        banner("Dynamic-update races (Perspective)");
-        std::printf("%-12s %8s %8s %8s %8s %12s %8s\n", "scenario",
-                    "before", "window", "after", "audit",
-                    "upd-cycles", "stale");
-        rule(72);
-        for (std::size_t i = 0; i < nScenarios; ++i) {
-            const auto &res = results[i];
-            if (!res.ok) {
-                std::printf("%-12s FAILED: %s\n",
-                            res.tags.at("pliability").c_str(),
-                            res.error.c_str());
-                continue;
-            }
-            const auto &st = res.result.stats;
-            std::printf(
-                "%-12s %8llu %8llu %8llu %8llu %12llu %8llu\n",
-                res.tags.at("pliability").c_str(),
-                (unsigned long long)st.get(
-                    "race.leaked_before_update"),
-                (unsigned long long)st.get("race.leaked_in_window"),
-                (unsigned long long)st.get(
-                    "race.leaked_after_update"),
-                (unsigned long long)st.get("race.leaked_after_audit"),
-                (unsigned long long)st.get(
-                    "race.update_latency_cycles"),
-                (unsigned long long)st.get("race.stale_allows"));
+    banner("Dynamic-update races (Perspective)");
+    std::printf("%-12s %8s %8s %8s %8s %12s %8s\n", "scenario",
+                "before", "window", "after", "audit",
+                "upd-cycles", "stale");
+    rule(72);
+    for (std::size_t i = 0; i < nScenarios; ++i) {
+        const auto &res = results[i];
+        if (!res.ok) {
+            std::printf("%-12s FAILED: %s\n",
+                        res.tags.at("pliability").c_str(),
+                        res.error.c_str());
+            continue;
         }
+        const auto &st = res.result.stats;
+        std::printf(
+            "%-12s %8llu %8llu %8llu %8llu %12llu %8llu\n",
+            res.tags.at("pliability").c_str(),
+            (unsigned long long)st.get(
+                "race.leaked_before_update"),
+            (unsigned long long)st.get("race.leaked_in_window"),
+            (unsigned long long)st.get(
+                "race.leaked_after_update"),
+            (unsigned long long)st.get("race.leaked_after_audit"),
+            (unsigned long long)st.get(
+                "race.update_latency_cycles"),
+            (unsigned long long)st.get("race.stale_allows"));
+    }
 
-        banner("Leak probability vs revocation budget");
-        std::printf("%12s %8s %8s %10s %8s %8s\n", "budget", "window",
-                    "stale", "secret-lds", "tx", "tx-bytes");
-        rule(60);
-        for (std::size_t i = nScenarios; i < results.size(); ++i) {
-            const auto &res = results[i];
-            if (!res.ok) {
-                std::printf("%12s FAILED: %s\n",
-                            res.tags.at("budget").c_str(),
-                            res.error.c_str());
-                continue;
-            }
-            const auto &st = res.result.stats;
-            const auto &lk = res.result.leakage;
-            std::printf("%12s %8llu %8llu %10llu %8llu %8llu\n",
+    banner("Leak probability vs revocation budget");
+    std::printf("%12s %8s %8s %10s %8s %8s\n", "budget", "window",
+                "stale", "secret-lds", "tx", "tx-bytes");
+    rule(60);
+    for (std::size_t i = nScenarios; i < results.size(); ++i) {
+        const auto &res = results[i];
+        if (!res.ok) {
+            std::printf("%12s FAILED: %s\n",
                         res.tags.at("budget").c_str(),
-                        (unsigned long long)st.get(
-                            "race.leaked_in_window"),
-                        (unsigned long long)st.get(
-                            "race.stale_allows"),
-                        (unsigned long long)lk.secretLoads,
-                        (unsigned long long)lk.transmissions,
-                        (unsigned long long)lk.bytesTransmitted);
+                        res.error.c_str());
+            continue;
         }
+        const auto &st = res.result.stats;
+        const auto &lk = res.result.leakage;
+        std::printf("%12s %8llu %8llu %10llu %8llu %8llu\n",
+                    res.tags.at("budget").c_str(),
+                    (unsigned long long)st.get(
+                        "race.leaked_in_window"),
+                    (unsigned long long)st.get(
+                        "race.stale_allows"),
+                    (unsigned long long)lk.secretLoads,
+                    (unsigned long long)lk.transmissions,
+                    (unsigned long long)lk.bytesTransmitted);
     }
 
     bool ok = sweep.emitOutputs();

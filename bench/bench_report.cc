@@ -33,12 +33,8 @@
  *
  *   bench_report sampled.json --accuracy-baseline exact.json
  *
- * Shard recombination: sweeps run with `--shard K/N` each emit a
- * partial JSON; --merge stitches them back into one complete sweep
- * document (cells restored to grid order), refusing duplicated,
- * overlapping, or missing shards:
- *
- *   bench_report --merge merged.json shard1.json shard2.json
+ * Every schema this tool has emitted still loads: fields it does not
+ * read (such as schema 5's cache/shard blocks) are ignored.
  */
 
 #include <algorithm>
@@ -115,15 +111,6 @@ struct SweepFile
                 byKey_[c.key] = &c;
         return byKey_;
     }
-
-    // Fleet-mode schedule block (schema: schedule.fleet), zero when
-    // the sweep ran single-process.
-    bool fleet = false;
-    std::uint64_t fleetWorkers = 0;
-    std::uint64_t fleetSteals = 0;
-    std::uint64_t fleetResent = 0;
-    double makespan = 0;          ///< schedule.makespan
-    double staticShardEst = 0;    ///< est. static 1/N-shard makespan
 
     // Fast-path telemetry summed over every cell's stats block
     // (zero when the file predates the counters).
@@ -218,22 +205,6 @@ loadSweep(const std::string &path, bool skipHeavy = false,
         f.git = doc.at("git").asString();
     if (doc.contains("wall_seconds"))
         f.wallSeconds = doc.at("wall_seconds").asDouble();
-    if (doc.contains("schedule")) {
-        const Json &sj = doc.at("schedule");
-        if (sj.contains("makespan"))
-            f.makespan = sj.at("makespan").asDouble();
-        if (sj.contains("fleet")) {
-            const Json &fl = sj.at("fleet");
-            f.fleet = true;
-            f.fleetWorkers = uintOr0(fl, "workers");
-            f.fleetSteals = uintOr0(fl, "steals");
-            f.fleetResent = uintOr0(fl, "stragglers_resent");
-            if (fl.contains("static_shard_makespan_est"))
-                f.staticShardEst =
-                    fl.at("static_shard_makespan_est").asDouble();
-        }
-    }
-
     // Duplicate configurations (the same cell run twice in one grid)
     // disambiguate by occurrence index, preserving grid order.
     std::map<std::string, unsigned> seen;
@@ -336,72 +307,6 @@ loadSweep(const std::string &path, bool skipHeavy = false,
     return f;
 }
 
-/** Parse @p path as a raw sweep JSON document (for --merge). */
-Json
-loadRawJson(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "bench_report: cannot read '%s'\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    try {
-        return Json::parse(buf.str());
-    } catch (const std::exception &ex) {
-        std::fprintf(stderr, "bench_report: %s: %s\n", path.c_str(),
-                     ex.what());
-        std::exit(2);
-    }
-}
-
-/** --merge OUT IN...: recombine shard sweeps into one document. */
-int
-mergeMain(const std::string &outPath,
-          const std::vector<std::string> &inputs)
-{
-    if (inputs.empty()) {
-        std::fprintf(stderr,
-                     "bench_report: --merge needs at least one "
-                     "shard file\n");
-        return 2;
-    }
-    std::vector<Json> docs;
-    docs.reserve(inputs.size());
-    for (const std::string &path : inputs)
-        docs.push_back(loadRawJson(path));
-
-    std::string error;
-    auto merged =
-        perspective::harness::mergeSweeps(docs, inputs, error);
-    if (!merged) {
-        std::fprintf(stderr, "bench_report: merge failed: %s\n",
-                     error.c_str());
-        return 1;
-    }
-    std::ofstream os(outPath);
-    if (!os) {
-        std::fprintf(stderr,
-                     "bench_report: cannot open '%s' for writing\n",
-                     outPath.c_str());
-        return 2;
-    }
-    merged->write(os, 2);
-    os.put('\n');
-    if (!os.flush()) {
-        std::fprintf(stderr, "bench_report: short write to '%s'\n",
-                     outPath.c_str());
-        return 2;
-    }
-    std::printf("merged %zu shard(s), %zu cells -> %s\n",
-                inputs.size(),
-                merged->at("cells").asArray().size(),
-                outPath.c_str());
-    return 0;
-}
-
 /** Aggregate throughput: total simulated instructions of the
  * successful cells over the sweep's wall-clock seconds, in millions
  * of instructions per second. 0 when the file carries no timing. */
@@ -457,22 +362,6 @@ summarize(const SweepFile &f)
                         ? f.gapP99W / static_cast<double>(f.gapSamples)
                         : 0.0,
                     static_cast<unsigned long long>(f.staleAllows));
-    if (f.fleet) {
-        // The speedup column is measured fleet makespan against the
-        // estimated static 1/N sharding of the same cells — the
-        // work-stealing win, not a comparison across files.
-        char ratio[16] = "-";
-        if (f.makespan > 0 && f.staticShardEst > 0)
-            std::snprintf(ratio, sizeof ratio, "%.2fx",
-                          f.staticShardEst / f.makespan);
-        std::printf("  fleet: %llu worker(s), %llu steal(s), %llu "
-                    "straggler cell(s) resent; makespan %.2fs vs "
-                    "static-shard est %.2fs (%s)\n",
-                    static_cast<unsigned long long>(f.fleetWorkers),
-                    static_cast<unsigned long long>(f.fleetSteals),
-                    static_cast<unsigned long long>(f.fleetResent),
-                    f.makespan, f.staticShardEst, ratio);
-    }
     if (f.sampledCells > 0)
         std::printf("  sampled: %llu cell(s), %llu detailed "
                     "window(s); CPI 95%% CI rel. error avg %.2f%% "
@@ -800,8 +689,6 @@ usage(int code)
         "           [--baseline BASE.json] [--check] [--strict]\n"
         "           [--verbose] [--perf-baseline BASE.json]\n"
         "           [--perf-threshold R]\n"
-        "       bench_report --merge OUT.json SHARD.json "
-        "[SHARD2.json ...]\n"
         "  --baseline F       per-cell delta of every input against"
         " F\n"
         "  --check            exit 1 if any cell differs from the\n"
@@ -831,12 +718,7 @@ usage(int code)
         "                     reports transmitted leakage bytes\n"
         "  --expect-leak      exit 1 if NO input reports transmitted\n"
         "                     leakage bytes (gates the gate: a racy\n"
-        "                     config must show a nonzero signal)\n"
-        "  --merge OUT        recombine --shard K/N sweep JSONs "
-        "into\n"
-        "                     one complete document (refuses\n"
-        "                     duplicate, overlapping, or missing "
-        "shards)\n");
+        "                     config must show a nonzero signal)\n");
     std::exit(code);
 }
 
@@ -846,7 +728,7 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> inputs;
-    std::string baselinePath, perfBaselinePath, mergePath;
+    std::string baselinePath, perfBaselinePath;
     std::string accuracyBaselinePath;
     double accuracyThreshold = 0.02;
     double perfThreshold = 0.80;
@@ -856,13 +738,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--merge") {
-            if (i + 1 >= argc)
-                usage(2);
-            mergePath = argv[++i];
-        } else if (arg.rfind("--merge=", 0) == 0) {
-            mergePath = arg.substr(8);
-        } else if (arg == "--baseline") {
+        if (arg == "--baseline") {
             if (i + 1 >= argc)
                 usage(2);
             baselinePath = argv[++i];
@@ -915,19 +791,6 @@ main(int argc, char **argv)
         } else {
             inputs.push_back(arg);
         }
-    }
-    if (!mergePath.empty()) {
-        // Merge mode is exclusive: the output is a sweep document,
-        // not a report.
-        if (check || strict || verbose || !baselinePath.empty() ||
-            !perfBaselinePath.empty() ||
-            !accuracyBaselinePath.empty()) {
-            std::fprintf(stderr,
-                         "bench_report: --merge cannot be combined "
-                         "with report flags\n");
-            return 2;
-        }
-        return mergeMain(mergePath, inputs);
     }
     if (inputs.empty())
         usage(2);

@@ -89,9 +89,6 @@ main(int argc, char **argv)
     }
     auto results = sweep.run(cells);
 
-    if (!renderTables(sweep))
-        return sweep.emitOutputs() ? 0 : 1;
-
     banner("Section 9.2: Unknown allocations");
     std::printf("%-12s %-14s %-14s %-10s\n", "workload",
                 "block-unknown", "allow-unknown", "delta");

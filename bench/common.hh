@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/sweep.hh"
-
 namespace perspective::bench
 {
 
@@ -34,32 +32,6 @@ inline void
 banner(const std::string &title)
 {
     std::printf("\n=== %s ===\n\n", title.c_str());
-}
-
-/**
- * Whether this run should render its human-readable tables. The grid
- * benches index results positionally (every table row divides by the
- * UNSAFE cell of its stride), but a `--shard K/N` run executes only
- * its own cells — the others are zeroed placeholders — so tables are
- * meaningless until `bench_report --merge` recombines the shard
- * JSONs; a fleet *worker* (`--connect`) likewise holds only the
- * cells it happened to serve (the coordinator renders the full
- * grid). Prints a note and returns false for both.
- */
-inline bool
-renderTables(const harness::SweepRunner &sweep)
-{
-    if (sweep.isFleetWorker()) {
-        std::printf("[fleet worker: tables skipped — the "
-                    "coordinator renders the full grid]\n");
-        return false;
-    }
-    if (!sweep.sharded())
-        return true;
-    std::printf("[shard %u/%u: tables skipped — recombine the "
-                "per-shard JSONs with bench_report --merge]\n",
-                sweep.shardIndex(), sweep.shardCount());
-    return false;
 }
 
 } // namespace perspective::bench

@@ -41,12 +41,6 @@ ThreadPool::defaultThreads()
 }
 
 unsigned
-ThreadPool::currentWorker()
-{
-    return tlsWorker;
-}
-
-unsigned
 ThreadPool::currentLane() const
 {
     return tlsPool == this ? tlsWorker : 0;

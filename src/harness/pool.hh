@@ -52,25 +52,12 @@ class ThreadPool
     unsigned threads() const { return numThreads_; }
 
     /**
-     * 0-based index of the pool worker executing the current thread,
-     * or 0 outside a pool worker (inline mode runs on the submitting
-     * thread). Lets tasks attribute their runtime to a worker lane.
-     *
-     * Caveat: the index is whatever pool owns the current thread.
-     * Code that can run under *nested* pools (a fleet worker process
-     * executes cells on an inline pool while living inside another
-     * binary's thread) must use currentLane() on the specific pool
-     * it is accounting against, or lanes of the wrong pool leak into
-     * schedule.worker_busy[].
-     */
-    static unsigned currentWorker();
-
-    /**
-     * Lane of the current thread *in this pool*: the worker index if
-     * the calling thread is one of this pool's workers, else 0 (the
-     * inline-mode lane). Unlike currentWorker(), a thread belonging
-     * to some other pool reports lane 0 here, so per-pool accounting
-     * stays correct under nesting.
+     * Lane of the current thread *in this pool*: the 0-based worker
+     * index if the calling thread is one of this pool's workers,
+     * else 0 (the inline-mode lane). Lets tasks attribute their
+     * runtime to a worker lane; a thread belonging to some other
+     * pool reports lane 0, so per-pool accounting stays correct even
+     * when pools nest.
      */
     unsigned currentLane() const;
 

@@ -65,8 +65,8 @@ struct SamplingParams
 
     /**
      * Canonical spec string; "off" when disabled. Round-trips through
-     * parse() and is what cache keys and the fleet hello handshake
-     * embed, so equal specs <=> statistically identical configs.
+     * parse() and is what the cell config hash embeds, so equal
+     * specs <=> statistically identical configs.
      */
     std::string spec() const;
 

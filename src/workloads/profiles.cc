@@ -198,15 +198,6 @@ processStartupTrace()
     return t;
 }
 
-double
-estimatedRequestWeight(const WorkloadProfile &w)
-{
-    double ops = 5.0 * w.userPadIters + 1.0;
-    for (const auto &i : w.request)
-        ops += 30.0 + static_cast<double>(i.arg1);
-    return ops;
-}
-
 std::vector<Sys>
 staticSyscallSet(const WorkloadProfile &w)
 {

@@ -53,16 +53,6 @@ WorkloadProfile redisProfile();
 std::vector<kernel::Sys> staticSyscallSet(const WorkloadProfile &w);
 
 /**
- * Rough simulated-work weight of one request iteration: a fixed
- * per-syscall handler cost, the size-like arg1 loop counts
- * (big-read/big-write style requests scale with them) and the 5-uop
- * userspace pad. The sweep scheduler multiplies this by the
- * iteration count to order cells it has never timed longest-first;
- * only the ordering across cells matters, not the units.
- */
-double estimatedRequestWeight(const WorkloadProfile &w);
-
-/**
  * Syscalls every traced process executes before reaching its steady
  * state: the exec/loader sequence (brk, mmap of libraries, dynamic
  * linker file accesses) plus periodic background activity (timers,

@@ -94,19 +94,15 @@ TEST(ThreadPool, InlineModeExceptionRethrownFromWait)
 
 TEST(ThreadPool, CurrentLaneIsPerPoolUnderNesting)
 {
-    // Regression: a fleet worker executes cells on its own inline
-    // pool while its thread may belong to an enclosing pool. The
-    // static currentWorker() reports the enclosing pool's lane; the
-    // per-instance currentLane() must report the lane *in the asked
-    // pool* — 0 for a pool the thread does not belong to — or the
-    // outer lane leaks into the inner pool's worker_busy accounting.
+    // currentLane() must report the lane *in the asked pool* — 0 for
+    // a pool the thread does not belong to — or an enclosing pool's
+    // lane leaks into a nested pool's worker_busy accounting.
     ThreadPool outer(2);
     std::mutex mu;
     std::condition_variable cv;
     int arrived = 0;
     std::set<unsigned> outerLanes;
     std::vector<unsigned> innerLanes;
-    std::set<unsigned> staticLanes;
     for (int i = 0; i < 2; ++i)
         outer.submit([&] {
             {
@@ -118,7 +114,7 @@ TEST(ThreadPool, CurrentLaneIsPerPoolUnderNesting)
                 cv.wait(lk, [&] { return arrived == 2; });
             }
             unsigned mine = outer.currentLane();
-            ThreadPool inner(0); // inline, as a fleet worker runs
+            ThreadPool inner(0); // inline
             unsigned innerLane = 99;
             inner.submit(
                 [&] { innerLane = inner.currentLane(); });
@@ -126,13 +122,10 @@ TEST(ThreadPool, CurrentLaneIsPerPoolUnderNesting)
             std::lock_guard<std::mutex> lk(mu);
             outerLanes.insert(mine);
             innerLanes.push_back(innerLane);
-            staticLanes.insert(ThreadPool::currentWorker());
         });
     outer.wait();
     // The outer pool sees its own lanes through currentLane()...
     EXPECT_EQ(outerLanes, (std::set<unsigned>{0u, 1u}));
-    // ...and so does the ambiguous static accessor...
-    EXPECT_EQ(staticLanes, (std::set<unsigned>{0u, 1u}));
     // ...but the nested pool correctly claims neither thread.
     ASSERT_EQ(innerLanes.size(), 2u);
     EXPECT_EQ(innerLanes[0], 0u);
@@ -164,6 +157,38 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(Json::parse("[1,]"), std::runtime_error);
     EXPECT_THROW(Json::parse("{\"a\":1} x"), std::runtime_error);
     EXPECT_THROW(Json::parse("\"unterminated"), std::runtime_error);
+}
+
+// Selective-skip parsing: the bench_report --check fast path.
+TEST(Json, SkipObjectKeysDropsSubtreesAtEveryDepth)
+{
+    const std::string doc = R"({
+      "bench": "x",
+      "histograms": {"h": {"p50": 1.5, "vals": [1, 2, 3]}},
+      "cells": [
+        {"cycles": 7,
+         "histograms": {"deep": "skipped \" too"},
+         "timeseries": {"cycle": [1], "value": [2]}}
+      ]
+    })";
+    Json::ParseOptions opts;
+    opts.skipObjectKeys = {"histograms", "timeseries"};
+    Json d = Json::parse(doc, opts);
+    EXPECT_FALSE(d.contains("histograms"));
+    EXPECT_EQ(d.at("bench").asString(), "x");
+    const Json &cell = d.at("cells").asArray().at(0);
+    EXPECT_EQ(cell.at("cycles").asUint(), 7u);
+    EXPECT_FALSE(cell.contains("histograms"));
+    EXPECT_FALSE(cell.contains("timeseries"));
+
+    // The skipped subtree is still syntax-checked: malformed content
+    // inside it must throw, same as a full parse.
+    Json::ParseOptions skipBad;
+    skipBad.skipObjectKeys = {"bad"};
+    EXPECT_THROW(Json::parse(R"({"bad": {"x": }})", skipBad),
+                 std::runtime_error);
+    EXPECT_THROW(Json::parse(R"({"bad": "unterminated)", skipBad),
+                 std::runtime_error);
 }
 
 // ---- Sweep determinism --------------------------------------------
@@ -284,7 +309,7 @@ TEST(Sweep, JsonEmissionRoundTripsCounters)
 
     Json doc = Json::parse(runner.toJson().dump(2));
     EXPECT_EQ(doc.at("bench").asString(), "test_sweep");
-    EXPECT_EQ(doc.at("schema").asUint(), 5u); // +sampling block
+    EXPECT_EQ(doc.at("schema").asUint(), 6u);
     EXPECT_FALSE(doc.at("git").asString().empty());
     const auto &cells = doc.at("cells").asArray();
     ASSERT_EQ(cells.size(), rs.size());
@@ -364,6 +389,66 @@ TEST(Sweep, ConfigHashKeysCellsStably)
     b = a;
     b.result.instructions = 999;
     EXPECT_EQ(cellConfigHash(a), cellConfigHash(b));
+
+    // Pinned values: bench_report matches committed baselines (and
+    // every earlier sweep JSON) by this hash, so it must never drift.
+    EXPECT_EQ(cellConfigHash(a), "a937e05a3a201b5c");
+    b = a;
+    b.sampling = sim::SamplingParams::parse(
+        "w=5000,warm=10000,period=400000,seed=1");
+    EXPECT_EQ(cellConfigHash(b), "56302f6e43f63ed8");
+}
+
+TEST(Sweep, JsonReportsMakespanAndWorkerBusyTime)
+{
+    SweepRunner runner(optsWithJobs(2));
+    auto grid = smallGrid();
+    runner.run(grid);
+
+    Json doc = runner.toJson();
+    const Json &sched = doc.at("schedule");
+    EXPECT_EQ(sched.at("executed").asUint(), grid.size());
+
+    double makespan = sched.at("makespan").asDouble();
+    double ideal = sched.at("ideal_makespan").asDouble();
+    EXPECT_GT(ideal, 0.0);
+    // The measured makespan can never beat a perfectly balanced
+    // schedule of the same measured cell costs.
+    EXPECT_GE(makespan, ideal * 0.999);
+
+    const auto &busy = sched.at("worker_busy").asArray();
+    ASSERT_EQ(busy.size(), 2u);
+    double total = 0;
+    for (const Json &b : busy)
+        total += b.asDouble();
+    // Every executed cell's seconds were attributed to some worker.
+    EXPECT_GT(total, 0.0);
+    EXPECT_LE(ideal, total + 1e-9);
+}
+
+TEST(Sweep, RunsAccumulateAcrossBatches)
+{
+    // A bench may call run() once per table section: results, the
+    // JSON cells and the schedule accounting all accumulate, in
+    // submission order.
+    SweepRunner runner(optsWithJobs(2));
+    auto grid = smallGrid();
+    auto first = runner.run(grid);
+    Json one = runner.toJson().at("schedule");
+    auto second = runner.run(grid);
+    ASSERT_EQ(runner.results().size(), 2 * grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        expectIdentical(runner.results()[i], first[i]);
+        expectIdentical(runner.results()[grid.size() + i], second[i]);
+    }
+    Json doc = runner.toJson();
+    EXPECT_EQ(doc.at("cells").asArray().size(), 2 * grid.size());
+    const Json &two = doc.at("schedule");
+    EXPECT_EQ(two.at("executed").asUint(), 2 * grid.size());
+    EXPECT_GT(two.at("ideal_makespan").asDouble(),
+              one.at("ideal_makespan").asDouble());
+    EXPECT_GE(two.at("makespan").asDouble(),
+              one.at("makespan").asDouble());
 }
 
 TEST(Sweep, ChromeTraceJsonHasValidEventShape)
