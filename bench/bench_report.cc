@@ -34,7 +34,10 @@
  *   bench_report sampled.json --accuracy-baseline exact.json
  *
  * Every schema this tool has emitted still loads: fields it does not
- * read (such as schema 5's cache/shard blocks) are ignored.
+ * read (such as schema 5's cache/shard blocks) are ignored. A sampled
+ * cell whose `cpi_ci95`/`rel_error` is null (schema 7: fewer than
+ * two windows) has no error estimate; it is counted, never averaged
+ * in as a precise 0.
  */
 
 #include <algorithm>
@@ -85,6 +88,7 @@ struct Cell
     bool sampled = false;
     std::uint64_t windows = 0;
     double cpiMean = 0;
+    bool hasErrorEstimate = false; ///< false: null CI (< 2 windows)
     double cpiCi95 = 0;
     double relError = 0; ///< ci95 / mean on the CPI estimate
 };
@@ -130,7 +134,8 @@ struct SweepFile
     // Sampled-simulation presence and aggregate precision (schema 5).
     std::uint64_t sampledCells = 0;
     std::uint64_t sampledWindows = 0;
-    double relErrSum = 0; ///< sum of per-cell rel_error
+    std::uint64_t noEstimateCells = 0; ///< sampled, null CI
+    double relErrSum = 0; ///< sum of rel_error over estimated cells
     double relErrMax = 0;
 
     // Transient-leakage totals over all cells (schema 4).
@@ -267,14 +272,18 @@ loadSweep(const std::string &path, bool skipHeavy = false,
             c.windows = uintOr0(sj, "windows");
             if (sj.contains("cpi_mean"))
                 c.cpiMean = sj.at("cpi_mean").asDouble();
-            if (sj.contains("cpi_ci95"))
-                c.cpiCi95 = sj.at("cpi_ci95").asDouble();
-            if (sj.contains("rel_error"))
-                c.relError = sj.at("rel_error").asDouble();
+            c.hasErrorEstimate = sj.contains("rel_error") &&
+                                 !sj.at("rel_error").isNull();
             ++f.sampledCells;
             f.sampledWindows += c.windows;
-            f.relErrSum += c.relError;
-            f.relErrMax = std::max(f.relErrMax, c.relError);
+            if (c.hasErrorEstimate) {
+                c.cpiCi95 = sj.at("cpi_ci95").asDouble();
+                c.relError = sj.at("rel_error").asDouble();
+                f.relErrSum += c.relError;
+                f.relErrMax = std::max(f.relErrMax, c.relError);
+            } else {
+                ++f.noEstimateCells;
+            }
         }
         if (cj.contains("leakage")) {
             const Json &lj = cj.at("leakage");
@@ -362,15 +371,30 @@ summarize(const SweepFile &f)
                         ? f.gapP99W / static_cast<double>(f.gapSamples)
                         : 0.0,
                     static_cast<unsigned long long>(f.staleAllows));
-    if (f.sampledCells > 0)
+    if (f.sampledCells > 0) {
+        std::uint64_t estimated = f.sampledCells - f.noEstimateCells;
         std::printf("  sampled: %llu cell(s), %llu detailed "
-                    "window(s); CPI 95%% CI rel. error avg %.2f%% "
-                    "max %.2f%% (statistical — not bit-comparable)\n",
+                    "window(s); ",
                     static_cast<unsigned long long>(f.sampledCells),
-                    static_cast<unsigned long long>(f.sampledWindows),
-                    100.0 * f.relErrSum /
-                        static_cast<double>(f.sampledCells),
-                    100.0 * f.relErrMax);
+                    static_cast<unsigned long long>(f.sampledWindows));
+        if (estimated > 0)
+            std::printf("CPI 95%% CI rel. error avg %.2f%% max %.2f%% "
+                        "over %llu cell(s)",
+                        100.0 * f.relErrSum /
+                            static_cast<double>(estimated),
+                        100.0 * f.relErrMax,
+                        static_cast<unsigned long long>(estimated));
+        else
+            std::printf("CPI 95%% CI rel. error -");
+        std::printf(" (statistical — not bit-comparable)\n");
+        if (f.noEstimateCells > 0)
+            std::printf("  %llu of %llu sampled cells have no error "
+                        "estimate (fewer than 2 windows)\n",
+                        static_cast<unsigned long long>(
+                            f.noEstimateCells),
+                        static_cast<unsigned long long>(
+                            f.sampledCells));
+    }
     if (f.secretLoads > 0 || f.leakBytes > 0)
         std::printf("  leakage: %llu secret loads (%llu bytes at "
                     "risk), %llu transmissions, %llu bytes "
@@ -582,10 +606,11 @@ accuracyCompare(const std::vector<SweepFile> &inputs,
         std::map<std::string, double> ov = schemeOverheads(f);
         // Mean CPI-CI relative error per scheme, from the sampled
         // cells themselves (the estimator's own precision claim,
-        // printed beside the measured-against-exact error).
+        // printed beside the measured-against-exact error). Cells
+        // without an estimate stay out; a scheme with none prints -.
         std::map<std::string, std::pair<double, unsigned>> ci;
         for (const Cell &c : f.cells)
-            if (c.ok && c.sampled) {
+            if (c.ok && c.sampled && c.hasErrorEstimate) {
                 ci[c.scheme].first += c.relError;
                 ci[c.scheme].second += 1;
             }

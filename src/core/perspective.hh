@@ -220,14 +220,6 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     std::uint64_t dsvmtMruLookups() const;
     void resetDsvmtMruStats();
 
-    /** Lookup-structure and context checkpoint. The ownership
-     * listener wired at construction is identity, not state, and
-     * survives restore untouched. */
-    struct Snapshot;
-
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
-
   private:
     struct Context
     {
@@ -258,15 +250,15 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     std::unordered_map<kernel::DomainId, Dsvmt> dsvmts_;
     sim::Asid lastAsid_ = 0;
 
-    /** Ticks whenever the context table changes (registerContext /
-     * restore) or a fleet flip is requested; wakes loads blocked on
-     * an unregistered ASID or a pre-flip verdict. */
+    /** Ticks whenever the context table changes (registerContext)
+     * or a fleet flip is requested; wakes loads blocked on an
+     * unregistered ASID or a pre-flip verdict. */
     std::uint64_t contextsGen_ = 0;
 
     /** One-entry MRU over contexts_ — gateLoad resolves the same
      * ASID for every load of a run. Pointers into unordered_map
      * nodes are stable; the MRU is dropped whenever the table can
-     * change (registerContext / restore). */
+     * change (registerContext). */
     sim::Asid ctxMruAsid_ = 0;
     Context *ctxMruCtx_ = nullptr;
     Dsvmt *ctxMruTree_ = nullptr;
@@ -338,56 +330,6 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     std::uint64_t isvMissRun_ = 0;
     std::uint64_t dsvMissRun_ = 0;
 };
-
-struct PerspectivePolicy::Snapshot
-{
-    IsvCache isvCache;
-    DsvCache dsvCache;
-    std::unordered_map<sim::Asid, Context> contexts;
-    std::unordered_map<kernel::DomainId, Dsvmt> dsvmts;
-    sim::Asid lastAsid = 0;
-    std::uint64_t isvMissRun = 0;
-    std::uint64_t dsvMissRun = 0;
-    std::vector<PendingRevocation> pending;
-    std::uint32_t fleetBits = 0;
-    std::uint64_t fleetGen = 0;
-    sim::Cycle fleetFlipAt = 0;
-    sim::Cycle fleetVisibleAt = 0;
-    const IsvView *adminIsv = nullptr;
-};
-
-inline PerspectivePolicy::Snapshot
-PerspectivePolicy::snapshot() const
-{
-    return {isvCache_,   dsvCache_,   contexts_,      dsvmts_,
-            lastAsid_,   isvMissRun_, dsvMissRun_,    pending_,
-            fleetBits_,  fleetGen_,   fleetFlipAt_,   fleetVisibleAt_,
-            adminIsv_};
-}
-
-inline void
-PerspectivePolicy::restore(const Snapshot &s)
-{
-    isvCache_ = s.isvCache;
-    dsvCache_ = s.dsvCache;
-    contexts_ = s.contexts;
-    dsvmts_ = s.dsvmts;
-    lastAsid_ = s.lastAsid;
-    isvMissRun_ = s.isvMissRun;
-    dsvMissRun_ = s.dsvMissRun;
-    pending_ = s.pending;
-    fleetBits_ = s.fleetBits;
-    fleetGen_ = s.fleetGen;
-    fleetFlipAt_ = s.fleetFlipAt;
-    fleetVisibleAt_ = s.fleetVisibleAt;
-    adminIsv_ = s.adminIsv;
-    // Restore happens between runs (empty ROB — no blocked load holds
-    // a stale wake snapshot), but the MRU pointers now dangle.
-    ctxMruCtx_ = nullptr;
-    ctxMruTree_ = nullptr;
-    wakeArmed_ = false;
-    ++contextsGen_;
-}
 
 } // namespace perspective::core
 

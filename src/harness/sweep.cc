@@ -328,8 +328,15 @@ cellToJson(const CellResult &r, unsigned jobs)
         sj["warming_insts"] = ss.warmingInsts;
         sj["period_insts"] = ss.periodInsts;
         sj["cpi_mean"] = ss.cpiMean;
-        sj["cpi_ci95"] = ss.cpiCi95;
-        sj["rel_error"] = ss.relError;
+        // Fewer than two windows give no variance: the CI is unknown,
+        // not zero (schema 7).
+        if (ss.windows < 2) {
+            sj["cpi_ci95"] = nullptr;
+            sj["rel_error"] = nullptr;
+        } else {
+            sj["cpi_ci95"] = ss.cpiCi95;
+            sj["rel_error"] = ss.relError;
+        }
         sj["sampled_insts"] = ss.sampledInsts;
         sj["measured_cycles"] = ss.measuredCycles;
         o["sampling"] = std::move(sj);
@@ -416,7 +423,7 @@ Json
 SweepRunner::toJson() const
 {
     Json::Object doc;
-    doc["schema"] = std::uint64_t{6};
+    doc["schema"] = std::uint64_t{7};
     doc["bench"] = opts_.benchName;
     doc["jobs"] = jobs();
     doc["git"] = buildGitDescribe();

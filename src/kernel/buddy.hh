@@ -54,30 +54,6 @@ class BuddyAllocator
     /** Allocation call count (for experiment bookkeeping). */
     std::uint64_t allocCount() const { return allocCount_; }
 
-    /** Free-list checkpoint (the managed range is immutable). */
-    struct Snapshot
-    {
-        std::uint64_t allocated = 0;
-        std::uint64_t allocCount = 0;
-        std::vector<std::vector<std::uint64_t>> freeLists;
-        std::vector<std::uint8_t> orderOf;
-    };
-
-    Snapshot
-    snapshot() const
-    {
-        return {allocated_, allocCount_, freeLists_, orderOf_};
-    }
-
-    void
-    restore(const Snapshot &s)
-    {
-        allocated_ = s.allocated;
-        allocCount_ = s.allocCount;
-        freeLists_ = s.freeLists;
-        orderOf_ = s.orderOf;
-    }
-
   private:
     struct Block
     {

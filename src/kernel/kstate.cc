@@ -227,35 +227,4 @@ KernelState::globalVa(unsigned i) const
     return bootGlobalVa(i);
 }
 
-KernelState::Snapshot
-KernelState::snapshot() const
-{
-    Snapshot s;
-    s.ownership = ownership_.snapshot();
-    s.buddy = buddy_.snapshot();
-    s.cgroups = cgroups_;
-    s.slabs.reserve(kmallocCaches_.size());
-    for (const auto &c : kmallocCaches_)
-        s.slabs.push_back(c->snapshot());
-    s.tasks = tasks_;
-    s.nextPid = nextPid_;
-    s.fleet = fleet_;
-    return s;
-}
-
-void
-KernelState::restore(const Snapshot &s)
-{
-    assert(s.slabs.size() == kmallocCaches_.size() &&
-           "snapshot from a differently-configured kernel");
-    ownership_.restore(s.ownership);
-    buddy_.restore(s.buddy);
-    cgroups_ = s.cgroups;
-    for (std::size_t i = 0; i < kmallocCaches_.size(); ++i)
-        kmallocCaches_[i]->restore(s.slabs[i]);
-    tasks_ = s.tasks;
-    nextPid_ = s.nextPid;
-    fleet_ = s.fleet;
-}
-
 } // namespace perspective::kernel

@@ -108,26 +108,6 @@ class KernelState
         return kmallocCaches_;
     }
 
-    /**
-     * Checkpoint of the whole semantic kernel: ownership, allocator
-     * free lists, slab pages, cgroups and tasks. Restoring rewinds
-     * every allocation made since the snapshot; backing sim::Memory
-     * contents are snapshotted separately (Memory::snapshot()).
-     */
-    struct Snapshot
-    {
-        OwnershipMap::Snapshot ownership;
-        BuddyAllocator::Snapshot buddy;
-        CgroupRegistry cgroups;
-        std::vector<SlabCache::Snapshot> slabs;
-        std::unordered_map<Pid, Task> tasks;
-        Pid nextPid = 1;
-        FleetControl fleet;
-    };
-
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
-
   private:
     static constexpr Pfn kGlobalsFirst = 0;   ///< 64 pages of globals
     static constexpr Pfn kPerCpuFirst = 64;   ///< 8 pages per-cpu

@@ -128,28 +128,6 @@ class OwnershipMap
     /** Bumped on every change; DSV caches use it to invalidate. */
     std::uint64_t epoch() const { return epoch_; }
 
-    /** Owner table + epoch checkpoint. Listeners are identity, not
-     * state: restore() keeps the registered listeners (the DSVMT
-     * caches wired at policy construction) untouched. */
-    struct Snapshot
-    {
-        std::vector<DomainId> owner;
-        std::uint64_t epoch = 0;
-    };
-
-    Snapshot
-    snapshot() const
-    {
-        return {owner_, epoch_};
-    }
-
-    void
-    restore(const Snapshot &s)
-    {
-        owner_ = s.owner;
-        epoch_ = s.epoch;
-    }
-
   private:
     struct Listener
     {

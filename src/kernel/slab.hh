@@ -70,11 +70,6 @@ class SlabCache
      */
     DomainId pageDomain(sim::Addr va) const;
 
-    struct Snapshot; // page lists + metrics; see below
-
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
-
   private:
     struct Page
     {
@@ -102,35 +97,6 @@ class SlabCache
     std::uint64_t frees_ = 0;
     std::uint64_t reassigns_ = 0;
 };
-
-/** Everything that changes after construction; name/size/mode and the
- * buddy binding are fixed at construction and not part of it. */
-struct SlabCache::Snapshot
-{
-    std::unordered_map<Pfn, Page> pages;
-    std::map<DomainId, std::vector<Pfn>> partial;
-    std::uint64_t active = 0;
-    std::uint64_t allocs = 0;
-    std::uint64_t frees = 0;
-    std::uint64_t reassigns = 0;
-};
-
-inline SlabCache::Snapshot
-SlabCache::snapshot() const
-{
-    return {pages_, partial_, active_, allocs_, frees_, reassigns_};
-}
-
-inline void
-SlabCache::restore(const Snapshot &s)
-{
-    pages_ = s.pages;
-    partial_ = s.partial;
-    active_ = s.active;
-    allocs_ = s.allocs;
-    frees_ = s.frees;
-    reassigns_ = s.reassigns;
-}
 
 } // namespace perspective::kernel
 

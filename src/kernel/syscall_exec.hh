@@ -70,11 +70,6 @@ class SyscallExecutor
     KernelState &kernelState() { return ks_; }
     KernelImage &image() { return img_; }
 
-    struct Snapshot; // per-task regions + in-flight invocation state
-
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
-
   private:
     /** Lazily-created long-lived regions per task. */
     struct TaskExtra
@@ -110,44 +105,6 @@ class SyscallExecutor
     Pfn pendingPage_ = 0;
     bool pendingPageValid_ = false;
 };
-
-struct SyscallExecutor::Snapshot
-{
-    std::unordered_map<Pid, TaskExtra> extra;
-    Pid pendingChild = 0;
-    Addr pendingKmalloc = 0;
-    std::uint32_t pendingKmallocSize = 0;
-    Pfn pendingChildRegion = 0;
-    bool pendingChildRegionValid = false;
-    Pfn pendingPage = 0;
-    bool pendingPageValid = false;
-};
-
-inline SyscallExecutor::Snapshot
-SyscallExecutor::snapshot() const
-{
-    return {extra_,
-            pendingChild_,
-            pendingKmalloc_,
-            pendingKmallocSize_,
-            pendingChildRegion_,
-            pendingChildRegionValid_,
-            pendingPage_,
-            pendingPageValid_};
-}
-
-inline void
-SyscallExecutor::restore(const Snapshot &s)
-{
-    extra_ = s.extra;
-    pendingChild_ = s.pendingChild;
-    pendingKmalloc_ = s.pendingKmalloc;
-    pendingKmallocSize_ = s.pendingKmallocSize;
-    pendingChildRegion_ = s.pendingChildRegion;
-    pendingChildRegionValid_ = s.pendingChildRegionValid;
-    pendingPage_ = s.pendingPage;
-    pendingPageValid_ = s.pendingPageValid;
-}
 
 } // namespace perspective::kernel
 

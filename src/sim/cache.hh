@@ -97,10 +97,10 @@ class Cache
 
 /**
  * The stat handles a demand access through CacheHierarchy bumps. The
- * caller (the Pipeline) owns them, not the hierarchy: the hierarchy is
- * copied into snapshots, while the handles belong to one StatSet.
- * Each binds on its first event, so a cell where it never fires
- * reports no such key.
+ * caller (the Pipeline) owns them, not the hierarchy, and passes them
+ * only for the accesses it counts: warm-phase and PoC accesses pass
+ * none and go uncounted. Each binds on its first event, so a cell
+ * where it never fires reports no such key.
  */
 struct CacheCounters
 {

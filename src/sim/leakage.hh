@@ -212,7 +212,9 @@ class LeakLedger
         std::uint64_t bytesTransmitted = 0;
     };
 
-    /** The accounting state: everything that rewinds on restore. */
+    /** The accounting state: everything reset() clears. The wiring
+     * (classifier, enable flag) belongs to the experiment and is
+     * kept. */
     struct State
     {
         std::array<Source, 64> sources{};
@@ -226,17 +228,10 @@ class LeakLedger
         std::array<LeakageSummary::WindowRow, kNumLeakWindows> windows{};
         std::unordered_map<GadgetKey, GadgetRow, GadgetKeyHash> gadgets;
     };
-    using Snapshot = State;
-
-    /** Whole-ledger checkpoint; joins Pipeline::Snapshot. */
-    Snapshot snapshot() const { return st_; }
-    /** Rewind accounting; the wiring (classifier, enable flag)
-     * belongs to the experiment, not the timeline. */
-    void restore(const Snapshot &s) { st_ = s; }
 
   private:
     bool enabled_ = true;
-    SecretClassifier classifier_; ///< not part of snapshots
+    SecretClassifier classifier_;
     State st_;
 };
 

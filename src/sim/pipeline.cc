@@ -29,7 +29,6 @@ Pipeline::Pipeline(const Program &prog, Memory &mem,
 {
     rob_.init(params_.robSize);
     renameValid_.fill(false);
-    ledger_.setEnabled(params_.leakLedger);
 
     // Resolve hot-path stat names once; per-cycle code then bumps
     // through stable handles instead of string-keyed map lookups.
@@ -94,43 +93,6 @@ Pipeline::setPolicy(SpeculationPolicy *policy)
     policy_ = policy;
     if (policy_)
         policy_->setStats(&stats_);
-}
-
-Pipeline::RobEntry *
-Pipeline::findBySeq(std::uint64_t seq)
-{
-    if (rob_.empty() || seq < rob_.front().seq ||
-        seq > rob_.back().seq)
-        return nullptr;
-    // Seqs are dense except for squash holes (nextSeq_ never rewinds),
-    // so seq - frontSeq is an upper bound on the index and exact when
-    // no hole sits below — the overwhelmingly common case: one probe.
-    std::size_t i =
-        static_cast<std::size_t>(seq - rob_.front().seq);
-    if (i >= rob_.size())
-        i = rob_.size() - 1;
-    // Walk down past squash holes; in a pathological squash storm the
-    // hole count can exceed the ROB's depth budget, so bound the walk
-    // and fall back to binary search over the remaining prefix.
-    for (unsigned probes = 0; probes < 16; ++probes) {
-        RobEntry &e = rob_[i];
-        if (e.seq == seq)
-            return &e;
-        if (e.seq < seq || i == 0)
-            return nullptr;
-        --i;
-    }
-    std::size_t lo = 0, hi = i + 1; // seqs ascend over [0, i]
-    while (lo < hi) {
-        std::size_t mid = (lo + hi) / 2;
-        if (rob_[mid].seq < seq)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo <= i && rob_[lo].seq == seq)
-        return &rob_[lo];
-    return nullptr;
 }
 
 void
@@ -1157,49 +1119,6 @@ Pipeline::sampleTelemetry()
     tsRobOcc_->tick(now_, rob_.size());
     tsCommitted_->tick(now_, ctrCommitted_.value());
     tsFences_->tick(now_, ctrFences_.value());
-}
-
-Pipeline::Snapshot
-Pipeline::snapshot() const
-{
-    assert(rob_.empty() &&
-           "pipeline snapshots are only valid between runs");
-    return {caches_,      dtlb_,    cond_,
-            btb_,         rsb_,     stats_,
-            regs_,        renameMap_, renameValid_,
-            nextSeq_,     now_,     fetchStallUntil_,
-            asid_,        stackBase_, ledger_.snapshot()};
-}
-
-void
-Pipeline::restore(const Snapshot &s)
-{
-    assert(rob_.empty() &&
-           "pipeline restore is only valid between runs");
-    caches_ = s.caches;
-    dtlb_ = s.dtlb;
-    cond_ = s.cond;
-    btb_ = s.btb;
-    rsb_ = s.rsb;
-    // In place: cached Counter/Histogram/TimeSeries handles (both the
-    // pipeline's own and the policies') must stay bound.
-    stats_.assignFrom(s.stats);
-    regs_ = s.regs;
-    renameMap_ = s.renameMap;
-    renameValid_ = s.renameValid;
-    nextSeq_ = s.nextSeq;
-    now_ = s.now;
-    fetchStallUntil_ = s.fetchStallUntil;
-    asid_ = s.asid;
-    stackBase_ = s.stackBase;
-    ledger_.restore(s.ledger);
-    // Scheduled callbacks capture experiment state from before the
-    // rewind; firing them against restored state would be a use of a
-    // dead world. The rewound experiment re-schedules its own.
-    scheduled_.clear();
-    // The sampling phase machine anchors on the cumulative committed
-    // count, which just rewound with the stats.
-    resetSampling();
 }
 
 void

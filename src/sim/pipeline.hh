@@ -76,10 +76,6 @@ struct PipelineParams
      * telemetry cost; event-proportional samples (fence stalls,
      * squash depths, load waits) are always collected. */
     bool detailedTelemetry = true;
-    /** Transient-leakage ledger (leakage.hh). Observation-only and
-     * additionally gated on a classifier being installed; simulated
-     * cycle counts are identical either way. */
-    bool leakLedger = true;
     /** Sampled simulation (DESIGN §5.8): when enabled (and neither
      * detailedTelemetry nor tracing demands the per-cycle detailed
      * path), the core runs the periodic
@@ -134,35 +130,6 @@ class Pipeline
      */
     RunResult run(FuncId entry);
 
-    /**
-     * Checkpoint of the core's full microarchitectural state between
-     * runs: caches, TLB, predictors, architectural registers, stats
-     * and the sequence/cycle clocks. Only valid at a quiescent point
-     * (empty ROB — i.e. between run() calls); in-flight state is
-     * deliberately not part of it.
-     */
-    struct Snapshot
-    {
-        CacheHierarchy caches;
-        Tlb dtlb;
-        CondPredictor cond;
-        Btb btb;
-        Rsb rsb;
-        StatSet stats;
-        std::array<std::uint64_t, kNumRegs> regs{};
-        std::array<std::uint64_t, kNumRegs> renameMap{};
-        std::array<bool, kNumRegs> renameValid{};
-        std::uint64_t nextSeq = 0;
-        Cycle now = 0;
-        Cycle fetchStallUntil = 0;
-        Asid asid = 0;
-        Addr stackBase = 0;
-        LeakLedger::Snapshot ledger;
-    };
-
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
-
     /** Core cycle clock. The pointer stays valid for the pipeline's
      * lifetime — policies hold it to timestamp deferred updates
      * (PerspectivePolicy::setClock). */
@@ -174,8 +141,6 @@ class Pipeline
      * — an asynchronous kernel-side event (ownership handoff, module
      * load, fleet flip) landing mid-run while loads are in flight.
      * Callbacks mutate semantic state, not pipeline internals.
-     * Pending callbacks are dropped by restore(): a rewound
-     * experiment re-schedules its own events.
      */
     void
     scheduleAt(Cycle when, std::function<void()> fn)
@@ -205,8 +170,7 @@ class Pipeline
      * Re-anchor the sampling phase machine and clear the estimator.
      * Experiment calls this at its warmup -> measured boundary (right
      * after clearing stats) so the measured phase starts with a fresh
-     * detailed window and an empty estimate; restore() calls it
-     * because the phase anchor (cumulative committed count) rewinds.
+     * detailed window and an empty estimate.
      */
     void resetSampling();
 
@@ -500,7 +464,6 @@ class Pipeline
     unsigned doFetch();
 
     // -- helpers ---------------------------------------------------------
-    RobEntry *findBySeq(std::uint64_t seq);
     bool isSpeculative(const RobEntry &e) const;
     bool addrTainted(RobEntry &e);
     bool taintOf(RobEntry &e);
@@ -617,7 +580,7 @@ class Pipeline
     UnsafePolicy unsafe_;
 
     LeakLedger ledger_;
-    /** params_.leakLedger && classifier installed, latched per run. */
+    /** Ledger enabled && classifier installed, latched per run. */
     bool ledgerArmed_ = false;
     /** Syscall entry point of the current run (leak attribution). */
     FuncId entryFunc_ = kNoFunc;

@@ -260,7 +260,8 @@ class StatSet
     get(const std::string &name) const
     {
         ++nameLookups_;
-        return find(name);
+        auto it = counters_.find(name);
+        return it == counters_.end() ? 0 : it->second;
     }
 
     /** Ratio helper: get(num) / get(den), 0 when the denominator is 0. */
@@ -286,41 +287,6 @@ class StatSet
             h.clear();
         for (auto &[name, ts] : series_)
             ts.clear();
-    }
-
-    /**
-     * Make this set's *values* equal to @p o without invalidating any
-     * outstanding Counter handle or Histogram/TimeSeries reference:
-     * entries are written in place (created when missing, zeroed when
-     * absent from @p o), never erased. Plain assignment would rebuild
-     * the maps and dangle every cached hot-path handle; this is the
-     * restore path for snapshot/rollback experiments.
-     */
-    void
-    assignFrom(const StatSet &o)
-    {
-        for (auto &[name, value] : counters_)
-            value = o.find(name);
-        for (const auto &[name, value] : o.counters_)
-            counters_[name] = value;
-        for (auto &[name, h] : histograms_) {
-            auto it = o.histograms_.find(name);
-            if (it == o.histograms_.end())
-                h.clear();
-            else
-                h = it->second;
-        }
-        for (const auto &[name, h] : o.histograms_)
-            histograms_[name] = h;
-        for (auto &[name, ts] : series_) {
-            auto it = o.series_.find(name);
-            if (it == o.series_.end())
-                ts.clear();
-            else
-                ts = it->second;
-        }
-        for (const auto &[name, ts] : o.series_)
-            series_.insert_or_assign(name, ts);
     }
 
     /** Dump counters then histogram summaries, sorted by name. */
@@ -354,15 +320,6 @@ class StatSet
     std::uint64_t nameLookups() const { return nameLookups_; }
 
   private:
-    /** get() without the lookup tally: assignFrom() reads the source
-     * set through it, which may be shared read-only across threads. */
-    std::uint64_t
-    find(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
-    }
-
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, Histogram> histograms_;
     std::map<std::string, TimeSeries> series_;

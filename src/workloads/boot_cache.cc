@@ -1,6 +1,5 @@
 #include "boot_cache.hh"
 
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 
@@ -21,26 +20,7 @@ cache()
     return c;
 }
 
-int snapshotOverride = -1; // -1: follow env, 0/1: forced
-
-bool
-envEnabled()
-{
-    static const bool on = [] {
-        const char *env = std::getenv("PERSPECTIVE_SNAPSHOT");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
-    return on;
-}
-
-/** Caller must hold cacheMutex. */
-bool
-enabledLocked()
-{
-    if (snapshotOverride >= 0)
-        return snapshotOverride != 0;
-    return envEnabled();
-}
+bool reuseEnabled = true; // guarded by cacheMutex
 
 } // namespace
 
@@ -58,7 +38,7 @@ std::shared_ptr<BootImage>
 BootImage::forSeed(std::uint64_t seed)
 {
     std::lock_guard<std::mutex> lock(cacheMutex);
-    if (!enabledLocked())
+    if (!reuseEnabled)
         return std::make_shared<BootImage>(seed);
     auto &slot = cache()[seed];
     if (!slot)
@@ -70,14 +50,14 @@ bool
 BootImage::snapshotEnabled()
 {
     std::lock_guard<std::mutex> lock(cacheMutex);
-    return enabledLocked();
+    return reuseEnabled;
 }
 
 void
 BootImage::setSnapshotEnabled(bool on)
 {
     std::lock_guard<std::mutex> lock(cacheMutex);
-    snapshotOverride = on ? 1 : 0;
+    reuseEnabled = on;
 }
 
 void

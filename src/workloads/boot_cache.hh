@@ -16,9 +16,8 @@
  * here, and DriverSet is a constant table — all verified read-only
  * after boot, so concurrent sweep workers can share one instance.
  *
- * The env knob PERSPECTIVE_SNAPSHOT=0 disables reuse (every
- * Experiment builds privately — the pre-cache behaviour); =1 (or
- * unset) enables it.
+ * setSnapshotEnabled(false) disables reuse (every Experiment builds
+ * privately — the pre-cache behaviour); reuse is on by default.
  */
 
 #ifndef PERSPECTIVE_WORKLOADS_BOOT_CACHE_HH
@@ -49,9 +48,9 @@ class BootImage
      */
     static std::shared_ptr<BootImage> forSeed(std::uint64_t seed);
 
-    /** Snapshot reuse state (PERSPECTIVE_SNAPSHOT, default on). */
+    /** Snapshot reuse state (default on). */
     static bool snapshotEnabled();
-    /** Override the env knob (tests, bench on/off comparisons). */
+    /** Turn reuse on or off (tests, bench on/off comparisons). */
     static void setSnapshotEnabled(bool on);
     /** Drop every cached boot (tests; frees the shared pages). */
     static void dropCache();

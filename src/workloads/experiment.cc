@@ -299,29 +299,6 @@ Experiment::runRequestAs(Pid pid)
     return total;
 }
 
-Experiment::Snapshot
-Experiment::snapshot() const
-{
-    return {mem_.snapshot(), ks_->snapshot(), exec_->snapshot(),
-            cpu_->snapshot(),
-            perspective_
-                ? std::optional(perspective_->snapshot())
-                : std::nullopt};
-}
-
-void
-Experiment::restore(const Snapshot &s)
-{
-    mem_.restore(s.mem);
-    ks_->restore(s.kstate);
-    exec_->restore(s.exec);
-    cpu_->restore(s.cpu);
-    // The ownership table and the policy's DSVMT mirrors/caches are
-    // restored as a consistent pair, so no listener replay is needed.
-    if (perspective_ && s.perspective)
-        perspective_->restore(*s.perspective);
-}
-
 RunResult
 Experiment::run(unsigned iterations, unsigned warmup)
 {

@@ -118,26 +118,6 @@ class Experiment
      * @p warmup unmeasured ones) and report the aggregate. */
     RunResult run(unsigned iterations, unsigned warmup = 2);
 
-    /**
-     * Checkpoint of the full experiment state — memory (copy-on-
-     * write), kernel, executor, pipeline microarchitecture and policy
-     * lookup structures — at a quiescent point (between runs). Take
-     * one after boot or after warmup and restore() any number of
-     * times to re-run measurement from an identical warm state
-     * without re-booting.
-     */
-    struct Snapshot
-    {
-        sim::Memory::Snapshot mem;
-        kernel::KernelState::Snapshot kstate;
-        kernel::SyscallExecutor::Snapshot exec;
-        sim::Pipeline::Snapshot cpu;
-        std::optional<core::PerspectivePolicy::Snapshot> perspective;
-    };
-
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
-
     // -- component access (attack PoCs, surface studies) ---------------
     // The image and drivers may be shared (read-only) with other
     // Experiments of the same seed; see BootImage.

@@ -33,6 +33,12 @@ TEST(Races, RevocationWindowLeaksUntilShootdownLands)
     // frame is unreachable — the gap has closed.
     EXPECT_FALSE(r.leakedAfterUpdate);
     EXPECT_GT(r.updateLatency, 0u);
+
+    // The lazily-created dynamic-update histograms exist and sampled
+    // the window once their events fired.
+    auto &st = e.pipeline().stats();
+    EXPECT_GT(st.histogram("transient_gap_cycles").count(), 0u);
+    EXPECT_GT(st.histogram("update_latency").count(), 0u);
 }
 
 TEST(Races, ModuleLoadGapIsOnTheSafeSide)

@@ -334,49 +334,6 @@ TEST_F(PerspFixture, FlushPendingRevocationsClosesWindowNow)
               Gate::Block);
 }
 
-TEST_F(PerspFixture, SnapshotRestoresPendingRevocationWindow)
-{
-    // Snapshot taken mid-window, restore after the window was
-    // closed: the pending shootdown, the stale mirror and the cached
-    // verdict must all come back, and the wake slot / MRU pointers
-    // must be disarmed rather than dangling.
-    own.assign(5, 3);
-    PerspectiveConfig cfg;
-    cfg.revocationLatency = 500;
-    PerspectivePolicy pol(own, cfg);
-    sim::Cycle clock = 1000;
-    pol.setClock(&clock);
-    IsvView view(prog);
-    view.includeFunction(kf);
-    pol.registerContext(1, 3, &view);
-    Addr pc = prog.func(kf).instAddr(0);
-    ASSERT_EQ(steadyGate(pol, ctxFor(pc, directMapVa(5), 1)),
-              Gate::Allow);
-
-    clock = 10000;
-    own.assign(5, 4); // applies at 10500
-    auto snap = pol.snapshot();
-
-    pol.flushPendingRevocations();
-    ASSERT_EQ(pol.pendingRevocations(), 0u);
-    ASSERT_FALSE(pol.dsvmtOf(3).queryPfn(5));
-
-    pol.restore(snap);
-    EXPECT_EQ(pol.pendingRevocations(), 1u);
-    EXPECT_TRUE(pol.dsvmtOf(3).queryPfn(5));
-    SpecContext in_window = ctxFor(pc, directMapVa(5), 1);
-    EXPECT_FALSE(pol.wakePairingMatches(in_window));
-    in_window.now = 10200;
-    EXPECT_EQ(pol.gateLoad(in_window), Gate::Allow);
-
-    // The restored window still closes on its own schedule.
-    SpecContext after = ctxFor(pc, directMapVa(5), 1);
-    after.now = 10600;
-    EXPECT_EQ(pol.gateLoad(after), Gate::Block);
-    EXPECT_EQ(pol.pendingRevocations(), 0u);
-    EXPECT_FALSE(pol.dsvmtOf(3).queryPfn(5));
-}
-
 TEST_F(PerspFixture, NullClockKeepsRevocationSynchronous)
 {
     // Without a wired clock the latency knob is inert: ownership

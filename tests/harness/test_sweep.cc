@@ -309,7 +309,7 @@ TEST(Sweep, JsonEmissionRoundTripsCounters)
 
     Json doc = Json::parse(runner.toJson().dump(2));
     EXPECT_EQ(doc.at("bench").asString(), "test_sweep");
-    EXPECT_EQ(doc.at("schema").asUint(), 6u);
+    EXPECT_EQ(doc.at("schema").asUint(), 7u);
     EXPECT_FALSE(doc.at("git").asString().empty());
     const auto &cells = doc.at("cells").asArray();
     ASSERT_EQ(cells.size(), rs.size());
@@ -327,6 +327,43 @@ TEST(Sweep, JsonEmissionRoundTripsCounters)
         for (const auto &[name, value] : rs[i].result.stats.all())
             EXPECT_EQ(stats.at(name).asUint(), value) << name;
     }
+}
+
+TEST(Sweep, SampledCiIsNullBelowTwoWindows)
+{
+    // One window gives no variance, so no error estimate: the JSON
+    // says null rather than a CI of 0. Several windows give numbers.
+    SweepCell one;
+    one.profile = lebenchSuite().front();
+    one.scheme = Scheme::Unsafe;
+    one.iterations = 20;
+    one.warmup = 1;
+    one.sampling = sim::SamplingParams::parse(
+        "w=5000,warm=10000,period=400000,seed=1");
+    SweepCell many = one;
+    many.sampling = sim::SamplingParams::parse(
+        "w=200,warm=200,period=1000,seed=1");
+
+    SweepRunner runner(optsWithJobs(1));
+    auto rs = runner.run({one, many});
+    ASSERT_TRUE(rs[0].ok) << rs[0].error;
+    ASSERT_TRUE(rs[1].ok) << rs[1].error;
+    EXPECT_EQ(rs[0].result.sampling.windows, 1u);
+    EXPECT_GE(rs[1].result.sampling.windows, 2u);
+
+    Json doc = Json::parse(runner.toJson().dump(2));
+    const auto &cells = doc.at("cells").asArray();
+    const Json &s1 = cells[0].at("sampling");
+    EXPECT_EQ(s1.at("windows").asUint(), 1u);
+    EXPECT_TRUE(s1.at("cpi_ci95").isNull());
+    EXPECT_TRUE(s1.at("rel_error").isNull());
+    EXPECT_GT(s1.at("cpi_mean").asDouble(), 0.0);
+    const Json &sn = cells[1].at("sampling");
+    EXPECT_GE(sn.at("windows").asUint(), 2u);
+    EXPECT_DOUBLE_EQ(sn.at("cpi_ci95").asDouble(),
+                     rs[1].result.sampling.cpiCi95);
+    EXPECT_DOUBLE_EQ(sn.at("rel_error").asDouble(),
+                     rs[1].result.sampling.relError);
 }
 
 TEST(Sweep, EveryCellCarriesProvenanceAndTelemetry)

@@ -154,30 +154,6 @@ TEST(LeakLedger, GadgetTableSortsByBytesAndKeepsAttribution)
     EXPECT_EQ(s.topGadgets[1].pc, 0x90u);
 }
 
-TEST(LeakLedger, SnapshotRestoreRewindsAccounting)
-{
-    LeakLedger l;
-    std::uint8_t a = addSource(l);
-    auto snap = l.snapshot();
-
-    l.noteTransmission(std::uint64_t{1} << a,
-                       LeakChannel::CacheInstall, 0x80, kF);
-    addSource(l, 0x2000);
-    EXPECT_EQ(l.summary().secretLoads, 2u);
-    EXPECT_EQ(l.summary().bytesTransmitted, 8u);
-
-    l.restore(snap);
-    LeakageSummary s = l.summary();
-    EXPECT_EQ(s.secretLoads, 1u);
-    EXPECT_EQ(s.transmissions, 0u);
-    EXPECT_EQ(s.bytesTransmitted, 0u);
-
-    // The restored source is live again and can still transmit.
-    l.noteTransmission(std::uint64_t{1} << a,
-                       LeakChannel::CacheInstall, 0x80, kF);
-    EXPECT_EQ(l.summary().bytesTransmitted, 8u);
-}
-
 TEST(LeakLedger, ResetClearsEverythingButKeepsWiring)
 {
     LeakLedger l;

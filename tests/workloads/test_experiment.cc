@@ -267,6 +267,36 @@ TEST(Experiment, RunRequestAsSwitchesContext)
     EXPECT_GT(r2.instructions, 0u);
 }
 
+TEST(Experiment, MidRunHandoffCompletes)
+{
+    // A mid-run ownership handoff (the dynamic-update driver): the
+    // policy listener revokes the page while loads from it may be
+    // blocked in-ROB holding stale verdicts, and the run must
+    // complete with the verdicts re-resolved — no dangling wake or
+    // MRU pointer — and the callback queue drained.
+    WorkloadProfile mmap;
+    for (const auto &w : lebenchSuite())
+        if (w.name == "mmap")
+            mmap = w;
+    ASSERT_EQ(mmap.name, "mmap");
+    Experiment e(mmap, Scheme::Perspective, 42);
+    auto &ks = e.kernelState();
+    kernel::Pfn ctx_pfn = ks.task(e.mainPid()).ctxPfn;
+    kernel::DomainId foreign = ks.task(e.victimPid()).domain;
+    ASSERT_NE(ks.ownership().ownerOf(ctx_pfn), foreign);
+
+    e.pipeline().scheduleAt(
+        e.pipeline().now() + 1000,
+        [&ks, ctx_pfn, foreign] {
+            ks.ownership().assign(ctx_pfn, foreign);
+        });
+    EXPECT_EQ(e.pipeline().pendingScheduled(), 1u);
+    RunResult r = e.run(4, 1);
+    EXPECT_GT(r.instructions, 0u);
+    EXPECT_EQ(ks.ownership().ownerOf(ctx_pfn), foreign);
+    EXPECT_EQ(e.pipeline().pendingScheduled(), 0u);
+}
+
 /**
  * Sampled mmap cells at the sweep defaults (30 measured + 3 warmup
  * iterations, DESIGN §5.8 default sampling) pin their raw detailed-
