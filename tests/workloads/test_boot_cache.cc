@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "attacks/poc.hh"
+#include "attacks/races.hh"
 #include "workloads/boot_cache.hh"
 #include "workloads/experiment.hh"
 #include "workloads/profiles.hh"
@@ -92,4 +94,40 @@ TEST(BootCache, CellWritesDoNotLeakAcrossExperiments)
     RunResult ra = a.run(4, 1);
     RunResult rb = b.run(4, 1);
     expectSameResult(ra, rb);
+}
+
+TEST(Snapshot, LazyDynamicUpdateStatsSurviveRestore)
+{
+    // The dynamic-update stats ("update_latency",
+    // "transient_gap_cycles", "perspective.revocation.stale_allows")
+    // are created lazily the first time their event fires. The boot
+    // image is captured before they exist; a second cell restored
+    // from it after the first cell touched them must start with them
+    // at zero and reproduce the first cell's race exactly.
+    SnapshotModeGuard guard;
+    BootImage::setSnapshotEnabled(true);
+    Experiment a(attacks::pocProfile(), Scheme::Perspective, 42);
+    attacks::RaceResult r1 = attacks::raceRevocation(a);
+    auto &sa = a.pipeline().stats();
+    std::uint64_t stale1 =
+        sa.get("perspective.revocation.stale_allows");
+    std::uint64_t gap1 = sa.histogram("transient_gap_cycles").count();
+    std::uint64_t upd1 = sa.histogram("update_latency").count();
+    EXPECT_GT(stale1, 0u);
+    EXPECT_GT(gap1, 0u);
+    EXPECT_GT(upd1, 0u);
+
+    Experiment b(attacks::pocProfile(), Scheme::Perspective, 42);
+    auto &sb = b.pipeline().stats();
+    EXPECT_EQ(sb.get("perspective.revocation.stale_allows"), 0u);
+    EXPECT_EQ(sb.histogram("transient_gap_cycles").count(), 0u);
+    EXPECT_EQ(sb.histogram("update_latency").count(), 0u);
+
+    attacks::RaceResult r2 = attacks::raceRevocation(b);
+    EXPECT_EQ(sb.get("perspective.revocation.stale_allows"), stale1);
+    EXPECT_EQ(sb.histogram("transient_gap_cycles").count(), gap1);
+    EXPECT_EQ(sb.histogram("update_latency").count(), upd1);
+    EXPECT_EQ(r1.staleAllows, r2.staleAllows);
+    EXPECT_EQ(r1.leakedInWindow, r2.leakedInWindow);
+    EXPECT_EQ(r1.updateLatency, r2.updateLatency);
 }
