@@ -34,7 +34,8 @@
  *   bench_report sampled.json --accuracy-baseline exact.json
  *
  * Every schema this tool has emitted still loads: fields it does not
- * read (such as schema 5's cache/shard blocks) are ignored. A sampled
+ * read (such as schema 5's cache/shard blocks, or the per-cell time
+ * series schemas before 8 carried) are ignored. A sampled
  * cell whose `cpi_ci95`/`rel_error` is null (schema 7: fewer than
  * two windows) has no error estimate; it is counted, never averaged
  * in as a precise 0.
@@ -163,11 +164,12 @@ uintOr0(const Json &obj, const char *field)
 /**
  * Load a sweep document. With @p skipHeavy (set under --check, which
  * only compares the deterministic counters) the bulk per-cell
- * sub-objects — histograms and time series — are syntax-checked but
- * never materialized, so a large baseline parses without allocating
- * for payloads the comparison never reads. The dependent telemetry
- * (transient-gap percentiles) is simply absent from the summary in
- * that mode; every reader already guards on presence. @p verbose
+ * sub-objects — histograms, and time series before schema 8 — are
+ * syntax-checked but never materialized, so a large baseline parses
+ * without allocating for payloads the comparison never reads. The
+ * dependent telemetry (transient-gap percentiles) is simply absent
+ * from the summary in that mode; every reader already guards on
+ * presence. @p verbose
  * prints the parse cost to pin the win.
  */
 SweepFile
@@ -410,8 +412,8 @@ summarize(const SweepFile &f)
             worst = std::max(worst, d);
         std::fprintf(stderr,
                      "bench_report: WARNING: %s: event trace dropped "
-                     "%llu event(s) (worst lane: %llu) — raise the "
-                     "log capacity or narrow the enabled flags\n",
+                     "%llu event(s) (worst lane: %llu) — it holds "
+                     "only the events recorded before it filled\n",
                      f.path.c_str(),
                      static_cast<unsigned long long>(f.traceDropped),
                      static_cast<unsigned long long>(worst));

@@ -6,8 +6,12 @@
  *   run_workload --list
  *
  * e.g.  ./examples/run_workload nginx perspective 30
- *       PERSPECTIVE_TRACE=squash,fence ./examples/run_workload \
+ *       PERSPECTIVE_TRACE_OUT=rw.json ./examples/run_workload \
  *           getpid fence 2
+ *
+ * With PERSPECTIVE_TRACE_OUT set, the run's structured events
+ * (commit/squash/fence/leak/window) are written to that path as
+ * Chrome trace_event JSON (chrome://tracing, ui.perfetto.dev).
  */
 
 #include <cstdio>
@@ -15,6 +19,7 @@
 #include <cstring>
 #include <string>
 
+#include "harness/chrome_trace.hh"
 #include "sim/trace.hh"
 #include "workloads/experiment.hh"
 
@@ -74,8 +79,9 @@ main(int argc, char **argv)
         std::printf("\nschemes: unsafe fence dom stt spot spec-cfi "
                     "invisispec perspective-static perspective "
                     "perspective++\n");
-        std::printf("trace flags (PERSPECTIVE_TRACE): fetch commit "
-                    "squash fence predict\n");
+        std::printf("trace: PERSPECTIVE_TRACE_OUT=PATH writes commit, "
+                    "squash, fence, leak and window events as Chrome "
+                    "trace JSON\n");
         return 0;
     }
 
@@ -93,10 +99,14 @@ main(int argc, char **argv)
         return 1;
     }
 
-    sim::trace::enableFromEnvironment();
+    const char *trace_out = std::getenv("PERSPECTIVE_TRACE_OUT");
+    sim::trace::EventLog log;
+    if (trace_out)
+        sim::trace::setEventLog(&log);
 
     Experiment e(*w, scheme);
     auto r = e.run(iterations, 3);
+    sim::trace::setEventLog(nullptr);
 
     std::printf("workload            %s\n", w->name.c_str());
     std::printf("scheme              %s\n", scheme_name.c_str());
@@ -132,5 +142,7 @@ main(int argc, char **argv)
     std::printf("l1d miss rate       %.2f%%\n",
                 100.0 * r.stats.ratio("l1d.misses",
                                       "l1d.accesses"));
+    if (trace_out && !harness::writeChromeTrace(log, trace_out))
+        return 1;
     return 0;
 }

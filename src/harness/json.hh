@@ -75,8 +75,9 @@ class Json
          * delimiters still validated) and dropped, and the key does
          * not appear in the resulting object. Lets bulk readers
          * (bench_report over a ~46k-line baseline) skip the heavy
-         * per-cell sub-objects (histograms, time series) they never
-         * look at. Applies at every nesting depth.
+         * per-cell sub-objects (histograms, and the time series of
+         * schemas before 8) they never look at. Applies at every
+         * nesting depth.
          */
         std::vector<std::string> skipObjectKeys;
     };

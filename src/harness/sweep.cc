@@ -361,23 +361,6 @@ cellToJson(const CellResult &r, unsigned jobs)
     }
     o["histograms"] = std::move(hists);
 
-    Json::Object series;
-    for (const auto &[name, ts] : res.stats.allTimeSeries()) {
-        Json::Object sj;
-        sj["interval"] = static_cast<std::uint64_t>(ts.interval());
-        Json::Array cyc, val;
-        cyc.reserve(ts.samples().size());
-        val.reserve(ts.samples().size());
-        for (const auto &[c, v] : ts.samples()) {
-            cyc.emplace_back(static_cast<std::uint64_t>(c));
-            val.emplace_back(v);
-        }
-        sj["cycle"] = std::move(cyc);
-        sj["value"] = std::move(val);
-        series[name] = std::move(sj);
-    }
-    o["timeseries"] = std::move(series);
-
     // Transient-leakage accounting (schema 4, DESIGN §5.6). Always
     // present — a zero block is an explicit "no leakage observed",
     // which the leak gates depend on.
@@ -423,7 +406,7 @@ Json
 SweepRunner::toJson() const
 {
     Json::Object doc;
-    doc["schema"] = std::uint64_t{7};
+    doc["schema"] = std::uint64_t{8};
     doc["bench"] = opts_.benchName;
     doc["jobs"] = jobs();
     doc["git"] = buildGitDescribe();

@@ -182,9 +182,9 @@ class SweepRunner
 
 /**
  * JSON object for one cell result (schema used by emitJson): raw
- * metrics, the full counter StatSet, histogram summaries, sampled
- * time series, and a provenance block (scheme, workload, config
- * hash, git describe, wall seconds, host jobs).
+ * metrics, the full counter StatSet, histogram summaries and a
+ * provenance block (scheme, workload, config hash, git describe,
+ * wall seconds, host jobs).
  */
 Json cellToJson(const CellResult &r, unsigned jobs);
 

@@ -53,9 +53,6 @@ Pipeline::Pipeline(const Program &prog, Memory &mem,
     histFenceStall_ = &stats_.histogram("fence_stall_cycles");
     histSquashDepth_ = &stats_.histogram("squash_depth");
     histLoadWait_ = &stats_.histogram("load_issue_wait");
-    tsRobOcc_ = &stats_.timeSeries("rob_occupancy");
-    tsCommitted_ = &stats_.timeSeries("committed");
-    tsFences_ = &stats_.timeSeries("fences");
 }
 
 void
@@ -377,13 +374,6 @@ Pipeline::tryIssueLoad(RobEntry &e)
                 ctrFences_.inc();
                 if (e.kernel)
                     ctrFencesKernel_.inc();
-                if (trace::enabled(trace::Flag::Fence)) {
-                    trace::log(trace::Flag::Fence, now_,
-                               pol->name() +
-                                   std::string(" blocks ") +
-                                   prog_.func(e.func).name + "[" +
-                                   std::to_string(e.idx) + "]");
-                }
             }
             e.state = EState::Blocked;
             ctrBlockedCycles_.inc();
@@ -625,14 +615,6 @@ Pipeline::resolveControl(RobEntry &e)
     }
     e.resolved = true;
     if (mispredict) {
-        if (trace::enabled(trace::Flag::Squash)) {
-            trace::log(trace::Flag::Squash, now_,
-                       "mispredict at " + prog_.func(e.func).name +
-                           "[" + std::to_string(e.idx) +
-                           "], redirect to " +
-                           prog_.func(fetch_.func).name + "[" +
-                           std::to_string(fetch_.idx) + "]");
-        }
         if (eventsOn_)
             recordSpan(trace::Flag::Squash, e, now_, " (mispredict)");
         fetchStallUntil_ = now_ + params_.mispredictPenalty;
@@ -701,12 +683,6 @@ Pipeline::applyCommit(RobEntry &e)
     // lifetime, with its issue cycle in the args.
     if (eventsOn_)
         recordSpan(trace::Flag::Commit, e, e.dispatchCycle);
-    if (trace::enabled(trace::Flag::Commit)) {
-        trace::log(trace::Flag::Commit, now_,
-                   prog_.func(e.func).name + "[" +
-                       std::to_string(e.idx) + "] " +
-                       e.op->toString());
-    }
 }
 
 void
@@ -1090,12 +1066,6 @@ Pipeline::doFetch()
         else if (op.op == Op::Store)
             ++inflightStores_;
 
-        if (trace::enabled(trace::Flag::Fetch)) {
-            trace::log(trace::Flag::Fetch, now_,
-                       prog_.func(e.func).name + "[" +
-                           std::to_string(e.idx) + "] " +
-                           op.toString());
-        }
         if (op.dst != kNoReg) {
             renameMap_[op.dst] = e.seq;
             renameProd_[op.dst] = &e;
@@ -1108,17 +1078,6 @@ Pipeline::doFetch()
             break;
     }
     return n;
-}
-
-void
-Pipeline::sampleTelemetry()
-{
-    if (!params_.detailedTelemetry)
-        return;
-    histRobOcc_->sample(rob_.size());
-    tsRobOcc_->tick(now_, rob_.size());
-    tsCommitted_->tick(now_, ctrCommitted_.value());
-    tsFences_->tick(now_, ctrFences_.value());
 }
 
 void
@@ -1172,11 +1131,6 @@ Pipeline::skipIdleCycles(Cycle start)
         atMost(idleRecheckAt_);
     for (const auto &sc : scheduled_)
         atMost(sc.first);
-    if (params_.detailedTelemetry) {
-        atMost(tsRobOcc_->nextDue());
-        atMost(tsCommitted_->nextDue());
-        atMost(tsFences_->nextDue());
-    }
     // No finite bound (a deadlock): keep stepping so the maxCycles
     // guard fires exactly as it would have. Otherwise stop no later
     // than the cycle at which the guard throws.
@@ -1201,8 +1155,7 @@ Pipeline::skipIdleCycles(Cycle start)
                 e->wakeTally->inc(k);
         }
     }
-    if (params_.detailedTelemetry)
-        histRobOcc_->sample(rob_.size(), k);
+    histRobOcc_->sample(rob_.size(), k);
     now_ = last;
     cyclesSkipped_ += k;
 }
@@ -1234,9 +1187,8 @@ Pipeline::run(FuncId entry)
     eventsOn_ = trace::eventsEnabled();
     ledgerArmed_ = ledger_.armed();
     entryFunc_ = entry;
-    // Sampling engages only when nothing needs the per-cycle
-    // detailed path: no per-cycle sampling, no structured events, no
-    // text tracing. The policy is consulted again at each engagement
+    // Sampling engages only when no event log needs the per-cycle
+    // detailed path. The policy is consulted again at each engagement
     // (its answer can change as dynamic-update state drains). The
     // armed leakage ledger does not disengage it: functional phases
     // are non-speculative by construction, so their loads are never
@@ -1245,9 +1197,7 @@ Pipeline::run(FuncId entry)
     // *measurement* runs force the detailed path via the policy's
     // allowFunctionalPhases hook and by leaving sampling off
     // (DESIGN §5.8).
-    sampleMode_ = params_.sampling.enabled &&
-                  !params_.detailedTelemetry && !eventsOn_ &&
-                  !trace::anyEnabled();
+    sampleMode_ = params_.sampling.enabled && !eventsOn_;
 
     Cycle start = now_;
     std::uint64_t start_inst = ctrCommitted_.value();
@@ -1263,7 +1213,7 @@ Pipeline::run(FuncId entry)
             break;
         busy |= doExecute();
         busy |= doFetch() != 0;
-        sampleTelemetry();
+        histRobOcc_->sample(rob_.size());
         // A functional phase can halt the run from inside fetch.
         if (!busy && !halted_)
             skipIdleCycles(start);

@@ -71,15 +71,10 @@ struct PipelineParams
     Cycle kernelExitCost = 24;
     Cycle dramLatency = 100;      ///< 50 ns at 2 GHz
     Cycle maxCycles = 200'000'000;///< runaway guard
-    /** Per-cycle distribution/time-series sampling (ROB occupancy
-     * histogram, committed/fences time series). Off: zero per-cycle
-     * telemetry cost; event-proportional samples (fence stalls,
-     * squash depths, load waits) are always collected. */
-    bool detailedTelemetry = true;
-    /** Sampled simulation (DESIGN §5.8): when enabled (and neither
-     * detailedTelemetry nor tracing demands the per-cycle detailed
-     * path), the core runs the periodic
-     * functional-skip -> functional-warm -> detailed-window cycle and
+    /** Sampled simulation (DESIGN §5.8): when enabled (and no event
+     * log demands the per-cycle detailed path), the core runs the
+     * periodic functional-skip -> functional-warm -> detailed-window
+     * cycle and
      * estimates mean CPI with a confidence interval instead of
      * simulating every instruction cycle-accurately. Explicitly
      * statistical — cycle counts and most stats cover only the
@@ -162,8 +157,8 @@ class Pipeline
     const SamplingEstimator &sampler() const { return sampler_; }
 
     /** True when the most recent run() executed in sampled mode
-     * (sampling enabled and no per-cycle telemetry, structured
-     * events or tracing demanded the detailed path). */
+     * (sampling enabled and no installed event log demanded the
+     * detailed path). */
     bool sampledMode() const { return sampleMode_; }
 
     /**
@@ -485,7 +480,6 @@ class Pipeline
     void noteFenceStallEnd(const RobEntry &e);
     void recordSpan(trace::Flag flag, const RobEntry &e, Cycle start,
                     const char *suffix = nullptr);
-    void sampleTelemetry();
     void runScheduled();
     /**
      * Called after an idle cycle: one that committed, completed,
@@ -494,10 +488,10 @@ class Pipeline
      * still, or a load behind an unchanged fence/store front, and
      * every following cycle repeats this one until a time-bound
      * source fires: the next completion event, the fetch stall's
-     * end, a blocked load's recheck cycle, a scheduled callback or a
-     * telemetry sample. Jumps now_ to the cycle before the earliest
-     * of them, charging the skipped cycles' blocked-cycle, elided-gate,
-     * policy-tally and ROB-occupancy accounting exactly (DESIGN §5.5).
+     * end, a blocked load's recheck cycle or a scheduled callback.
+     * Jumps now_ to the cycle before the earliest of them, charging
+     * the skipped cycles' blocked-cycle, elided-gate, policy-tally
+     * and ROB-occupancy accounting exactly (DESIGN §5.5).
      * @p start is the run's first cycle, for the maxCycles guard.
      */
     void skipIdleCycles(Cycle start);
@@ -566,15 +560,12 @@ class Pipeline
     LazyCounter ctrKernelEntries_{&stats_, "kernel_entries"};
     LazyCounter ctrRsbUnderflowBtb_{&stats_, "rsb_underflow_btb"};
 
-    // Distribution / time-series telemetry (registered once in the
-    // constructor; pointees are stable map nodes inside stats_).
+    // Distribution telemetry (registered once in the constructor;
+    // pointees are stable map nodes inside stats_).
     Histogram *histRobOcc_ = nullptr;
     Histogram *histFenceStall_ = nullptr;
     Histogram *histSquashDepth_ = nullptr;
     Histogram *histLoadWait_ = nullptr;
-    TimeSeries *tsRobOcc_ = nullptr;
-    TimeSeries *tsCommitted_ = nullptr;
-    TimeSeries *tsFences_ = nullptr;
 
     SpeculationPolicy *policy_ = nullptr;
     UnsafePolicy unsafe_;

@@ -1,6 +1,6 @@
 #include "stats.hh"
 
-#include <iomanip>
+#include <algorithm>
 
 namespace perspective::sim
 {
@@ -49,49 +49,6 @@ Histogram::percentile(double p) const
         cum += n;
     }
     return static_cast<double>(max());
-}
-
-void
-Histogram::dumpSummary(std::ostream &os) const
-{
-    os << "n=" << count_;
-    if (count_ == 0)
-        return;
-    os << " min=" << min() << " mean=" << std::fixed
-       << std::setprecision(2) << mean() << " p50=" << percentile(50)
-       << " p90=" << percentile(90) << " p99=" << percentile(99)
-       << " max=" << max();
-    os.unsetf(std::ios::fixed);
-}
-
-void
-TimeSeries::decimate()
-{
-    // Keep every other sample and double the cadence: memory stays
-    // bounded while the series still spans the whole run.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < samples_.size(); i += 2)
-        samples_[keep++] = samples_[i];
-    samples_.resize(keep);
-    interval_ *= 2;
-    if (!samples_.empty())
-        nextDue_ = samples_.back().first + interval_;
-}
-
-void
-StatSet::dump(std::ostream &os) const
-{
-    for (const auto &[name, value] : counters_)
-        os << name << " " << value << "\n";
-    for (const auto &[name, h] : histograms_) {
-        os << name << " ";
-        h.dumpSummary(os);
-        os << "\n";
-    }
-    for (const auto &[name, ts] : series_) {
-        os << name << " samples=" << ts.samples().size()
-           << " interval=" << ts.interval() << "\n";
-    }
 }
 
 } // namespace perspective::sim

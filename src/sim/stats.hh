@@ -1,9 +1,8 @@
 /**
  * @file
  * Lightweight named statistics registry, loosely modeled after the gem5
- * stats package: scalar counters, log2-bucketed distributions and
- * periodic time-series samples are created on demand and can be dumped
- * or queried by name at the end of a simulation.
+ * stats package: scalar counters and log2-bucketed distributions are
+ * created on demand and queried by name at the end of a simulation.
  */
 
 #ifndef PERSPECTIVE_SIM_STATS_HH
@@ -13,12 +12,9 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "types.hh"
 
 namespace perspective::sim
 {
@@ -129,9 +125,6 @@ class Histogram
         max_ = 0;
     }
 
-    /** One-line summary: count/min/mean/p50/p90/p99/max. */
-    void dumpSummary(std::ostream &os) const;
-
   private:
     std::vector<std::uint64_t> buckets_ =
         std::vector<std::uint64_t>(kNumBuckets, 0);
@@ -142,71 +135,10 @@ class Histogram
 };
 
 /**
- * Periodic cycle-stamped snapshots of a counter: tick() is called
- * every cycle with the current value and records one (cycle, value)
- * sample each @p interval cycles. Bounded memory for arbitrarily long
- * runs: when the sample buffer fills, every other sample is dropped
- * and the interval doubles (so a run of any length keeps at most
- * kMaxSamples points at a self-adjusting cadence).
- */
-class TimeSeries
-{
-  public:
-    static constexpr std::size_t kMaxSamples = 512;
-    static constexpr Cycle kDefaultInterval = 8192;
-
-    explicit TimeSeries(Cycle interval = kDefaultInterval)
-        : baseInterval_(interval == 0 ? 1 : interval),
-          interval_(baseInterval_)
-    {
-    }
-
-    void
-    tick(Cycle now, std::uint64_t value)
-    {
-        if (now < nextDue_)
-            return;
-        samples_.emplace_back(now, value);
-        nextDue_ = now + interval_;
-        if (samples_.size() >= kMaxSamples)
-            decimate();
-    }
-
-    Cycle interval() const { return interval_; }
-
-    /** First cycle at which tick() records a sample. */
-    Cycle nextDue() const { return nextDue_; }
-
-    const std::vector<std::pair<Cycle, std::uint64_t>> &
-    samples() const
-    {
-        return samples_;
-    }
-
-    /** Drop samples and restore the configured base cadence. */
-    void
-    clear()
-    {
-        samples_.clear();
-        interval_ = baseInterval_;
-        nextDue_ = 0;
-    }
-
-  private:
-    void decimate();
-
-    Cycle baseInterval_;
-    Cycle interval_;
-    Cycle nextDue_ = 0;
-    std::vector<std::pair<Cycle, std::uint64_t>> samples_;
-};
-
-/**
- * A bag of named 64-bit counters, histograms and time series. Each
- * Pipeline owns one; subsystems (caches, predictors, policies)
- * increment counters through it so that experiment harnesses can
- * compute derived metrics such as hit rates or
- * fences-per-kilo-instruction.
+ * A bag of named 64-bit counters and histograms. Each Pipeline owns
+ * one; subsystems (caches, predictors, policies) increment counters
+ * through it so that experiment harnesses can compute derived
+ * metrics such as hit rates or fences-per-kilo-instruction.
  */
 class StatSet
 {
@@ -223,7 +155,7 @@ class StatSet
      * Resolve @p name once and return a stable handle for hot-path
      * increments (see Counter). Creates the counter at zero if
      * absent. The name-based inc()/get() API keeps working for cold
-     * paths and dumps.
+     * paths.
      */
     Counter
     counter(const std::string &name)
@@ -238,21 +170,6 @@ class StatSet
     {
         ++nameLookups_;
         return histograms_[name];
-    }
-
-    /**
-     * Named time series, created on first use with @p interval
-     * cycles between samples (ignored once created).
-     */
-    TimeSeries &
-    timeSeries(const std::string &name,
-               Cycle interval = TimeSeries::kDefaultInterval)
-    {
-        ++nameLookups_;
-        auto it = series_.find(name);
-        if (it == series_.end())
-            it = series_.emplace(name, TimeSeries(interval)).first;
-        return it->second;
     }
 
     /** Read counter @p name; absent counters read as zero. */
@@ -273,10 +190,10 @@ class StatSet
     }
 
     /**
-     * Reset every counter to zero and every histogram/time series to
-     * empty. Entries are zeroed in place, never erased, so Counter
-     * handles and Histogram/TimeSeries references stay valid across
-     * the warmup/measure reset.
+     * Reset every counter to zero and every histogram to empty.
+     * Entries are zeroed in place, never erased, so Counter handles
+     * and Histogram references stay valid across the warmup/measure
+     * reset.
      */
     void
     clear()
@@ -285,12 +202,7 @@ class StatSet
             value = 0;
         for (auto &[name, h] : histograms_)
             h.clear();
-        for (auto &[name, ts] : series_)
-            ts.clear();
     }
-
-    /** Dump counters then histogram summaries, sorted by name. */
-    void dump(std::ostream &os) const;
 
     /** Access the underlying maps (read-only). */
     const std::map<std::string, std::uint64_t> &
@@ -305,24 +217,17 @@ class StatSet
         return histograms_;
     }
 
-    const std::map<std::string, TimeSeries> &
-    allTimeSeries() const
-    {
-        return series_;
-    }
-
     /**
      * How many name-keyed accesses (inc(name), get, counter,
-     * histogram, timeSeries) this set has served. Per-event paths
-     * bump through Counter/LazyCounter handles instead; tests use
-     * this to pin that no name lookup creeps back into them.
+     * histogram) this set has served. Per-event paths bump through
+     * Counter/LazyCounter handles instead; tests use this to pin
+     * that no name lookup creeps back into them.
      */
     std::uint64_t nameLookups() const { return nameLookups_; }
 
   private:
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, Histogram> histograms_;
-    std::map<std::string, TimeSeries> series_;
     mutable std::uint64_t nameLookups_ = 0;
 };
 

@@ -1,10 +1,6 @@
 #include "trace.hh"
 
 #include <atomic>
-#include <cstdlib>
-#include <iostream>
-#include <map>
-#include <thread>
 
 namespace perspective::sim::trace
 {
@@ -12,15 +8,10 @@ namespace perspective::sim::trace
 namespace
 {
 
-// The only mutable globals in the simulator. Concurrent Experiment
-// instances (the sweep runner's worker threads) all consult
-// enabled() on the hot path, so flag, stream and sink state are
-// atomics, and emission is serialized so lines never interleave
-// mid-record.
-std::atomic<std::uint32_t> g_flags{0};
-std::atomic<std::ostream *> g_stream{nullptr};
+// The simulator's only mutable global. Concurrent Experiment
+// instances (the sweep runner's worker threads) all read it once per
+// run, so it is an atomic.
 std::atomic<EventLog *> g_events{nullptr};
-std::mutex g_log_mu;
 
 } // namespace
 
@@ -28,11 +19,9 @@ const char *
 flagName(Flag f)
 {
     switch (f) {
-      case Flag::Fetch: return "fetch";
       case Flag::Commit: return "commit";
       case Flag::Squash: return "squash";
       case Flag::Fence: return "fence";
-      case Flag::Predict: return "predict";
       case Flag::Leak: return "leak";
       case Flag::Window: return "window";
     }
@@ -40,113 +29,18 @@ flagName(Flag f)
 }
 
 void
-enable(Flag f)
-{
-    g_flags.fetch_or(static_cast<std::uint32_t>(f),
-                     std::memory_order_relaxed);
-}
-
-void
-disable(Flag f)
-{
-    g_flags.fetch_and(~static_cast<std::uint32_t>(f),
-                      std::memory_order_relaxed);
-}
-
-void
-reset()
-{
-    // Flush the outgoing stream before dropping it: a short traced
-    // run's tail lines may still sit in the stream's buffer, and
-    // once the pointer is gone nobody else will flush on our behalf.
-    // Serialized with log() so we never flush mid-record.
-    {
-        std::lock_guard<std::mutex> lk(g_log_mu);
-        if (std::ostream *os =
-                g_stream.load(std::memory_order_acquire))
-            os->flush();
-    }
-    g_flags.store(0, std::memory_order_relaxed);
-    g_stream.store(nullptr, std::memory_order_relaxed);
-}
-
-bool
-enabled(Flag f)
-{
-    return (g_flags.load(std::memory_order_relaxed) &
-            static_cast<std::uint32_t>(f)) != 0;
-}
-
-bool
-anyEnabled()
-{
-    return g_flags.load(std::memory_order_relaxed) != 0;
-}
-
-unsigned
-enableFromString(const std::string &spec)
-{
-    unsigned n = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        std::string name = spec.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        for (Flag f : {Flag::Fetch, Flag::Commit, Flag::Squash,
-                       Flag::Fence, Flag::Predict, Flag::Leak,
-                       Flag::Window}) {
-            if (name == flagName(f)) {
-                enable(f);
-                ++n;
-            }
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return n;
-}
-
-void
-enableFromEnvironment()
-{
-    if (const char *spec = std::getenv("PERSPECTIVE_TRACE"))
-        enableFromString(spec);
-}
-
-void
-setStream(std::ostream *os)
-{
-    g_stream.store(os, std::memory_order_release);
-}
-
-void
-log(Flag f, Cycle cycle, const std::string &message)
-{
-    std::lock_guard<std::mutex> lk(g_log_mu);
-    std::ostream *custom = g_stream.load(std::memory_order_acquire);
-    std::ostream &os = custom ? *custom : std::cerr;
-    os << cycle << ": " << flagName(f) << ": " << message << "\n";
-}
-
-// ---- structured event sink -----------------------------------------
-
-void
 EventLog::record(Event ev)
 {
+    std::lock_guard<std::mutex> lk(mu_);
     // Lane ids are small stable per-thread integers so a parallel
     // sweep's cells render as separate tracks in chrome://tracing.
-    thread_local std::map<const EventLog *, unsigned> lanes;
-
-    std::lock_guard<std::mutex> lk(mu_);
     // Resolve the lane before the capacity check so drops are
     // attributable to the lane that overflowed, not just a global
     // tally (bench_report warns per lane when nonzero).
-    auto it = lanes.find(this);
-    if (it == lanes.end())
-        it = lanes.emplace(this, nextLane_++).first;
-    ev.lane = it->second;
+    ev.lane = lanes_
+                  .try_emplace(std::this_thread::get_id(),
+                               static_cast<unsigned>(lanes_.size()))
+                  .first->second;
     if (events_.size() >= capacity_) {
         ++dropped_;
         if (droppedByLane_.size() <= ev.lane)
@@ -182,7 +76,7 @@ std::vector<std::uint64_t>
 EventLog::droppedByLane() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::vector<std::uint64_t> out(nextLane_, 0);
+    std::vector<std::uint64_t> out(lanes_.size(), 0);
     for (std::size_t i = 0; i < droppedByLane_.size(); ++i)
         out[i] = droppedByLane_[i];
     return out;

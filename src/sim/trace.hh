@@ -1,26 +1,21 @@
 /**
  * @file
- * Debug tracing, in the spirit of gem5's debug flags, with two sinks:
- *
- *  - a text sink: named categories that can be switched on at runtime
- *    (or through the PERSPECTIVE_TRACE environment variable,
- *    comma-separated), each emitting one line per event to a
- *    configurable stream;
- *  - a structured sink (EventLog): when installed, the pipeline
- *    records typed span/instant events (fetch-to-commit spans,
- *    squashes, fence stalls) that the harness can serialize as Chrome
- *    trace_event JSON for chrome://tracing / Perfetto.
- *
- * All logging is compiled in but costs a single branch when disabled.
+ * Structured event tracing: when an EventLog is installed, the
+ * pipeline records typed span/instant events (fetch-to-commit spans,
+ * squashes, fence stalls, transient leaks, dynamic-update windows)
+ * that the harness serializes as Chrome trace_event JSON for
+ * chrome://tracing / Perfetto. With no log installed, tracing costs
+ * one branch per run.
  */
 
 #ifndef PERSPECTIVE_SIM_TRACE_HH
 #define PERSPECTIVE_SIM_TRACE_HH
 
 #include <cstdint>
+#include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "types.hh"
@@ -28,57 +23,18 @@
 namespace perspective::sim::trace
 {
 
-/** Trace categories. */
-enum class Flag : std::uint32_t
+/** Event categories (the Chrome trace "cat" field). */
+enum class Flag : std::uint8_t
 {
-    Fetch = 1u << 0,   ///< micro-ops entering the ROB
-    Commit = 1u << 1,  ///< micro-ops retiring
-    Squash = 1u << 2,  ///< mispredictions and their redirects
-    Fence = 1u << 3,   ///< policy-blocked transmitters
-    Predict = 1u << 4, ///< BTB/RSB/conditional predictions
-    Leak = 1u << 5,    ///< transient-leakage transmissions (DESIGN §5.6)
-    Window = 1u << 6,  ///< dynamic-update (revocation/flip) windows
+    Commit, ///< micro-ops retiring
+    Squash, ///< mispredictions and their redirects
+    Fence,  ///< policy-blocked transmitters
+    Leak,   ///< transient-leakage transmissions (DESIGN §5.6)
+    Window, ///< dynamic-update (revocation/flip) windows
 };
 
-/** Lower-case name of @p f ("fetch", "commit", ...). */
+/** Lower-case name of @p f ("commit", "squash", ...). */
 const char *flagName(Flag f);
-
-/** Enable one category. */
-void enable(Flag f);
-
-/** Disable one category. */
-void disable(Flag f);
-
-/**
- * Disable everything and restore the default stream. The outgoing
- * stream is flushed (under the emission lock) before being dropped so
- * short traced runs never lose buffered tail lines.
- */
-void reset();
-
-/** True when @p f is enabled (the fast-path check). */
-bool enabled(Flag f);
-
-/** True when any text-trace category is enabled (used to disengage
- * whole-region fast paths that would skip per-op log sites). */
-bool anyEnabled();
-
-/**
- * Parse a comma-separated flag list ("commit,squash"); unknown names
- * are ignored. Returns the number of flags enabled.
- */
-unsigned enableFromString(const std::string &spec);
-
-/** Read PERSPECTIVE_TRACE from the environment, if set. */
-void enableFromEnvironment();
-
-/** Redirect trace output (defaults to std::cerr). */
-void setStream(std::ostream *os);
-
-/** Emit one line: "<cycle>: <tag>: <message>". */
-void log(Flag f, Cycle cycle, const std::string &message);
-
-// ---- structured event sink -----------------------------------------
 
 /**
  * One structured trace event. @p dur == 0 marks an instant event
@@ -141,7 +97,8 @@ class EventLog
     std::vector<Event> events_;
     std::uint64_t dropped_ = 0;
     std::vector<std::uint64_t> droppedByLane_;
-    unsigned nextLane_ = 0;
+    /** Lane of each recording thread, in first-record order. */
+    std::map<std::thread::id, unsigned> lanes_;
 };
 
 /**

@@ -94,9 +94,6 @@ Experiment::Experiment(const WorkloadProfile &profile, Scheme scheme,
                0x5e);
 
     sim::PipelineParams pp;
-    // Sampled simulation (DESIGN §5.8) gives up the per-cycle
-    // distribution sampling, which would pin it to the detailed path.
-    pp.detailedTelemetry = !sampling.enabled;
     pp.sampling = sampling;
     cpu_ = std::make_unique<sim::Pipeline>(img_->program(), mem_, pp);
     interp_ = std::make_unique<kernel::Interpreter>(img_->program(),

@@ -103,11 +103,10 @@ class Experiment
   public:
     /**
      * @p sampling selects sampled simulation (DESIGN §5.8; the
-     * default follows PERSPECTIVE_SAMPLE). Sampled cells trade the
-     * per-cycle telemetry (detailedTelemetry) for throughput, and
-     * their results are statistical: RunResult::cycles is an
-     * extrapolated estimate carrying the RunResult::sampling
-     * confidence interval.
+     * default follows PERSPECTIVE_SAMPLE). Sampled results are
+     * statistical: RunResult::cycles is an extrapolated estimate
+     * carrying the RunResult::sampling confidence interval, and
+     * stats cover only the detailed windows.
      */
     Experiment(const WorkloadProfile &profile, Scheme scheme,
                std::uint64_t seed = 42,

@@ -202,7 +202,6 @@ TEST(Interp, UnusedOperandSlotsReadZeroOnEveryExecutor)
 
     PipelineParams detailed;
     PipelineParams skip;
-    skip.detailedTelemetry = false;
     skip.sampling.enabled = true;
     skip.sampling.windowInsts = 1;
     skip.sampling.warmingInsts = 1;

@@ -61,7 +61,6 @@ TEST_P(PipelineEquivalence, MatchesInterpreterUnderEveryScheme)
     // functional skip phase, then by the functional warm phase.
     PipelineParams detailed;
     PipelineParams skipHeavy;
-    skipHeavy.detailedTelemetry = false;
     skipHeavy.sampling.enabled = true;
     skipHeavy.sampling.windowInsts = 4;
     skipHeavy.sampling.warmingInsts = 4;

@@ -35,14 +35,12 @@ using namespace perspective::sim;
 namespace
 {
 
-/** Sampling needs the per-cycle telemetry off; the detailed
- * references run with the same setting so every remaining stat is
- * comparable one-to-one. */
+/** Pipeline parameters with sampling configured by @p sp (the
+ * default leaves it off: the detailed reference). */
 PipelineParams
 sampledParams(SamplingParams sp = {})
 {
     PipelineParams pp;
-    pp.detailedTelemetry = false;
     pp.sampling = sp;
     return pp;
 }
@@ -67,6 +65,9 @@ seedMemory(Memory &mem)
 void
 expectSameStats(StatSet &ref, StatSet &sm, const std::string &what)
 {
+    // The per-cycle ROB occupancy is compared too, never vacuously.
+    EXPECT_GT(ref.allHistograms().at("rob_occupancy").count(), 0u)
+        << what;
     for (const auto &[name, value] : ref.all())
         EXPECT_EQ(value, sm.get(name)) << what << " counter " << name;
     for (const auto &[name, value] : sm.all())

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <sstream>
 
 #include "sim/stats.hh"
 
@@ -107,11 +106,10 @@ TEST(StatSet, CountsEveryNameKeyedAccess)
     (void)s.get("a");
     (void)s.counter("b");
     (void)s.histogram("h");
-    (void)s.timeSeries("t");
-    EXPECT_EQ(s.nameLookups(), 5u);
+    EXPECT_EQ(s.nameLookups(), 4u);
     // Reads of the whole set are not lookups.
     (void)s.all();
-    EXPECT_EQ(s.nameLookups(), 5u);
+    EXPECT_EQ(s.nameLookups(), 4u);
 }
 
 // ---- Histogram ------------------------------------------------------
@@ -246,95 +244,15 @@ TEST(Histogram, ClearEmptiesEverything)
     EXPECT_EQ(h.max(), 9u);
 }
 
-// ---- TimeSeries -----------------------------------------------------
-
-TEST(TimeSeries, SamplesAtTheConfiguredCadence)
-{
-    TimeSeries ts(10);
-    for (perspective::sim::Cycle now = 0; now < 100; ++now)
-        ts.tick(now, now * 2);
-    ASSERT_EQ(ts.samples().size(), 10u);
-    for (std::size_t i = 0; i < ts.samples().size(); ++i) {
-        EXPECT_EQ(ts.samples()[i].first, i * 10);
-        EXPECT_EQ(ts.samples()[i].second, i * 20);
-    }
-}
-
-TEST(TimeSeries, DecimationBoundsMemoryAndDoublesInterval)
-{
-    TimeSeries ts(1);
-    for (perspective::sim::Cycle now = 0; now < 4096; ++now)
-        ts.tick(now, now);
-    EXPECT_LT(ts.samples().size(), TimeSeries::kMaxSamples);
-    EXPECT_GT(ts.interval(), 1u);
-    // Decimation keeps samples ordered and self-consistent (value
-    // recorded at cycle c is c in this series).
-    perspective::sim::Cycle prev = 0;
-    for (std::size_t i = 0; i < ts.samples().size(); ++i) {
-        const auto &[c, v] = ts.samples()[i];
-        EXPECT_EQ(c, v);
-        if (i > 0) {
-            EXPECT_GT(c, prev);
-        }
-        prev = c;
-    }
-}
-
-TEST(TimeSeries, ClearRestoresBaseInterval)
-{
-    TimeSeries ts(1);
-    for (perspective::sim::Cycle now = 0; now < 2048; ++now)
-        ts.tick(now, now);
-    ASSERT_GT(ts.interval(), 1u);
-    ts.clear();
-    EXPECT_EQ(ts.interval(), 1u);
-    EXPECT_TRUE(ts.samples().empty());
-    ts.tick(0, 7);
-    ASSERT_EQ(ts.samples().size(), 1u);
-    EXPECT_EQ(ts.samples()[0].second, 7u);
-}
-
-TEST(TimeSeries, ZeroIntervalIsTreatedAsOne)
-{
-    TimeSeries ts(0);
-    ts.tick(0, 1);
-    ts.tick(1, 2);
-    EXPECT_EQ(ts.samples().size(), 2u);
-}
-
 // ---- StatSet integration -------------------------------------------
 
 TEST(StatSet, HistogramAndSeriesReferencesSurviveClear)
 {
     StatSet s;
     Histogram &h = s.histogram("lat");
-    TimeSeries &ts = s.timeSeries("occ", 4);
     h.sample(12);
-    ts.tick(0, 1);
     s.clear();
     EXPECT_EQ(h.count(), 0u);
-    EXPECT_TRUE(ts.samples().empty());
     h.sample(5);
     EXPECT_EQ(s.allHistograms().at("lat").count(), 1u);
-}
-
-TEST(StatSet, TimeSeriesIntervalFixedOnFirstUse)
-{
-    StatSet s;
-    s.timeSeries("x", 16);
-    EXPECT_EQ(s.timeSeries("x", 999).interval(), 16u);
-}
-
-TEST(StatSet, DumpIncludesHistogramSummaries)
-{
-    StatSet s;
-    s.inc("committed", 10);
-    s.histogram("lat").sample(8);
-    s.timeSeries("occ").tick(0, 3);
-    std::ostringstream os;
-    s.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("committed 10"), std::string::npos);
-    EXPECT_NE(out.find("lat n=1"), std::string::npos);
-    EXPECT_NE(out.find("occ samples=1"), std::string::npos);
 }

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <new>
 #include <thread>
 
 #include "sim/memory.hh"
@@ -17,18 +15,7 @@ namespace
 
 struct TraceFixture : ::testing::Test
 {
-    // Streams live in the fixture so they outlive the reset() in the
-    // destructor body: reset() flushes the attached stream before
-    // dropping it, so a local stream destroyed at the end of a test
-    // body would dangle.
-    std::ostringstream os;
-    std::ostringstream os2;
-
-    ~TraceFixture() override
-    {
-        trace::setEventLog(nullptr);
-        trace::reset();
-    }
+    ~TraceFixture() override { trace::setEventLog(nullptr); }
 };
 
 RunResult
@@ -45,63 +32,14 @@ runTinyProgram()
 
 } // namespace
 
-TEST_F(TraceFixture, DisabledByDefault)
+TEST_F(TraceFixture, EventLogCoversWrongPathWork)
 {
-    EXPECT_FALSE(trace::enabled(trace::Flag::Commit));
-    EXPECT_FALSE(trace::enabled(trace::Flag::Fetch));
-}
-
-TEST_F(TraceFixture, CommitTraceListsRetiringOps)
-{
-    trace::setStream(&os);
-    trace::enable(trace::Flag::Commit);
-    runTinyProgram();
-    std::string out = os.str();
-    EXPECT_NE(out.find("commit"), std::string::npos);
-    EXPECT_NE(out.find("tiny[0]"), std::string::npos);
-    EXPECT_NE(out.find("ret"), std::string::npos);
-}
-
-TEST_F(TraceFixture, FlagsAreIndependent)
-{
-    trace::setStream(&os);
-    trace::enable(trace::Flag::Squash);
-    runTinyProgram(); // straight-line: no squashes
-    EXPECT_TRUE(os.str().empty());
-}
-
-TEST_F(TraceFixture, EnableFromString)
-{
-    EXPECT_EQ(trace::enableFromString("commit,squash"), 2u);
-    EXPECT_TRUE(trace::enabled(trace::Flag::Commit));
-    EXPECT_TRUE(trace::enabled(trace::Flag::Squash));
-    EXPECT_FALSE(trace::enabled(trace::Flag::Fetch));
-}
-
-TEST_F(TraceFixture, UnknownNamesIgnored)
-{
-    EXPECT_EQ(trace::enableFromString("bogus,alsobad"), 0u);
-    EXPECT_EQ(trace::enableFromString("fence,bogus"), 1u);
-    EXPECT_TRUE(trace::enabled(trace::Flag::Fence));
-}
-
-TEST_F(TraceFixture, DisableStopsOutput)
-{
-    trace::setStream(&os);
-    trace::enable(trace::Flag::Commit);
-    trace::disable(trace::Flag::Commit);
-    runTinyProgram();
-    EXPECT_TRUE(os.str().empty());
-}
-
-TEST_F(TraceFixture, FetchTraceIncludesWrongPath)
-{
-    // Fetch trace shows speculation: more fetched than committed on
-    // a mispredicting branch.
+    // The event log shows speculation: every retired op is one commit
+    // span, and the ops fetched down a mispredicted fall-through path
+    // show up as squash spans.
     Program prog;
     FuncId f = prog.addFunction("spec", false);
     Memory mem;
-    mem.write(0x1000, 1);
     prog.func(f).body = {
         loadAbs(1, 0x1000),
         branchImm(Cond::Eq, 1, 1, 4),
@@ -111,46 +49,31 @@ TEST_F(TraceFixture, FetchTraceIncludesWrongPath)
     };
     prog.layout();
     Pipeline cpu(prog, mem);
+    // Train the branch not-taken, then take it: the fall-through
+    // spec[2..3] is now the wrong path.
+    for (int i = 0; i < 3; ++i)
+        cpu.run(f);
+    mem.write(0x1000, 1);
+    cpu.stats().clear();
 
-    std::ostringstream &fetches = os, &commits = os2;
-    trace::setStream(&fetches);
-    trace::enable(trace::Flag::Fetch);
+    trace::EventLog log;
+    trace::setEventLog(&log);
     cpu.run(f);
-    trace::disable(trace::Flag::Fetch);
-    trace::setStream(&commits);
-    trace::enable(trace::Flag::Commit);
-    cpu.run(f);
+    trace::setEventLog(nullptr);
+    ASSERT_EQ(log.dropped(), 0u);
+    ASSERT_GT(cpu.stats().get("mispredicts"), 0u);
 
-    auto count = [](const std::string &s, const char *needle) {
-        unsigned n = 0;
-        for (std::size_t p = s.find(needle); p != std::string::npos;
-             p = s.find(needle, p + 1))
-            ++n;
-        return n;
-    };
-    EXPECT_GE(count(fetches.str(), "spec["),
-              count(commits.str(), "spec["));
-}
-
-TEST_F(TraceFixture, ResetFlushesTheOutgoingStream)
-{
-    // Regression test: reset() must flush the stream it is about to
-    // drop, or a short traced run loses its buffered tail when the
-    // caller still holds the (unflushed) file open.
-    std::string path = ::testing::TempDir() + "trace_flush.txt";
-    std::ofstream file(path);
-    ASSERT_TRUE(file.is_open());
-    trace::setStream(&file);
-    trace::enable(trace::Flag::Commit);
-    trace::log(trace::Flag::Commit, 1, "tail line");
-    trace::reset(); // must flush before dropping the stream
-
-    std::ifstream in(path);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    EXPECT_NE(contents.find("tail line"), std::string::npos);
-    file.close();
-    std::remove(path.c_str());
+    std::uint64_t commits = 0;
+    bool wrongPathSquashed = false;
+    for (const trace::Event &ev : log.snapshot()) {
+        if (ev.flag == trace::Flag::Commit)
+            ++commits;
+        if (ev.flag == trace::Flag::Squash &&
+            (ev.func == "spec[2]" || ev.func == "spec[3]"))
+            wrongPathSquashed = true;
+    }
+    EXPECT_EQ(commits, cpu.stats().get("committed"));
+    EXPECT_TRUE(wrongPathSquashed);
 }
 
 TEST_F(TraceFixture, EventLogRecordsCommitSpans)
@@ -221,9 +144,6 @@ TEST_F(TraceFixture, LeakAndWindowFlagsRoundTrip)
 {
     EXPECT_STREQ(trace::flagName(trace::Flag::Leak), "leak");
     EXPECT_STREQ(trace::flagName(trace::Flag::Window), "window");
-    EXPECT_EQ(trace::enableFromString("leak,window"), 2u);
-    EXPECT_TRUE(trace::enabled(trace::Flag::Leak));
-    EXPECT_TRUE(trace::enabled(trace::Flag::Window));
 }
 
 TEST_F(TraceFixture, EventLogDetachedMeansNoRecording)
@@ -236,42 +156,32 @@ TEST_F(TraceFixture, EventLogDetachedMeansNoRecording)
     EXPECT_EQ(log.size(), 0u);
 }
 
-TEST_F(TraceFixture, DetailedTelemetryOffSkipsSamplingOnly)
+TEST_F(TraceFixture, EventLogLanesSurviveStorageReuse)
 {
-    // The zero-cost contract: disabling per-cycle telemetry must not
-    // change the simulation — identical cycles and instruction
-    // counts — while leaving the ROB-occupancy histogram and the
-    // per-cycle time series empty.
-    Program prog;
-    FuncId f = prog.addFunction("loop", false);
-    prog.func(f).body = {
-        movImm(1, 0),
-        addImm(1, 1, 1),
-        branchImm(Cond::Lt, 1, 20, 1),
-        ret(),
-    };
-    prog.layout();
+    // Regression test: lanes belong to the log, not to the address it
+    // lives at. A log built in a dead log's storage must hand this
+    // thread a fresh lane, or two threads share one track and the
+    // per-lane drop vector undercounts the lanes that recorded.
+    alignas(trace::EventLog) unsigned char storage[sizeof(trace::EventLog)];
+    auto *dead = new (storage) trace::EventLog(1);
+    dead->record(trace::Event{});
+    dead->~EventLog();
 
-    Memory memOn, memOff;
-    PipelineParams on, off;
-    on.detailedTelemetry = true;
-    off.detailedTelemetry = false;
-    Pipeline cpuOn(prog, memOn, on);
-    Pipeline cpuOff(prog, memOff, off);
-    RunResult rOn = cpuOn.run(f);
-    RunResult rOff = cpuOff.run(f);
+    auto *log = new (storage) trace::EventLog(3);
+    std::thread other([log] {
+        for (int i = 0; i < 5; ++i)
+            log->record(trace::Event{});
+    });
+    other.join();
+    for (int i = 0; i < 4; ++i)
+        log->record(trace::Event{});
 
-    EXPECT_EQ(rOn.cycles, rOff.cycles);
-    EXPECT_EQ(rOn.instructions, rOff.instructions);
-
-    EXPECT_GT(
-        cpuOn.stats().histogram("rob_occupancy").count(), 0u);
-    EXPECT_FALSE(
-        cpuOn.stats().timeSeries("rob_occupancy").samples().empty());
-    EXPECT_EQ(
-        cpuOff.stats().histogram("rob_occupancy").count(), 0u);
-    EXPECT_TRUE(
-        cpuOff.stats().timeSeries("rob_occupancy").samples().empty());
-    EXPECT_TRUE(
-        cpuOff.stats().timeSeries("committed").samples().empty());
+    auto perLane = log->droppedByLane();
+    ASSERT_EQ(perLane.size(), 2u);
+    EXPECT_EQ(perLane[0], 2u); // other thread: 5 - 3 stored
+    EXPECT_EQ(perLane[1], 4u); // this thread: all dropped
+    EXPECT_EQ(log->dropped(), 6u);
+    for (const trace::Event &ev : log->snapshot())
+        EXPECT_EQ(ev.lane, 0u);
+    log->~EventLog();
 }

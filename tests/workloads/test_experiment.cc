@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "sim/trace.hh"
 #include "workloads/experiment.hh"
 
 using namespace perspective;
@@ -152,10 +153,10 @@ TEST(Experiment, WarmupDoesNotPolluteMeasuredCounters)
 TEST(Experiment, TelemetrySurvivesWarmupReset)
 {
     // The telemetry registered in the Pipeline constructor (histogram
-    // and time-series handles) must survive the stats clear between
-    // warmup and measurement: a warmed-up run reports the same
-    // measured histogram populations as a cold run of the same
-    // length, and the histograms are present (non-empty) either way.
+    // handles) must survive the stats clear between warmup and
+    // measurement: a warmed-up run reports the same measured
+    // histogram populations as a cold run of the same length, and
+    // the histograms are present (non-empty) either way.
     Experiment cold(redisProfile(), Scheme::Perspective);
     Experiment warm(redisProfile(), Scheme::Perspective);
     auto rc = cold.run(5, 0);
@@ -181,13 +182,6 @@ TEST(Experiment, TelemetrySurvivesWarmupReset)
     const auto &hb = rw2.stats.allHistograms().at("load_issue_wait");
     EXPECT_EQ(ha.count(), hb.count());
     EXPECT_DOUBLE_EQ(ha.mean(), hb.mean());
-
-    // Time series registered up front are present and bounded.
-    for (const char *name : {"rob_occupancy", "committed", "fences"}) {
-        ASSERT_TRUE(rw.stats.allTimeSeries().count(name)) << name;
-        EXPECT_LT(rw.stats.allTimeSeries().at(name).samples().size(),
-                  sim::TimeSeries::kMaxSamples);
-    }
 }
 
 TEST(Experiment, ViewCacheMissBurstsAreRecorded)
@@ -330,5 +324,73 @@ TEST(Experiment, SampledMeasuredCyclesPinnedForMmap)
         RunResult r = e.run(30, 3);
         ASSERT_TRUE(r.sampling.active);
         EXPECT_EQ(r.sampling.measuredCycles, p.measuredCycles);
+    }
+}
+
+TEST(Experiment, TracingIsObservationOnly)
+{
+    // The event log only observes. An exact cell runs identically
+    // with and without it, and installing it pins a sampled cell to
+    // the detailed path, where it lands on the exact cell's numbers.
+    WorkloadProfile getpid;
+    for (const auto &w : lebenchSuite())
+        if (w.name == "getpid")
+            getpid = w;
+    ASSERT_EQ(getpid.name, "getpid");
+
+    struct Cell
+    {
+        RunResult result;
+        bool sampledMode = false;
+    };
+    auto run = [&getpid](sim::SamplingParams sp, bool traced) {
+        sim::trace::EventLog log;
+        // Detach before the log dies, on a throw too.
+        struct Detach
+        {
+            ~Detach() { sim::trace::setEventLog(nullptr); }
+        } detach;
+        if (traced)
+            sim::trace::setEventLog(&log);
+        Experiment e(getpid, Scheme::Perspective, 42, sp);
+        Cell c{e.run(10, 3), e.pipeline().sampledMode()};
+        EXPECT_EQ(log.size() > 0, traced);
+        return c;
+    };
+    auto expectSame = [](const RunResult &a, const RunResult &b) {
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.instructions, b.instructions);
+        EXPECT_EQ(a.stats.all(), b.stats.all());
+        ASSERT_EQ(a.stats.allHistograms().size(),
+                  b.stats.allHistograms().size());
+        for (const auto &[name, h] : a.stats.allHistograms()) {
+            const sim::Histogram &o = b.stats.allHistograms().at(name);
+            EXPECT_EQ(h.count(), o.count()) << name;
+            EXPECT_EQ(h.min(), o.min()) << name;
+            EXPECT_EQ(h.max(), o.max()) << name;
+            EXPECT_DOUBLE_EQ(h.mean(), o.mean()) << name;
+            for (unsigned k = 0; k < sim::Histogram::kNumBuckets; ++k)
+                EXPECT_EQ(h.bucket(k), o.bucket(k)) << name << " " << k;
+        }
+    };
+
+    const sim::SamplingParams exactSp;
+    const sim::SamplingParams sampledSp = sim::SamplingParams::parse("1");
+    Cell exact = run(exactSp, false);
+    Cell exactTraced = run(exactSp, true);
+    ASSERT_FALSE(exact.sampledMode);
+    {
+        SCOPED_TRACE("exact, traced");
+        expectSame(exact.result, exactTraced.result);
+    }
+
+    // Untraced, the sampled cell does sample; traced, it must not.
+    EXPECT_TRUE(run(sampledSp, false).sampledMode);
+    Cell sampledTraced = run(sampledSp, true);
+    EXPECT_FALSE(sampledTraced.sampledMode);
+    EXPECT_FALSE(sampledTraced.result.sampling.active);
+    {
+        SCOPED_TRACE("sampled, traced");
+        expectSame(exact.result, sampledTraced.result);
     }
 }
