@@ -1,7 +1,5 @@
 #include "isv_builders.hh"
 
-#include <deque>
-
 namespace perspective::core
 {
 
@@ -28,22 +26,26 @@ StaticIsvBuilder::syscallsOfBinary(
     return out;
 }
 
-std::unordered_set<FuncId>
+std::vector<FuncId>
 StaticIsvBuilder::closure(const std::vector<FuncId> &roots) const
 {
-    std::unordered_set<FuncId> seen;
-    std::deque<FuncId> work(roots.begin(), roots.end());
-    for (FuncId r : roots)
-        seen.insert(r);
-    while (!work.empty()) {
-        FuncId f = work.front();
-        work.pop_front();
-        for (FuncId c : img_.info(f).callees) {
-            if (seen.insert(c).second)
-                work.push_back(c);
+    // Breadth-first over a FuncId bitmap; the visit list doubles as
+    // the worklist (everything before `next` has been expanded).
+    std::vector<bool> seen(img_.numKernelFunctions());
+    std::vector<FuncId> out;
+    auto visit = [&](FuncId f) {
+        if (!seen[f]) {
+            seen[f] = true;
+            out.push_back(f);
         }
+    };
+    for (FuncId r : roots)
+        visit(r);
+    for (std::size_t next = 0; next < out.size(); ++next) {
+        for (FuncId c : img_.info(out[next]).callees)
+            visit(c);
     }
-    return seen;
+    return out;
 }
 
 IsvView
@@ -62,28 +64,27 @@ StaticIsvBuilder::ExtendStats
 StaticIsvBuilder::extendView(IsvView &view,
                              const std::vector<FuncId> &roots) const
 {
+    // The view is its own visited set: a function is included when
+    // it is queued, and the queue is the list of included functions.
     ExtendStats st;
-    std::deque<FuncId> work;
-    std::unordered_set<FuncId> queued;
-    for (FuncId r : roots) {
+    std::vector<FuncId> added;
+    auto visit = [&](FuncId f) {
         ++st.visited;
-        if (!view.containsFunction(r) && queued.insert(r).second)
-            work.push_back(r);
-    }
-    while (!work.empty()) {
-        FuncId f = work.front();
-        work.pop_front();
-        view.includeFunction(f);
-        ++st.added;
-        for (FuncId c : img_.info(f).callees) {
-            ++st.visited;
-            // Already-included functions bound the delta: their own
-            // closure is in the view by construction, so the walk
-            // stops at the frontier instead of re-crawling it.
-            if (!view.containsFunction(c) && queued.insert(c).second)
-                work.push_back(c);
+        // Already-included functions bound the delta: their own
+        // closure is in the view by construction, so the walk stops
+        // at the frontier instead of re-crawling it.
+        if (!view.containsFunction(f)) {
+            view.includeFunction(f);
+            added.push_back(f);
         }
+    };
+    for (FuncId r : roots)
+        visit(r);
+    for (std::size_t next = 0; next < added.size(); ++next) {
+        for (FuncId c : img_.info(added[next]).callees)
+            visit(c);
     }
+    st.added = added.size();
     return st;
 }
 

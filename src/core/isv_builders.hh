@@ -19,7 +19,6 @@
 #define PERSPECTIVE_CORE_ISV_BUILDERS_HH
 
 #include <set>
-#include <unordered_set>
 #include <vector>
 
 #include "isv.hh"
@@ -45,8 +44,9 @@ class StaticIsvBuilder
     std::set<kernel::Sys>
     syscallsOfBinary(const std::vector<sim::FuncId> &user_funcs) const;
 
-    /** Direct-call-graph closure from a set of root functions. */
-    std::unordered_set<sim::FuncId>
+    /** Direct-call-graph closure from a set of root functions, each
+     * listed once, in breadth-first order. */
+    std::vector<sim::FuncId>
     closure(const std::vector<sim::FuncId> &roots) const;
 
     /** Build the static ISV for an application's syscall set. */

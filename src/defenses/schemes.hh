@@ -66,7 +66,7 @@ class DomPolicy : public sim::SpeculationPolicy
     sim::Gate
     gateLoad(const sim::SpecContext &ctx) override
     {
-        if (!ctx.speculative || ctx.l1dHit)
+        if (!ctx.speculative || ctx.l1dHit())
             return sim::Gate::Allow;
         if (stats_)
             blockedChecks_.inc();
@@ -76,7 +76,7 @@ class DomPolicy : public sim::SpeculationPolicy
     sim::GateWake
     gateWake(const sim::SpecContext &ctx) override
     {
-        // Verdict reads l1dHit: re-evaluate when the L1D's content
+        // Verdict reads l1dHit(): re-evaluate when the L1D's content
         // changes (a fill by an older store/load can turn the miss
         // into a hit) or at the Visibility Point.
         sim::GateWake w = sim::GateWake::untilInputs();
@@ -106,7 +106,7 @@ class SttPolicy : public sim::SpeculationPolicy
     sim::Gate
     gateLoad(const sim::SpecContext &ctx) override
     {
-        if (!ctx.speculative || !ctx.tainted)
+        if (!ctx.speculative || !ctx.tainted())
             return sim::Gate::Allow;
         if (stats_)
             blockedChecks_.inc();

@@ -1,6 +1,8 @@
 #include "cache.hh"
 
-#include <cassert>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace perspective::sim
 {
@@ -8,47 +10,56 @@ namespace perspective::sim
 Cache::Cache(const CacheParams &params)
     : params_(params)
 {
-    assert(params_.size_bytes % (params_.line_bytes * params_.assoc) == 0);
-    numSets_ = params_.size_bytes / (params_.line_bytes * params_.assoc);
-    lines_.resize(std::size_t{numSets_} * params_.assoc);
-}
-
-std::uint64_t
-Cache::lineIndex(Addr addr) const
-{
-    return (addr / params_.line_bytes) % numSets_;
-}
-
-std::uint64_t
-Cache::tagOf(Addr addr) const
-{
-    return addr / params_.line_bytes;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    std::uint64_t set = lineIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    const Line *base = &lines_[set * params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
+    const std::uint64_t way_bytes =
+        std::uint64_t{params_.line_bytes} * params_.assoc;
+    if (params_.line_bytes < 2 || !std::has_single_bit(params_.line_bytes) ||
+        way_bytes == 0 || params_.size_bytes % way_bytes != 0 ||
+        !std::has_single_bit(params_.size_bytes / way_bytes)) {
+        throw std::invalid_argument(
+            "cache '" + params_.name + "': " +
+            std::to_string(params_.size_bytes) + " B, " +
+            std::to_string(params_.line_bytes) + " B lines, " +
+            std::to_string(params_.assoc) +
+            " ways: the line size and the set count must be powers "
+            "of two");
     }
-    return nullptr;
+    const std::uint64_t sets = params_.size_bytes / way_bytes;
+    lineShift_ = static_cast<unsigned>(
+        std::countr_zero(params_.line_bytes));
+    setMask_ = sets - 1;
+    lines_.resize(sets * params_.assoc);
 }
 
 Cache::Line *
-Cache::findLine(Addr addr)
+Cache::walk(std::uint64_t tag, Miss &miss)
 {
-    return const_cast<Line *>(
-        static_cast<const Cache *>(this)->findLine(addr));
+    Line *base = setOf(tag);
+    Line *victim = base;
+    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
+        Line &line = base[w];
+        if (line.tag == tag)
+            return &line;
+        // Prefer an invalid way; otherwise the least recently used.
+        if (victim->tag != kInvalid &&
+            (line.tag == kInvalid || line.lru < victim->lru))
+            victim = &line;
+    }
+    miss.victim = victim;
+    miss.tag = tag;
+    return nullptr;
 }
 
 bool
 Cache::access(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
+    Miss miss;
+    return access(addr, miss);
+}
+
+bool
+Cache::access(Addr addr, Miss &miss)
+{
+    if (Line *line = walk(tagOf(addr), miss)) {
         line->lru = ++useClock_;
         ++hits_;
         return true;
@@ -60,37 +71,46 @@ Cache::access(Addr addr)
 bool
 Cache::probe(Addr addr) const
 {
-    return findLine(addr) != nullptr;
+    const std::uint64_t tag = tagOf(addr);
+    const Line *base = setOf(tag);
+    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
+        if (base[w].tag == tag)
+            return true;
+    }
+    return false;
+}
+
+bool
+Cache::probe(Addr addr, Miss &miss)
+{
+    return walk(tagOf(addr), miss) != nullptr;
 }
 
 void
 Cache::fill(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
+    Miss miss;
+    if (Line *line = walk(tagOf(addr), miss)) {
         line->lru = ++useClock_;
         return; // already present
     }
-    std::uint64_t set = lineIndex(addr);
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[set * params_.assoc + w];
-        // Prefer an invalid way; otherwise the least recently used.
-        if (!victim || (victim->valid &&
-                        (!line.valid || line.lru < victim->lru))) {
-            victim = &line;
-        }
-    }
-    victim->valid = true;
-    victim->tag = tagOf(addr);
-    victim->lru = ++useClock_;
+    install(miss);
+}
+
+void
+Cache::install(const Miss &miss)
+{
+    miss.victim->tag = miss.tag;
+    miss.victim->lru = ++useClock_;
     ++contentGen_;
 }
 
 void
 Cache::flush(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        line->valid = false;
+    Miss miss;
+    if (Line *line = walk(tagOf(addr), miss)) {
+        line->tag = kInvalid;
         ++contentGen_;
     }
 }
@@ -99,7 +119,7 @@ void
 Cache::flushAll()
 {
     for (auto &line : lines_)
-        line.valid = false;
+        line.tag = kInvalid;
     ++contentGen_;
 }
 
@@ -120,32 +140,23 @@ CacheHierarchy::accessData(Addr addr, CacheCounters *ctrs)
 {
     if (ctrs)
         ctrs->l1dAccesses.inc();
-    if (l1d_.access(addr))
+    Cache::Miss miss;
+    if (l1d_.access(addr, miss))
         return l1d_.params().hit_latency;
-    Cycle latency = l1d_.params().hit_latency;
-    if (l2_.access(addr)) {
-        latency += l2_.params().hit_latency;
-    } else {
-        latency += l2_.params().hit_latency + dramLatency_;
-        l2_.fill(addr);
+    Cycle latency = l1d_.params().hit_latency + l2_.params().hit_latency;
+    if (!accessL2(addr)) {
+        latency += dramLatency_;
         if (ctrs)
             ctrs->l2DataMisses.inc();
     }
-    l1d_.fill(addr);
+    l1d_.install(miss);
     if (ctrs)
         ctrs->l1dMisses.inc();
     // Next-line prefetcher (Table 7.1): a demand miss triggers a
     // background fill of the following line. No latency is charged —
     // the prefetch overlaps with the demand access.
-    if (prefetch_) {
-        Addr next = addr + l1d_.params().line_bytes;
-        if (!l1d_.probe(next)) {
-            l2_.fill(next);
-            l1d_.fill(next);
-            if (ctrs)
-                ctrs->l1dPrefetches.inc();
-        }
-    }
+    if (prefetch_ && prefetchInto(l1d_, addr) && ctrs)
+        ctrs->l1dPrefetches.inc();
     return latency;
 }
 
@@ -154,28 +165,40 @@ CacheHierarchy::accessInst(Addr addr, CacheCounters *ctrs)
 {
     if (ctrs)
         ctrs->l1iAccesses.inc();
-    if (l1i_.access(addr))
+    Cache::Miss miss;
+    if (l1i_.access(addr, miss))
         return l1i_.params().hit_latency;
-    Cycle latency = l1i_.params().hit_latency;
-    if (l2_.access(addr)) {
-        latency += l2_.params().hit_latency;
-    } else {
-        latency += l2_.params().hit_latency + dramLatency_;
-        l2_.fill(addr);
-    }
-    l1i_.fill(addr);
+    Cycle latency = l1i_.params().hit_latency + l2_.params().hit_latency;
+    if (!accessL2(addr))
+        latency += dramLatency_;
+    l1i_.install(miss);
     if (ctrs)
         ctrs->l1iMisses.inc();
-    if (prefetch_) {
-        Addr next = addr + l1i_.params().line_bytes;
-        if (!l1i_.probe(next)) {
-            l2_.fill(next);
-            l1i_.fill(next);
-            if (ctrs)
-                ctrs->l1iPrefetches.inc();
-        }
-    }
+    if (prefetch_ && prefetchInto(l1i_, addr) && ctrs)
+        ctrs->l1iPrefetches.inc();
     return latency;
+}
+
+bool
+CacheHierarchy::accessL2(Addr addr)
+{
+    Cache::Miss miss;
+    if (l2_.access(addr, miss))
+        return true;
+    l2_.install(miss);
+    return false;
+}
+
+bool
+CacheHierarchy::prefetchInto(Cache &l1, Addr addr)
+{
+    Addr next = addr + l1.params().line_bytes;
+    Cache::Miss miss;
+    if (l1.probe(next, miss))
+        return false;
+    l2_.fill(next);
+    l1.install(miss);
+    return true;
 }
 
 Cycle

@@ -23,7 +23,9 @@
 namespace perspective::sim
 {
 
-/** Geometry and timing of one cache level. */
+/** Geometry and timing of one cache level. line_bytes and the set
+ * count (size_bytes / (line_bytes * assoc)) must be powers of two;
+ * see Cache. */
 struct CacheParams
 {
     std::string name;
@@ -37,20 +39,45 @@ struct CacheParams
  * One level of cache. Lookup and fill are separate so callers can
  * model "probe without disturbing" (flush+reload timing reads) as well
  * as normal allocating accesses.
+ *
+ * The line size and the set count must be powers of two (the index
+ * is a shift and a mask); the constructor rejects any other geometry
+ * with std::invalid_argument, in every build type.
  */
 class Cache
 {
+    struct Line;
+
   public:
     explicit Cache(const CacheParams &params);
 
+    /**
+     * The way a fill would replace, found by the set walk that
+     * missed. Passing it to install() fills the line without walking
+     * the set again. It stays valid until the next operation on this
+     * cache (operations on other caches do not disturb it).
+     */
+    class Miss
+    {
+        friend class Cache;
+        Line *victim = nullptr;
+        std::uint64_t tag = 0;
+    };
+
     /** True if the line containing @p addr is present; updates LRU. */
     bool access(Addr addr);
+    /** access() that, on a miss, records the victim in @p miss. */
+    bool access(Addr addr, Miss &miss);
 
     /** True if present; does not update replacement state. */
     bool probe(Addr addr) const;
+    /** probe() that, on a miss, records the victim in @p miss. */
+    bool probe(Addr addr, Miss &miss);
 
     /** Install the line containing @p addr (evicting LRU). */
     void fill(Addr addr);
+    /** Install the line a miss walked for, into the way it chose. */
+    void install(const Miss &miss);
 
     /** Remove the line containing @p addr if present (clflush). */
     void flush(Addr addr);
@@ -71,24 +98,42 @@ class Cache
     const std::uint64_t *contentGenPtr() const { return &contentGen_; }
 
   private:
+    /** A valid line's tag is its line address with this bit set (a
+     * line address is an address shifted right by at least one bit,
+     * so the bit is free); tag 0 is an invalid line, which makes a
+     * zero-filled array an empty cache. */
+    static constexpr std::uint64_t kValid = std::uint64_t{1} << 63;
+    static constexpr std::uint64_t kInvalid = 0;
+
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
+        std::uint64_t tag = kInvalid;
         std::uint64_t lru = 0; ///< higher == more recently used
     };
 
-    std::uint64_t lineIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
+    std::uint64_t
+    tagOf(Addr addr) const
+    {
+        return (addr >> lineShift_) | kValid;
+    }
+    Line *setOf(std::uint64_t tag)
+    {
+        return &lines_[(tag & setMask_) * params_.assoc];
+    }
+    const Line *setOf(std::uint64_t tag) const
+    {
+        return &lines_[(tag & setMask_) * params_.assoc];
+    }
 
-    /** The valid line holding @p addr, or nullptr. The one set walk
-     * shared by access/probe/fill/flush; never touches LRU. */
-    const Line *findLine(Addr addr) const;
-    Line *findLine(Addr addr);
+    /** The one set walk: the line holding @p tag, or nullptr with
+     * @p miss set to the way a fill replaces (the first invalid way,
+     * else the least recently used). Never touches LRU. */
+    Line *walk(std::uint64_t tag, Miss &miss);
 
     CacheParams params_;
-    std::uint32_t numSets_;
-    std::vector<Line> lines_; ///< numSets_ * assoc, set-major
+    unsigned lineShift_ = 0;
+    std::uint64_t setMask_ = 0;
+    std::vector<Line> lines_; ///< sets * assoc, set-major
     std::uint64_t useClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
@@ -162,6 +207,14 @@ class CacheHierarchy
     bool prefetch() const { return prefetch_; }
 
   private:
+    /** The L2 leg of an L1 miss: one walk, filling the L2 on a
+     * miss. True on an L2 hit. */
+    bool accessL2(Addr addr);
+    /** Next-line prefetch after an L1 miss on @p addr: when the next
+     * line is absent from @p l1, fill it through the L2. True when
+     * it was absent. */
+    bool prefetchInto(Cache &l1, Addr addr);
+
     Cache l1i_;
     Cache l1d_;
     Cache l2_;

@@ -238,6 +238,18 @@ Pipeline::addrTainted(RobEntry &e)
     return p && p->seq == e.srcProd[0] && taintOf(*p);
 }
 
+struct Pipeline::LoadGateInputs final : GateInputs
+{
+    LoadGateInputs(Pipeline &p, RobEntry &e) : p_(p), e_(e) {}
+
+    bool addrTainted() override { return p_.addrTainted(e_); }
+    bool l1dHit() override { return p_.caches_.probeL1D(e_.effAddr); }
+
+  private:
+    Pipeline &p_;
+    RobEntry &e_;
+};
+
 bool
 Pipeline::taintOf(RobEntry &e)
 {
@@ -352,16 +364,16 @@ Pipeline::tryIssueLoad(RobEntry &e)
 
     bool spec = isSpeculative(e);
     if (spec) {
+        LoadGateInputs inputs(*this, e);
         SpecContext ctx;
         ctx.pc = e.pc;
         ctx.dataVa = e.effAddr;
         ctx.func = e.func;
         ctx.speculative = true;
-        ctx.tainted = addrTainted(e);
         ctx.kernelMode = e.kernel;
         ctx.asid = asid_;
-        ctx.l1dHit = caches_.probeL1D(e.effAddr);
         ctx.now = now_;
+        ctx.inputs = &inputs;
         ctx.firstCheck = !e.counted;
         ctx.l1dContentGen = caches_.l1d().contentGenPtr();
         SpeculationPolicy *pol = policy_ ? policy_ : &unsafe_;

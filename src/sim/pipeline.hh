@@ -462,6 +462,8 @@ class Pipeline
     bool isSpeculative(const RobEntry &e) const;
     bool addrTainted(RobEntry &e);
     bool taintOf(RobEntry &e);
+    /** Answers a gated load's on-demand SpecContext inputs. */
+    struct LoadGateInputs;
     bool resolveControl(RobEntry &e);
     void registerDispatch(RobEntry &e);
     void enqueueReady(RobEntry &e);
@@ -667,7 +669,11 @@ class Pipeline
      * span, so push and drain are O(1) where the (cycle, seq)
      * min-heap this replaces paid O(log n) per event. Drain order is
      * the heap's exactly: cycles ascending, seqs ascending within a
-     * cycle. Squashed entries' events are dropped lazily on pop. */
+     * cycle. Squashed entries' events are dropped lazily on pop.
+     * A bucket is a seq-sorted list threaded through one node pool
+     * with a free list, so a cell's calendar allocates only when the
+     * pool grows (a few times per Pipeline), not once per bucket as
+     * 1024 separate vectors did. */
     class EventRing
     {
       public:
@@ -679,6 +685,12 @@ class Pipeline
             std::uint64_t seq;
             RobEntry *entry;
         };
+
+        EventRing()
+        {
+            head_.fill(kNil);
+            tail_.fill(kNil);
+        }
 
         bool empty() const { return size_ == 0; }
         void emplace(Cycle c, std::uint64_t seq, RobEntry *entry)
@@ -699,11 +711,7 @@ class Pipeline
                 overflow_.insert(it, {c, {seq, entry}});
                 return;
             }
-            auto &b = slots_[c & kMask];
-            b.push_back({seq, entry});
-            for (std::size_t j = b.size() - 1;
-                 j > 0 && b[j - 1].seq > b[j].seq; --j)
-                std::swap(b[j - 1], b[j]);
+            link(c & kMask, {seq, entry});
         }
         /** Earliest pending event cycle; only valid when !empty(). */
         Cycle nextCycle()
@@ -711,30 +719,35 @@ class Pipeline
             if (next_ >= base_)
                 return next_; // still exact (emplace keeps the min)
             Cycle c = base_;
-            while (slots_[c & kMask].empty() &&
-                   c - base_ < kSlots - 1)
+            while (head_[c & kMask] == kNil && c - base_ < kSlots - 1)
                 ++c;
-            if (slots_[c & kMask].empty())
+            if (head_[c & kMask] == kNil)
                 c = overflow_.front().first;
             next_ = c;
             return c;
         }
-        /** Pop every event with cycle <= now, in (cycle, seq) order. */
+        /** Pop every event with cycle <= now, in (cycle, seq) order.
+         * @p f may schedule events (for later cycles only). */
         template <class F> void drainUpTo(Cycle now, F &&f)
         {
             while (base_ <= now) {
-                auto &b = slots_[base_ & kMask];
-                for (const Ev &ev : b) {
+                const std::size_t slot = base_ & kMask;
+                while (head_[slot] != kNil) {
+                    const std::uint32_t n = head_[slot];
+                    const Ev ev = nodes_[n].ev;
+                    head_[slot] = nodes_[n].next;
+                    nodes_[n].next = free_;
+                    free_ = n;
                     --size_;
-                    f(ev);
+                    f(ev); // may grow nodes_: hold no node reference
                 }
-                b.clear();
+                tail_[slot] = kNil;
                 ++base_;
                 while (!overflow_.empty() &&
                        overflow_.front().first - base_ < kSlots) {
                     auto [c, ev] = overflow_.front();
                     overflow_.erase(overflow_.begin());
-                    slots_[c & kMask].push_back(ev);
+                    link(c & kMask, ev);
                 }
             }
             if (next_ < base_)
@@ -744,8 +757,10 @@ class Pipeline
          * ever scheduled for cycles > now). */
         void clear(Cycle base)
         {
-            for (auto &b : slots_)
-                b.clear();
+            head_.fill(kNil);
+            tail_.fill(kNil);
+            nodes_.clear(); // keeps the pool's capacity
+            free_ = kNil;
             overflow_.clear();
             size_ = 0;
             base_ = base;
@@ -755,7 +770,45 @@ class Pipeline
       private:
         static constexpr std::size_t kSlots = 1024;
         static constexpr std::size_t kMask = kSlots - 1;
-        std::array<std::vector<Ev>, kSlots> slots_{};
+        static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+        struct Node
+        {
+            Ev ev;
+            std::uint32_t next;
+        };
+
+        /** Insert @p ev into bucket @p slot after every event with a
+         * seq <= its own (events mostly arrive in seq order, so the
+         * tail check usually decides). */
+        void link(std::size_t slot, Ev ev)
+        {
+            std::uint32_t n = free_;
+            if (n != kNil) {
+                free_ = nodes_[n].next;
+                nodes_[n].ev = ev;
+            } else {
+                n = static_cast<std::uint32_t>(nodes_.size());
+                nodes_.push_back({ev, kNil});
+            }
+            const std::uint32_t t = tail_[slot];
+            if (t == kNil || nodes_[t].ev.seq <= ev.seq) {
+                nodes_[n].next = kNil;
+                (t == kNil ? head_[slot] : nodes_[t].next) = n;
+                tail_[slot] = n;
+                return;
+            }
+            std::uint32_t *at = &head_[slot];
+            while (nodes_[*at].ev.seq <= ev.seq)
+                at = &nodes_[*at].next;
+            nodes_[n].next = *at;
+            *at = n;
+        }
+
+        std::array<std::uint32_t, kSlots> head_;
+        std::array<std::uint32_t, kSlots> tail_;
+        std::vector<Node> nodes_;
+        std::uint32_t free_ = kNil;
         std::vector<std::pair<Cycle, Ev>> overflow_;
         Cycle base_ = 0;  ///< oldest undrained cycle
         Cycle next_ = 0;  ///< min pending cycle; < base_ means stale

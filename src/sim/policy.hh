@@ -10,6 +10,7 @@
 #define PERSPECTIVE_SIM_POLICY_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 
 #include "stats.hh"
@@ -18,25 +19,63 @@
 namespace perspective::sim
 {
 
-/** Everything a policy may inspect about a pending transmitter. */
+/**
+ * The gate inputs that cost a walk to compute: STT taint (a walk up
+ * the address operand's producer chain) and L1D presence (a set
+ * walk). Only STT reads the one and only DOM the other, so the
+ * pipeline answers them on demand, when a policy asks, instead of
+ * filling them in for every speculative load under every scheme.
+ */
+class GateInputs
+{
+  public:
+    /** Does the access's address depend on speculative data? */
+    virtual bool addrTainted() = 0;
+    /** Would the access hit in the L1D right now? */
+    virtual bool l1dHit() = 0;
+
+  protected:
+    ~GateInputs() = default;
+};
+
+/**
+ * Everything a policy may inspect about a pending transmitter.
+ *
+ * The plain fields are filled in before every gate call. tainted()
+ * and l1dHit() are pulled on demand: the pipeline answers them in the
+ * same cycle and from the same state the gate call sees, so a policy
+ * reads exactly what a filled-in field would have held, and a policy
+ * that never asks costs nothing. Asking is observation-only; it never
+ * changes simulated state. There is no list of "inputs a policy
+ * reads" to keep in step: whatever a policy calls is computed.
+ */
 struct SpecContext
 {
     Addr pc = 0;          ///< VA of the transmitter instruction
     Addr dataVa = 0;      ///< effective address of the access
     FuncId func = kNoFunc;///< containing function
     bool speculative = false; ///< older squashable instruction exists
-    bool tainted = false; ///< address depends on speculative data (STT)
     bool kernelMode = false;  ///< executing kernel code
     Asid asid = 0;        ///< current address-space id
-    bool l1dHit = false;  ///< would this access hit in the L1D?
     Cycle now = 0;        ///< current cycle (for fill-latency models)
+    /** Answers tainted()/l1dHit() for the duration of the gate call
+     * (a policy must not keep it); null (a context built outside the
+     * detailed loop, e.g. a warming replay or a unit test) reads both
+     * as false. */
+    GateInputs *inputs = nullptr;
+
+    /** Address depends on speculative data (STT)? */
+    bool tainted() const { return inputs && inputs->addrTainted(); }
+    /** Would this access hit in the L1D (DOM)? */
+    bool l1dHit() const { return inputs && inputs->l1dHit(); }
+
     /** True on the first gate evaluation of this dynamic instruction;
      * blocked loads are re-evaluated every cycle, and policies must
      * only bump attribution statistics once. */
     bool firstCheck = true;
     /** Generation counter of the L1D's *content* (ticks whenever a
      * line is installed, evicted or flushed — never on an LRU-only
-     * touch). A policy whose verdict reads l1dHit lists this in its
+     * touch). A policy whose verdict reads l1dHit() lists this in its
      * GateWake so blocked loads re-evaluate only when a probe result
      * could actually have changed. */
     const std::uint64_t *l1dContentGen = nullptr;
@@ -82,12 +121,21 @@ struct GateWake
      * under this wake spec is in flight. */
     Counter *blockedTally = nullptr;
 
-    /** Switch to input-driven wakes and add a generation source. */
+    /** Switch to input-driven wakes and add a generation source.
+     * With gen[] full, a further source cannot be listed, so the wake
+     * falls back to everyCycle (exact by construction) rather than
+     * drop the source and under-wake. */
     void
     depend(const std::uint64_t *g)
     {
+        if (numGens == kMaxGens) {
+            assert(!g && "GateWake::depend: more than kMaxGens sources");
+            if (g)
+                everyCycle = true;
+            return;
+        }
         everyCycle = false;
-        if (g && numGens < kMaxGens)
+        if (g)
             gen[numGens++] = g;
     }
 

@@ -53,7 +53,9 @@ TEST(StaticIsv, ClosureIncludesTransitiveCallees)
     auto &s = stack();
     StaticIsvBuilder b(s.img);
     FuncId entry = s.img.entryOf(Sys::Getpid);
-    auto cl = b.closure({entry});
+    auto order = b.closure({entry});
+    std::set<FuncId> cl(order.begin(), order.end());
+    EXPECT_EQ(cl.size(), order.size()); // each function listed once
     EXPECT_TRUE(cl.count(entry));
     // Direct callees and their callees are in.
     for (FuncId c : s.img.info(entry).callees) {

@@ -64,7 +64,8 @@ TEST(Pliability, ExtendViewMatchesFullRebuild)
 
     std::vector<FuncId> all_roots = {
         s.img.entryOf(Sys::Read), s.img.entryOf(Sys::Getpid), extra};
-    auto full = b.closure(all_roots);
+    auto order = b.closure(all_roots);
+    std::set<FuncId> full(order.begin(), order.end());
     for (FuncId f = 0; f < s.img.numKernelFunctions(); ++f) {
         ASSERT_EQ(incremental.containsFunction(f),
                   full.count(f) != 0)
