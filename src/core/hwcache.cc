@@ -44,7 +44,7 @@ IsvCache::lookup(Addr pc, Asid asid, bool defer_lru, sim::Cycle now,
     return {false, false};
 }
 
-void
+sim::Cycle
 IsvCache::fill(Addr pc, Asid asid, IsvRegionBits bits,
                sim::Cycle ready_at)
 {
@@ -57,7 +57,7 @@ IsvCache::fill(Addr pc, Asid asid, IsvRegionBits bits,
         if (e.valid && e.line == line && e.asid == asid) {
             e.bits = bits;
             ++gen_;
-            return; // already filling or present
+            return e.readyAt; // already filling or present
         }
         if (!victim || (victim->valid &&
                         (!e.valid || e.lru < victim->lru))) {
@@ -71,6 +71,7 @@ IsvCache::fill(Addr pc, Asid asid, IsvRegionBits bits,
     victim->lru = ++useClock_;
     victim->readyAt = ready_at;
     ++gen_;
+    return ready_at;
 }
 
 void
@@ -126,7 +127,7 @@ DsvCache::lookup(Addr va, Asid asid, bool defer_lru, sim::Cycle now,
     return {false, false};
 }
 
-void
+sim::Cycle
 DsvCache::fill(Addr va, Asid asid, bool in_dsv, sim::Cycle ready_at)
 {
     Addr page = sim::pageBase(va);
@@ -138,7 +139,7 @@ DsvCache::fill(Addr va, Asid asid, bool in_dsv, sim::Cycle ready_at)
         if (e.valid && e.page == page && e.asid == asid) {
             e.inDsv = in_dsv;
             ++gen_;
-            return;
+            return e.readyAt;
         }
         if (!victim || (victim->valid &&
                         (!e.valid || e.lru < victim->lru))) {
@@ -152,6 +153,7 @@ DsvCache::fill(Addr va, Asid asid, bool in_dsv, sim::Cycle ready_at)
     victim->lru = ++useClock_;
     victim->readyAt = ready_at;
     ++gen_;
+    return ready_at;
 }
 
 void

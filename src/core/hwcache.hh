@@ -72,9 +72,11 @@ class IsvCache
                     sim::Cycle now = 0, bool count = true);
 
     /** Fill the region containing @p pc with @p bits, usable at
-     * @p ready_at (models the TLB+L2 refill latency). */
-    void fill(sim::Addr pc, sim::Asid asid, IsvRegionBits bits,
-              sim::Cycle ready_at = 0);
+     * @p ready_at (models the TLB+L2 refill latency). A fill already
+     * in flight keeps its own ready cycle. Returns the cycle the
+     * entry becomes usable. */
+    sim::Cycle fill(sim::Addr pc, sim::Asid asid, IsvRegionBits bits,
+                    sim::Cycle ready_at = 0);
 
     /** Drop every entry of @p asid (view reconfigured). */
     void invalidateAsid(sim::Asid asid);
@@ -134,8 +136,9 @@ class DsvCache
 
     HwLookup lookup(sim::Addr va, sim::Asid asid, bool defer_lru,
                     sim::Cycle now = 0, bool count = true);
-    void fill(sim::Addr va, sim::Asid asid, bool in_dsv,
-              sim::Cycle ready_at = 0);
+    /** As IsvCache::fill, for the page containing @p va. */
+    sim::Cycle fill(sim::Addr va, sim::Asid asid, bool in_dsv,
+                    sim::Cycle ready_at = 0);
 
     /** Shoot down all entries caching @p page_va (ownership changed —
      * wired to the OwnershipMap listener). */

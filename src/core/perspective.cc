@@ -205,6 +205,17 @@ PerspectivePolicy::drainRevocations(sim::Cycle now)
     pending_.resize(kept);
 }
 
+sim::Cycle
+PerspectivePolicy::nextRevocationAt() const
+{
+    sim::Cycle at = 0;
+    for (const PendingRevocation &r : pending_) {
+        if (at == 0 || r.applyAt < at)
+            at = r.applyAt;
+    }
+    return at;
+}
+
 void
 PerspectivePolicy::flushPendingRevocations()
 {
@@ -281,7 +292,7 @@ PerspectivePolicy::effBlockUnknown(const Context &c) const
            (fleetBits_ & kernel::kFleetBlockUnknown) != 0;
 }
 
-Gate
+sim::Verdict
 PerspectivePolicy::gateLoad(const SpecContext &ctx)
 {
     // Land any revocation whose shootdown latency has elapsed before
@@ -292,7 +303,7 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
     // Perspective protects kernel execution; userspace speculation
     // and non-speculative accesses proceed unimpeded.
     if (!ctx.kernelMode || !ctx.speculative)
-        return Gate::Allow;
+        return {};
 
     bool flush_on_switch =
         cfg_.flushOnContextSwitch ||
@@ -316,15 +327,14 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
         auto it = contexts_.find(ctx.asid);
         if (it == contexts_.end()) {
             // Unregistered context: conservatively block. The
-            // verdict only changes if the context gets registered.
-            if (stats_)
+            // verdict only changes if the context gets registered;
+            // the recheck keeps the drain above on time.
+            if (stats_ && ctx.firstCheck)
                 ctrUnregistered_.inc();
-            lastWake_ = sim::GateWake::untilInputs();
-            lastWake_.depend(&contextsGen_);
-            lastWake_.blockedTally =
-                stats_ ? &ctrUnregistered_ : nullptr;
-            noteBlock(ctx);
-            return Gate::Block;
+            sim::Verdict v{Gate::Block, sim::GateWake::untilInputs()};
+            v.wake.depend(&contextsGen_);
+            v.wake.recheckAt = nextRevocationAt();
+            return v;
         }
         ctxMruAsid_ = ctx.asid;
         ctxMruCtx_ = &it->second;
@@ -351,21 +361,24 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
 
     // Any Block below is released by an ISV/DSV cache fill or
     // invalidation, an ISV reconfiguration (epoch tick), a context-
-    // table change, or the speculation horizon (implicit); non-first
-    // re-checks bump no counters, so no tally is needed.
-    auto blockOnViews = [&](sim::Cycle recheck_at) {
-        lastWake_ = sim::GateWake::untilInputs();
-        lastWake_.depend(&contextsGen_);
+    // table change, the speculation horizon (implicit), or a cycle:
+    // the blocking fill's ready cycle, a pending revocation landing,
+    // or a fleet flip becoming visible.
+    auto blockOnViews = [&](sim::Cycle ready_at) {
+        sim::Verdict v{Gate::Block, sim::GateWake::untilInputs()};
+        v.wake.depend(&contextsGen_);
         if (cfg_.enableIsv) {
-            lastWake_.depend(isvCache_.genPtr());
+            v.wake.depend(isvCache_.genPtr());
             if (c->isv)
-                lastWake_.depend(c->isv->epochPtr());
+                v.wake.depend(c->isv->epochPtr());
         }
         if (cfg_.enableDsv)
-            lastWake_.depend(dsvCache_.genPtr());
-        lastWake_.recheckAt = recheck_at;
-        noteBlock(ctx);
-        return Gate::Block;
+            v.wake.depend(dsvCache_.genPtr());
+        v.wake.recheckAt = ready_at;
+        v.wake.recheckBy(nextRevocationAt());
+        if (ctx.now < fleetVisibleAt_)
+            v.wake.recheckBy(fleetVisibleAt_);
+        return v;
     };
 
     if (cfg_.enableIsv && c->isv) {
@@ -390,14 +403,17 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
                     bits.bits[0] &= admin[0];
                     bits.bits[1] &= admin[1];
                 }
-                isvCache_.fill(ctx.pc, ctx.asid, bits,
-                               ctx.now + cfg_.fillLatency);
+                // A fill already in flight (started by another
+                // load) keeps its ready cycle; block until then.
+                sim::Cycle ready =
+                    isvCache_.fill(ctx.pc, ctx.asid, bits,
+                                   ctx.now + cfg_.fillLatency);
                 noteMiss(isvMissRun_);
                 if (stats_) {
                     ctrIsvFence_.inc();
                     ctrIsvMiss_.inc();
                 }
-                return blockOnViews(ctx.now + cfg_.fillLatency);
+                return blockOnViews(ready);
             }
             return blockOnViews(look.readyAt);
         }
@@ -415,15 +431,16 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
                                          ctx.now, ctx.firstCheck);
         if (!look.hit) {
             if (ctx.firstCheck) {
-                dsvCache_.fill(ctx.dataVa, ctx.asid,
-                               dsvFillValue(ctx.dataVa, *c),
-                               ctx.now + cfg_.fillLatency);
+                sim::Cycle ready =
+                    dsvCache_.fill(ctx.dataVa, ctx.asid,
+                                   dsvFillValue(ctx.dataVa, *c),
+                                   ctx.now + cfg_.fillLatency);
                 noteMiss(dsvMissRun_);
                 if (stats_) {
                     ctrDsvFence_.inc();
                     ctrDsvMiss_.inc();
                 }
-                return blockOnViews(ctx.now + cfg_.fillLatency);
+                return blockOnViews(ready);
             }
             return blockOnViews(look.readyAt);
         }
@@ -458,7 +475,7 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
         }
     }
 
-    return Gate::Allow;
+    return {};
 }
 
 void
@@ -468,10 +485,10 @@ PerspectivePolicy::warmAccess(const SpecContext &ctx)
     // load against the ISV/DSV caches so sampled detailed windows
     // start with the lookup state a continuously-detailed run would
     // have. Everything here must stay accounting-free: no counters,
-    // no burst runs, no histogram samples, no wake-slot writes —
-    // warming has no timeline, so fills land immediately ready and
-    // deferred-LRU is off. The pipeline only warms while
-    // allowFunctionalPhases() holds, so no revocation window is open.
+    // no burst runs, no histogram samples — warming has no timeline,
+    // so fills land immediately ready and deferred-LRU is off. The
+    // pipeline only warms while allowFunctionalPhases() holds, so no
+    // revocation window is open.
     if (!ctx.kernelMode)
         return;
 
@@ -544,20 +561,6 @@ PerspectivePolicy::dsvFillValue(sim::Addr va, const Context &c)
     if (owner == kDomainUnknown)
         return !block_unknown;
     return owner == c.domain;
-}
-
-sim::GateWake
-PerspectivePolicy::gateWake(const SpecContext &ctx)
-{
-    // The single-slot contract: this call must pair with the Block
-    // gateLoad just returned for the same instruction. A mismatch
-    // means some interleaved gate check overwrote lastWake_ and a
-    // blocked load is about to sleep on the wrong inputs.
-    assert(wakePairingMatches(ctx) &&
-           "gateWake unpaired with the preceding Block verdict");
-    (void)ctx;
-    wakeArmed_ = false;
-    return lastWake_;
 }
 
 } // namespace perspective::core

@@ -114,13 +114,12 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     void registerContext(sim::Asid asid, kernel::DomainId domain,
                          const IsvView *isv);
 
-    sim::Gate gateLoad(const sim::SpecContext &ctx) override;
-    sim::GateWake gateWake(const sim::SpecContext &ctx) override;
+    sim::Verdict gateLoad(const sim::SpecContext &ctx) override;
 
     /** Accounting-free ISV/DSV cache warming for sampled simulation's
      * functional phases (DESIGN §5.8): fills the same entries a
      * gateLoad at @p ctx would, with ready-at-0 latency, without
-     * touching counters, histograms, burst runs or the wake slot. */
+     * touching counters, histograms or burst runs. */
     void warmAccess(const sim::SpecContext &ctx) override;
 
     void setStats(sim::StatSet *stats) override;
@@ -183,34 +182,18 @@ class PerspectivePolicy : public sim::SpeculationPolicy
 
     /**
      * Which dynamic-update window (if any) is open for @p va in the
-     * context registered under @p asid — the leakage ledger's
-     * attribution hook (DESIGN §5.6). Pure lookup, no side effects:
-     * a pending revocation covering @p va's frame wins, then an
-     * unsynced fleet flip, then an unsynced ISV epoch; Baseline means
-     * "no open window explains a stale allow".
+     * context registered under @p asid (DESIGN §5.6). A pending
+     * revocation covering @p va's frame wins, then an unsynced fleet
+     * flip, then an unsynced ISV epoch; Baseline means "no open
+     * window explains a stale allow".
      */
-    sim::LeakWindow updateWindow(sim::Addr va, sim::Asid asid) const;
+    sim::LeakWindow updateWindow(sim::Addr va,
+                                 sim::Asid asid) const override;
 
     /** Land every pending revocation immediately (window closed by
      * fiat — used by tests and at end-of-scenario barriers). */
     void flushPendingRevocations();
 
-    /** @} */
-
-    /** @name Single-slot wake-contract hardening
-     * gateWake must be called immediately after a Block verdict with
-     * the same context — lastWake_ is a single slot and any
-     * interleaving hands the wrong wake spec to a blocked load.
-     * Every Block arms a pairing token; gateWake asserts it matches
-     * (debug builds) and these accessors let tests check it in every
-     * build.
-     * @{ */
-    bool wakePairingMatches(const sim::SpecContext &ctx) const
-    {
-        return wakeArmed_ && ctx.pc == wakePc_ &&
-               ctx.dataVa == wakeVa_;
-    }
-    std::uint64_t wakeSeq() const { return wakeSeq_; }
     /** @} */
 
     /** Aggregate DSVMT walk MRU-granule telemetry over every
@@ -263,16 +246,6 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     Context *ctxMruCtx_ = nullptr;
     Dsvmt *ctxMruTree_ = nullptr;
 
-    /** Wake spec of the most recent Block verdict (see gateWake). */
-    sim::GateWake lastWake_;
-
-    // Pairing token for the single-slot wake contract: armed on
-    // every Block, consumed (and checked) by gateWake.
-    std::uint64_t wakeSeq_ = 0;
-    bool wakeArmed_ = false;
-    sim::Addr wakePc_ = 0;
-    sim::Addr wakeVa_ = 0;
-
     // Dynamic-update state.
     const sim::Cycle *clock_ = nullptr;
     std::vector<PendingRevocation> pending_;
@@ -310,15 +283,10 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     void applyRevocation(const PendingRevocation &r, sim::Cycle now);
     void drainRevocations(sim::Cycle now);
 
-    /** Arm the wake pairing token for a Block verdict on @p ctx. */
-    void
-    noteBlock(const sim::SpecContext &ctx)
-    {
-        ++wakeSeq_;
-        wakeArmed_ = true;
-        wakePc_ = ctx.pc;
-        wakeVa_ = ctx.dataVa;
-    }
+    /** Landing cycle of the earliest pending revocation (0 = none):
+     * gateLoad drains it at the first check past that cycle, so a
+     * blocked load's wake rechecks there. */
+    sim::Cycle nextRevocationAt() const;
 
     /** Record a miss (or a run-ending hit) on one view cache and
      * sample completed burst lengths into @p hist. */

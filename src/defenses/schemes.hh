@@ -25,117 +25,55 @@ namespace perspective::defenses
 class FencePolicy : public sim::SpeculationPolicy
 {
   public:
-    sim::Gate
+    sim::Verdict
     gateLoad(const sim::SpecContext &ctx) override
     {
         if (!ctx.speculative)
-            return sim::Gate::Allow;
-        if (stats_)
-            blockedChecks_.inc();
-        return sim::Gate::Block;
-    }
-
-    sim::GateWake
-    gateWake(const sim::SpecContext &) override
-    {
+            return {};
         // The verdict only flips at the Visibility Point — the
         // always-implicit speculation-horizon wake covers it.
-        sim::GateWake w = sim::GateWake::untilInputs();
-        w.blockedTally = stats_ ? &blockedChecks_ : nullptr;
-        return w;
-    }
-
-    void
-    setStats(sim::StatSet *stats) override
-    {
-        SpeculationPolicy::setStats(stats);
-        if (stats)
-            blockedChecks_ = stats->counter("fence.blocked_checks");
+        return {sim::Gate::Block, sim::GateWake::untilInputs()};
     }
 
     const char *name() const override { return "fence"; }
-
-  private:
-    sim::Counter blockedChecks_;
 };
 
 /** Delay-on-Miss [Sakalis et al., ISCA'19]. */
 class DomPolicy : public sim::SpeculationPolicy
 {
   public:
-    sim::Gate
+    sim::Verdict
     gateLoad(const sim::SpecContext &ctx) override
     {
         if (!ctx.speculative || ctx.l1dHit())
-            return sim::Gate::Allow;
-        if (stats_)
-            blockedChecks_.inc();
-        return sim::Gate::Block;
-    }
-
-    sim::GateWake
-    gateWake(const sim::SpecContext &ctx) override
-    {
+            return {};
         // Verdict reads l1dHit(): re-evaluate when the L1D's content
         // changes (a fill by an older store/load can turn the miss
         // into a hit) or at the Visibility Point.
-        sim::GateWake w = sim::GateWake::untilInputs();
-        w.depend(ctx.l1dContentGen);
-        w.blockedTally = stats_ ? &blockedChecks_ : nullptr;
-        return w;
-    }
-
-    void
-    setStats(sim::StatSet *stats) override
-    {
-        SpeculationPolicy::setStats(stats);
-        if (stats)
-            blockedChecks_ = stats->counter("dom.blocked_checks");
+        sim::Verdict v{sim::Gate::Block, sim::GateWake::untilInputs()};
+        v.wake.depend(ctx.l1dContentGen);
+        return v;
     }
 
     const char *name() const override { return "dom"; }
-
-  private:
-    sim::Counter blockedChecks_;
 };
 
 /** Speculative Taint Tracking [Yu et al., MICRO'19]. */
 class SttPolicy : public sim::SpeculationPolicy
 {
   public:
-    sim::Gate
+    sim::Verdict
     gateLoad(const sim::SpecContext &ctx) override
     {
         if (!ctx.speculative || !ctx.tainted())
-            return sim::Gate::Allow;
-        if (stats_)
-            blockedChecks_.inc();
-        return sim::Gate::Block;
-    }
-
-    sim::GateWake
-    gateWake(const sim::SpecContext &) override
-    {
+            return {};
         // Taint only clears when the producing load stops being
         // speculative, i.e. when the speculation horizon advances —
         // already an implicit wake source.
-        sim::GateWake w = sim::GateWake::untilInputs();
-        w.blockedTally = stats_ ? &blockedChecks_ : nullptr;
-        return w;
-    }
-
-    void
-    setStats(sim::StatSet *stats) override
-    {
-        SpeculationPolicy::setStats(stats);
-        if (stats)
-            blockedChecks_ = stats->counter("stt.blocked_checks");
+        return {sim::Gate::Block, sim::GateWake::untilInputs()};
     }
 
     const char *name() const override { return "stt"; }
-
-  private:
-    sim::Counter blockedChecks_;
 };
 
 /**
@@ -157,10 +95,10 @@ class SpotMitigationPolicy : public sim::SpeculationPolicy
     {
     }
 
-    sim::Gate
+    sim::Verdict
     gateLoad(const sim::SpecContext &) override
     {
-        return sim::Gate::Allow;
+        return {};
     }
 
     sim::Cycle kernelEntryCost() const override { return kptiCycles_; }
@@ -185,14 +123,14 @@ class SpotMitigationPolicy : public sim::SpeculationPolicy
 class InvisiSpecPolicy : public sim::SpeculationPolicy
 {
   public:
-    sim::Gate
+    sim::Verdict
     gateLoad(const sim::SpecContext &ctx) override
     {
         if (!ctx.speculative)
-            return sim::Gate::Allow;
+            return {};
         if (stats_)
             invisibleLoads_.inc();
-        return sim::Gate::AllowInvisible;
+        return {sim::Gate::AllowInvisible, {}};
     }
 
     void
@@ -221,10 +159,10 @@ class InvisiSpecPolicy : public sim::SpeculationPolicy
 class SpecCfiPolicy : public sim::SpeculationPolicy
 {
   public:
-    sim::Gate
+    sim::Verdict
     gateLoad(const sim::SpecContext &) override
     {
-        return sim::Gate::Allow;
+        return {};
     }
 
     bool

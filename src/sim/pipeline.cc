@@ -377,9 +377,9 @@ Pipeline::tryIssueLoad(RobEntry &e)
         ctx.firstCheck = !e.counted;
         ctx.l1dContentGen = caches_.l1d().contentGenPtr();
         SpeculationPolicy *pol = policy_ ? policy_ : &unsafe_;
-        Gate g = pol->gateLoad(ctx);
+        Verdict v = pol->gateLoad(ctx);
         ctrGateChecks_.inc();
-        if (g == Gate::Block) {
+        if (v.gate == Gate::Block) {
             if (!e.counted) {
                 e.counted = true;
                 e.blockedSince = now_;
@@ -389,10 +389,10 @@ Pipeline::tryIssueLoad(RobEntry &e)
             }
             e.state = EState::Blocked;
             ctrBlockedCycles_.inc();
-            captureGateWake(e, ctx, *pol);
+            captureGateWake(e, v.wake);
             return false;
         }
-        if (g == Gate::AllowInvisible)
+        if (v.gate == Gate::AllowInvisible)
             e.invisible = true;
     }
     noteFenceStallEnd(e);
@@ -698,10 +698,8 @@ Pipeline::applyCommit(RobEntry &e)
 }
 
 void
-Pipeline::captureGateWake(RobEntry &e, const SpecContext &ctx,
-                          SpeculationPolicy &pol)
+Pipeline::captureGateWake(RobEntry &e, const GateWake &w)
 {
-    GateWake w = pol.gateWake(ctx);
     e.wakeEvery = w.everyCycle;
     e.wakeNumGens = static_cast<std::uint8_t>(w.numGens);
     for (unsigned i = 0; i < w.numGens; ++i) {
@@ -710,7 +708,6 @@ Pipeline::captureGateWake(RobEntry &e, const SpecContext &ctx,
     }
     e.wakeRecheckAt = w.recheckAt;
     e.wakeHorizonGen = horizonGen_;
-    e.wakeTally = w.blockedTally;
 }
 
 bool
@@ -819,9 +816,8 @@ Pipeline::doExecute()
     // 2) Issue: walk the ready queue (seq order, like the ROB scan)
     // and compact out the entries that issued. A policy-blocked
     // entry whose wake conditions all held still is not re-gated;
-    // the elided call's accounting (blocked-cycle counter and the
-    // policy's per-call tally) is replicated so the stats are
-    // bit-identical to the every-cycle re-evaluation. Once the
+    // the elided call's blocked cycle is still charged, so the stats
+    // are bit-identical to the every-cycle re-evaluation. Once the
     // issue width is consumed, nothing downstream is attempted —
     // the legacy scan short-circuited the same way. The elided count
     // and earliest recheck cycle feed skipIdleCycles.
@@ -833,8 +829,6 @@ Pipeline::doExecute()
         RobEntry &e = *readyQ_[i].second;
         if (issues < params_.width) {
             if (e.state == EState::Blocked && !gateWakeDue(e)) {
-                if (e.wakeTally)
-                    e.wakeTally->inc();
                 ctrBlockedCycles_.inc();
                 ctrGateElided_.inc();
                 ++idleElided_;
@@ -1156,16 +1150,10 @@ Pipeline::skipIdleCycles(Cycle start)
     const Cycle k = last - now_;
 
     // The skipped cycles' accounting, k times this cycle's: each
-    // elided re-gate bumps the blocked-cycle and elided counters and
-    // its policy tally. Every blocked entry was elided (a due one
-    // would have been tried), so the tallies are the blocked entries'.
+    // elided re-gate bumps the blocked-cycle and elided counters.
     if (idleElided_ != 0) {
         ctrBlockedCycles_.inc(k * idleElided_);
         ctrGateElided_.inc(k * idleElided_);
-        for (const auto &[seq, e] : readyQ_) {
-            if (e->state == EState::Blocked && e->wakeTally)
-                e->wakeTally->inc(k);
-        }
     }
     histRobOcc_->sample(rob_.size(), k);
     now_ = last;

@@ -304,8 +304,7 @@ class Pipeline
         // Wake-driven gate re-evaluation (GateWake in policy.hh):
         // snapshot of the blocking verdict's inputs, captured when
         // the policy blocked this entry. While no wake condition
-        // holds, the per-cycle re-gate is elided with the exact
-        // accounting the suppressed call would have produced.
+        // holds, the per-cycle re-gate is elided.
         bool wakeEvery = true;
         std::uint8_t wakeNumGens = 0;
         Cycle wakeRecheckAt = 0;
@@ -313,7 +312,6 @@ class Pipeline
         std::array<const std::uint64_t *, GateWake::kMaxGens>
             wakeGen{};
         std::array<std::uint64_t, GateWake::kMaxGens> wakeGenSeen{};
-        Counter *wakeTally = nullptr;
 
         /** memGen_ snapshot from the last issue attempt that failed
          * on the fence/store fronts; while it still matches, the
@@ -371,7 +369,7 @@ class Pipeline
          *  - histCkpt/rsbCkpt/predTargetFunc/predTargetIdx: set at
          *    dispatch for exactly the control ops that resolve them;
          *  - wakeEvery/wakeNumGens/wakeGen/wakeGenSeen/wakeRecheckAt/
-         *    wakeHorizonGen/wakeTally: set by captureGateWake, read
+         *    wakeHorizonGen: set by captureGateWake, read
          *    only while state == Blocked, and Blocked is entered
          *    through captureGateWake. */
         void reset()
@@ -470,8 +468,7 @@ class Pipeline
     void onComplete(RobEntry &e);
     bool tryIssue(RobEntry &e);
     bool gateWakeDue(const RobEntry &e) const;
-    void captureGateWake(RobEntry &e, const SpecContext &ctx,
-                         SpeculationPolicy &pol);
+    void captureGateWake(RobEntry &e, const GateWake &w);
     std::uint64_t horizonSeq();
     void squashAfter(std::uint64_t seq);
     void rebuildRenameMap();
@@ -492,8 +489,8 @@ class Pipeline
      * source fires: the next completion event, the fetch stall's
      * end, a blocked load's recheck cycle or a scheduled callback.
      * Jumps now_ to the cycle before the earliest of them, charging
-     * the skipped cycles' blocked-cycle, elided-gate, policy-tally
-     * and ROB-occupancy accounting exactly (DESIGN §5.5).
+     * the skipped cycles' blocked-cycle, elided-gate and
+     * ROB-occupancy accounting exactly (DESIGN §5.5).
      * @p start is the run's first cycle, for the maxCycles guard.
      */
     void skipIdleCycles(Cycle start);
@@ -659,8 +656,8 @@ class Pipeline
      * sorted by seq. Entries leave only by issuing or by squash;
      * conflict-stalled entries are re-attempted every cycle, exactly
      * like the full-ROB scan did. Policy-blocked entries are only
-     * re-gated when a wake condition holds (see GateWake); elided
-     * cycles replicate the suppressed call's accounting exactly. */
+     * re-gated when a wake condition holds (see GateWake); an
+     * elided cycle is still charged as blocked. */
     std::vector<std::pair<std::uint64_t, RobEntry *>> readyQ_;
 
     /** Completion calendar: a ring of per-cycle seq buckets plus a

@@ -13,6 +13,7 @@
 #include <cassert>
 #include <cstdint>
 
+#include "leakage.hh"
 #include "stats.hh"
 #include "types.hh"
 
@@ -69,9 +70,10 @@ struct SpecContext
     /** Would this access hit in the L1D (DOM)? */
     bool l1dHit() const { return inputs && inputs->l1dHit(); }
 
-    /** True on the first gate evaluation of this dynamic instruction;
-     * blocked loads are re-evaluated every cycle, and policies must
-     * only bump attribution statistics once. */
+    /** True on the first gate evaluation of this dynamic instruction.
+     * A blocked load is re-evaluated when its wake fires (see
+     * GateWake), as often as every cycle, so policies bump
+     * attribution statistics only on the first check. */
     bool firstCheck = true;
     /** Generation counter of the L1D's *content* (ticks whenever a
      * line is installed, evicted or flushed — never on an LRU-only
@@ -83,29 +85,30 @@ struct SpecContext
 
 /**
  * What a Block verdict depends on — the wake-driven re-evaluation
- * contract. After gateLoad returns Block, the pipeline asks the
- * policy (gateWake) which inputs the verdict was computed from and
- * then elides the per-cycle re-invocation until one of them changes:
+ * contract. A Block verdict carries its wake (Verdict::wake), and
+ * the pipeline elides the per-cycle re-invocation of gateLoad until
+ * one of its inputs changes:
  *
  *  - the speculation horizon (an older control op resolving) is
  *    always an implicit wake source — it can flip `speculative`
  *    and STT taint, and it is the release condition at the VP;
  *  - each listed generation counter is compared against its value
  *    at the blocking call; any tick forces a real re-evaluation;
- *  - recheckAt forces one at a known future cycle (in-flight fill);
+ *  - recheckAt forces one at a known future cycle (an in-flight
+ *    fill, or any other input that changes with the clock alone);
  *  - everyCycle (the default) disables elision entirely — unknown
- *    or stateful policies keep the exact legacy cadence.
+ *    or stateful policies keep the exact every-cycle cadence.
  *
- * Elision must be invisible in the stats: a policy that bumps a
- * counter on *every* blocking call points blockedTally at it, and
- * the pipeline bumps the tally once per elided cycle, exactly as the
- * suppressed call would have. Over-waking is always safe (a real
- * re-evaluation bumps whatever the legacy call did); under-waking is
- * a correctness bug — list every input the verdict can read.
+ * Elision must be invisible in every stat outside gate.*. Policies
+ * bump attribution counters on firstCheck only, so an elided re-check
+ * owes none, and the pipeline still charges its blocked cycle.
+ * Over-waking is always safe (a real re-evaluation returns the same
+ * Block); under-waking is a correctness bug — list every input the
+ * verdict can read.
  */
 struct GateWake
 {
-    /** Re-evaluate every cycle (legacy behaviour; the default). */
+    /** Re-evaluate every cycle (the default). */
     bool everyCycle = true;
 
     static constexpr unsigned kMaxGens = 4;
@@ -115,11 +118,6 @@ struct GateWake
     /** Cycle at which to force a re-evaluation regardless of the
      * generation counters (0 = none). */
     Cycle recheckAt = 0;
-
-    /** Bumped once per elided cycle to preserve per-call counter
-     * totals (may be null). Must stay valid while any load blocked
-     * under this wake spec is in flight. */
-    Counter *blockedTally = nullptr;
 
     /** Switch to input-driven wakes and add a generation source.
      * With gen[] full, a further source cannot be listed, so the wake
@@ -139,6 +137,14 @@ struct GateWake
             gen[numGens++] = g;
     }
 
+    /** Bring the forced re-evaluation forward to @p at (0 = none). */
+    void
+    recheckBy(Cycle at)
+    {
+        if (at != 0 && (recheckAt == 0 || at < recheckAt))
+            recheckAt = at;
+    }
+
     /** Input-driven with no generation sources: the verdict can only
      * change with the speculation horizon (or recheckAt). */
     static GateWake
@@ -154,37 +160,35 @@ struct GateWake
 enum class Gate : std::uint8_t
 {
     Allow,          ///< execute now
-    Block,          ///< re-evaluate next cycle (released at the VP)
+    Block,          ///< re-evaluate when the wake fires (released
+                    ///< at the VP)
     AllowInvisible, ///< execute without modifying the cache; the
                     ///< line installs at commit (InvisiSpec-style)
 };
 
+/** A gate decision: the verdict and, for Block, what it depends on.
+ * The wake of any other verdict is ignored. */
+struct Verdict
+{
+    Gate gate = Gate::Allow;
+    GateWake wake;
+};
+
 /**
- * Abstract defense scheme. gateLoad is re-invoked every cycle while an
- * instruction is blocked and still speculative; once the instruction
- * reaches its Visibility Point the pipeline stops asking and issues it.
+ * Abstract defense scheme. While an instruction is blocked and still
+ * speculative, gateLoad is re-invoked whenever the Block verdict's
+ * wake fires; once the instruction reaches its Visibility Point the
+ * pipeline stops asking and issues it.
  */
 class SpeculationPolicy
 {
   public:
     virtual ~SpeculationPolicy() = default;
 
-    /** Decide whether the speculative transmitter may execute. */
-    virtual Gate gateLoad(const SpecContext &ctx) = 0;
-
-    /**
-     * Describe what the Block verdict just returned by gateLoad
-     * depends on (see GateWake). Called by the pipeline immediately
-     * after a Block, with the same context. The default keeps the
-     * legacy every-cycle re-evaluation, so policies that do not
-     * implement the contract behave exactly as before.
-     */
-    virtual GateWake
-    gateWake(const SpecContext &ctx)
-    {
-        (void)ctx;
-        return {};
-    }
+    /** Decide whether the speculative transmitter may execute. A
+     * Block without a wake of its own keeps the default GateWake
+     * (every cycle). */
+    virtual Verdict gateLoad(const SpecContext &ctx) = 0;
 
     /** Scheme name used in reports. */
     virtual const char *name() const = 0;
@@ -244,9 +248,23 @@ class SpeculationPolicy
      */
     virtual void warmAccess(const SpecContext &ctx) { (void)ctx; }
 
+    /**
+     * Which dynamic-update window (if any) is open for @p va in the
+     * context running under @p asid — the leakage ledger's
+     * attribution hook (DESIGN §5.6). Pure lookup. The default (a
+     * scheme without live views) has none open.
+     */
+    virtual LeakWindow
+    updateWindow(Addr va, Asid asid) const
+    {
+        (void)va;
+        (void)asid;
+        return LeakWindow::Baseline;
+    }
+
     /** Stats sink for fence-attribution counters. Virtual so schemes
-     * can resolve cached Counter handles for their hot-path and
-     * GateWake tally counters when the sink attaches. */
+     * can resolve cached Counter handles for their hot-path counters
+     * when the sink attaches. */
     virtual void setStats(StatSet *stats) { stats_ = stats; }
 
   protected:
@@ -257,7 +275,7 @@ class SpeculationPolicy
 class UnsafePolicy : public SpeculationPolicy
 {
   public:
-    Gate gateLoad(const SpecContext &) override { return Gate::Allow; }
+    Verdict gateLoad(const SpecContext &) override { return {}; }
     const char *name() const override { return "unsafe"; }
 };
 

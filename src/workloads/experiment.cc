@@ -185,11 +185,9 @@ Experiment::Experiment(const WorkloadProfile &profile, Scheme scheme,
             // Attribute the stale allow to the dynamic-update window
             // that made it possible. The *active* policy is consulted
             // (PoCs lease replacement policies onto the pipeline).
-            sim::LeakWindow w = sim::LeakWindow::Baseline;
-            if (auto *p = dynamic_cast<core::PerspectivePolicy *>(
-                    cpu_->policy()))
-                w = p->updateWindow(va, asid);
-            return {true, w};
+            const sim::SpeculationPolicy *p = cpu_->policy();
+            return {true, p ? p->updateWindow(va, asid)
+                            : sim::LeakWindow::Baseline};
         });
 
     const kernel::Task &t = ks_->task(mainPid_);

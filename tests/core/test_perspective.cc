@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/perspective.hh"
+#include "kernel/fleet.hh"
 #include "kernel/ownership.hh"
 #include "sim/program.hh"
 
@@ -53,7 +54,7 @@ struct PerspFixture : ::testing::Test
     {
         Gate g = Gate::Block;
         for (int i = 0; i < 5; ++i) {
-            g = pol.gateLoad(c);
+            g = pol.gateLoad(c).gate;
             c.now += 1000;
             c.firstCheck = true;
         }
@@ -69,17 +70,17 @@ TEST_F(PerspFixture, NonKernelAndNonSpeculativeAllowed)
     SpecContext c = ctxFor(prog.func(kf).instAddr(0),
                            directMapVa(5), 1);
     c.kernelMode = false;
-    EXPECT_EQ(pol.gateLoad(c), Gate::Allow);
+    EXPECT_EQ(pol.gateLoad(c).gate, Gate::Allow);
     c.kernelMode = true;
     c.speculative = false;
-    EXPECT_EQ(pol.gateLoad(c), Gate::Allow);
+    EXPECT_EQ(pol.gateLoad(c).gate, Gate::Allow);
 }
 
 TEST_F(PerspFixture, UnregisteredContextBlocks)
 {
     PerspectivePolicy pol(own);
     EXPECT_EQ(pol.gateLoad(ctxFor(prog.func(kf).instAddr(0),
-                                  directMapVa(5), 9)),
+                                  directMapVa(5), 9)).gate,
               Gate::Block);
 }
 
@@ -95,7 +96,7 @@ TEST_F(PerspFixture, DsvAllowsOwnPageBlocksForeign)
     Addr pc = prog.func(kf).instAddr(0);
     // First checks miss the caches (conservative block + fill), then
     // the steady verdict reflects DSV membership.
-    EXPECT_EQ(pol.gateLoad(ctxFor(pc, directMapVa(5), 1)),
+    EXPECT_EQ(pol.gateLoad(ctxFor(pc, directMapVa(5), 1)).gate,
               Gate::Block);
     EXPECT_EQ(steadyGate(pol, ctxFor(pc, directMapVa(5), 1)),
               Gate::Allow);
@@ -208,38 +209,78 @@ TEST_F(PerspFixture, DsvmtOfThrowsForUnregisteredDomain)
     EXPECT_THROW(pol.dsvmtOf(42), std::out_of_range);
 }
 
-TEST_F(PerspFixture, WakePairingTokenTracksBlocks)
+TEST_F(PerspFixture, InFlightIsvFillWakesWhenItLands)
 {
-    // Every Block verdict arms the single-slot wake token; gateWake
-    // consumes it. A gateWake for a context that never blocked (or
-    // after the slot was re-armed by a different load) is the
-    // under-waking bug the debug assert catches.
+    // Two loads in one ISV region: the second first-checks while the
+    // first one's fill is in flight. The entry becomes usable when
+    // that fill lands, so the second load must wake then, not a full
+    // fill latency after its own check.
     PerspectivePolicy pol(own);
     IsvView view(prog);
     view.includeFunction(kf);
     pol.registerContext(1, 3, &view);
     own.assign(5, 3);
-    own.assign(6, 3);
-    Addr pc = prog.func(kf).instAddr(0);
+    const sim::Cycle lat = pol.config().fillLatency;
 
-    std::uint64_t seq0 = pol.wakeSeq();
-    SpecContext a = ctxFor(pc, directMapVa(5), 1);
-    ASSERT_EQ(pol.gateLoad(a), Gate::Block); // cold caches: fill
-    EXPECT_EQ(pol.wakeSeq(), seq0 + 1);
-    EXPECT_TRUE(pol.wakePairingMatches(a));
+    SpecContext a = ctxFor(prog.func(kf).instAddr(0), directMapVa(5), 1);
+    a.now = 0;
+    Verdict first = pol.gateLoad(a);
+    ASSERT_EQ(first.gate, Gate::Block);
+    EXPECT_EQ(first.wake.recheckAt, lat);
 
-    SpecContext b = ctxFor(pc, directMapVa(6), 1);
-    EXPECT_FALSE(pol.wakePairingMatches(b)); // different dataVa
+    SpecContext b = ctxFor(prog.func(kf).instAddr(1), directMapVa(5), 1);
+    b.now = 5;
+    Verdict second = pol.gateLoad(b);
+    ASSERT_EQ(second.gate, Gate::Block);
+    EXPECT_FALSE(second.wake.everyCycle);
+    EXPECT_EQ(second.wake.recheckAt, lat);
+}
 
-    pol.gateWake(a); // paired consume disarms the slot
-    EXPECT_FALSE(pol.wakePairingMatches(a));
+TEST_F(PerspFixture, InFlightDsvFillWakesWhenItLands)
+{
+    // The same for a DSV page: the ISV entry is warm, the page's fill
+    // was started by another load, and the second load wakes when
+    // that fill lands.
+    PerspectivePolicy pol(own);
+    IsvView view(prog);
+    view.includeFunction(kf);
+    pol.registerContext(1, 3, &view);
+    own.assign(5, 3);
+    const sim::Cycle lat = pol.config().fillLatency;
 
-    // The next Block re-arms with a fresh token for its own context.
-    ASSERT_EQ(pol.gateLoad(b), Gate::Block);
-    EXPECT_EQ(pol.wakeSeq(), seq0 + 2);
-    EXPECT_TRUE(pol.wakePairingMatches(b));
-    EXPECT_FALSE(pol.wakePairingMatches(a));
-    pol.gateWake(b);
+    SpecContext warm = ctxFor(prog.func(kf).instAddr(0), directMapVa(5), 1);
+    warm.now = 0;
+    ASSERT_EQ(pol.gateLoad(warm).gate, Gate::Block); // ISV fill only
+
+    SpecContext a = ctxFor(prog.func(kf).instAddr(0), directMapVa(5), 1);
+    a.now = 100;
+    Verdict first = pol.gateLoad(a);
+    ASSERT_EQ(first.gate, Gate::Block);
+    EXPECT_EQ(first.wake.recheckAt, 100 + lat);
+
+    SpecContext b = ctxFor(prog.func(kf).instAddr(1), directMapVa(5), 1);
+    b.now = 105;
+    Verdict second = pol.gateLoad(b);
+    ASSERT_EQ(second.gate, Gate::Block);
+    EXPECT_FALSE(second.wake.everyCycle);
+    EXPECT_EQ(second.wake.recheckAt, 100 + lat);
+}
+
+TEST_F(PerspFixture, UnregisteredBlockCountsOncePerLoad)
+{
+    // perspective.fence.unregistered attributes a blocked load, like
+    // perspective.fence.isv/dsv: once, on its first check, however
+    // often the load is re-evaluated while it stays blocked.
+    PerspectivePolicy pol(own);
+    StatSet stats;
+    pol.setStats(&stats);
+    SpecContext c = ctxFor(prog.func(kf).instAddr(0), directMapVa(5), 9);
+    for (int i = 0; i < 4; ++i) {
+        c.firstCheck = i == 0;
+        EXPECT_EQ(pol.gateLoad(c).gate, Gate::Block);
+        ++c.now;
+    }
+    EXPECT_EQ(stats.get("perspective.fence.unregistered"), 1u);
 }
 
 TEST_F(PerspFixture, BlockedWakeDependsOnIsvEpoch)
@@ -256,7 +297,10 @@ TEST_F(PerspFixture, BlockedWakeDependsOnIsvEpoch)
     SpecContext c = ctxFor(pc, directMapVa(5), 1);
     ASSERT_EQ(steadyGate(pol, c), Gate::Block);
 
-    GateWake w = pol.gateWake(c);
+    c.now = 10'000; // past every fill: the steady ISV verdict
+    Verdict v = pol.gateLoad(c);
+    ASSERT_EQ(v.gate, Gate::Block);
+    const GateWake &w = v.wake;
     EXPECT_FALSE(w.everyCycle);
     bool has_epoch = false;
     for (unsigned i = 0; i < w.numGens; ++i)
@@ -296,16 +340,48 @@ TEST_F(PerspFixture, DeferredRevocationKeepsStaleVerdictUntilApply)
     EXPECT_TRUE(pol.dsvmtOf(3).queryPfn(5));
     SpecContext in_window = ctxFor(pc, directMapVa(5), 1);
     in_window.now = 10200;
-    EXPECT_EQ(pol.gateLoad(in_window), Gate::Allow);
+    EXPECT_EQ(pol.gateLoad(in_window).gate, Gate::Allow);
 
     // Past the apply point the drain lands on the next gate check:
     // mirror refreshed, cached verdict dies, the load blocks.
     SpecContext after = ctxFor(pc, directMapVa(5), 1);
     after.now = 10600;
-    EXPECT_EQ(pol.gateLoad(after), Gate::Block);
+    EXPECT_EQ(pol.gateLoad(after).gate, Gate::Block);
     EXPECT_EQ(pol.pendingRevocations(), 0u);
     EXPECT_FALSE(pol.dsvmtOf(3).queryPfn(5));
     EXPECT_EQ(steadyGate(pol, after), Gate::Block);
+}
+
+TEST_F(PerspFixture, BlockedWakeRechecksWhenTimedUpdatesLand)
+{
+    // A pending revocation lands, and a fleet flip becomes visible, at
+    // the first gate check past a known cycle. Every check reads the
+    // clock for both, so a blocked load must be re-checked by then.
+    own.assign(5, 3);
+    PerspectiveConfig cfg;
+    cfg.revocationLatency = 500;
+    PerspectivePolicy pol(own, cfg);
+    sim::Cycle clock = 10000;
+    pol.setClock(&clock);
+    IsvView view(prog); // kf not included: a steady ISV block
+    pol.registerContext(1, 3, &view);
+    Addr pc = prog.func(kf).instAddr(0);
+    ASSERT_EQ(steadyGate(pol, ctxFor(pc, directMapVa(5), 1)),
+              Gate::Block);
+
+    own.assign(5, 4); // shootdown lands at 10500
+    SpecContext c = ctxFor(pc, directMapVa(5), 1);
+    c.now = 10100;
+    Verdict v = pol.gateLoad(c);
+    ASSERT_EQ(v.gate, Gate::Block);
+    EXPECT_EQ(v.wake.recheckAt, 10500u);
+
+    clock = 10050;
+    sim::Cycle visible = 10050 + pol.fleetTighten(kernel::kFleetBlockUnknown);
+    ASSERT_LT(visible, 10500u);
+    v = pol.gateLoad(c);
+    ASSERT_EQ(v.gate, Gate::Block);
+    EXPECT_EQ(v.wake.recheckAt, visible);
 }
 
 TEST_F(PerspFixture, FlushPendingRevocationsClosesWindowNow)

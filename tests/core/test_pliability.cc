@@ -254,7 +254,7 @@ TEST(Pliability, FleetTightenPropagatesAfterVisibilityLatency)
         c.kernelMode = true;
         c.asid = 1;
         c.now = now;
-        return pol.gateLoad(c);
+        return pol.gateLoad(c).gate;
     };
 
     // Warm the caches to a steady lax Allow.

@@ -32,7 +32,7 @@ class ProbingPolicy : public SpeculationPolicy
   public:
     explicit ProbingPolicy(Pipeline &cpu) : cpu_(cpu) {}
 
-    Gate
+    Verdict
     gateLoad(const SpecContext &ctx) override
     {
         const bool hit = ctx.l1dHit();
@@ -42,7 +42,7 @@ class ProbingPolicy : public SpeculationPolicy
         ++checks;
         hits += hit;
         tainted += ctx.tainted();
-        return Gate::Allow;
+        return {};
     }
 
     const char *name() const override { return "probing"; }

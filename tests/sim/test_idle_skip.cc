@@ -26,15 +26,13 @@ struct Pinned
     std::uint64_t cycles;
     std::uint64_t blockedCycles;
     std::uint64_t gateElided;
-    std::uint64_t policyTally;
     std::uint64_t robSamples;
     double robMean;
     std::uint64_t robMax;
 };
 
 void
-runBlockedFill(SpeculationPolicy &pol, const char *tally,
-               const Pinned &want)
+runBlockedFill(SpeculationPolicy &pol, const Pinned &want)
 {
     Program prog;
     FuncId user = prog.addFunction("main", false);
@@ -61,7 +59,6 @@ runBlockedFill(SpeculationPolicy &pol, const char *tally,
     // load, so some of the skipped ones were charged as blocked.
     EXPECT_GT(cpu.cyclesSkipped(), want.cycles - want.blockedCycles);
     EXPECT_EQ(st.get("gate.elided"), want.gateElided);
-    EXPECT_EQ(st.get(tally), want.policyTally);
     const Histogram &rob = st.histogram("rob_occupancy");
     EXPECT_EQ(rob.count(), want.robSamples);
     EXPECT_DOUBLE_EQ(rob.mean(), want.robMean);
@@ -73,13 +70,11 @@ runBlockedFill(SpeculationPolicy &pol, const char *tally,
 TEST(IdleSkip, FenceBlockedLoadWaitsOutDramFill)
 {
     FencePolicy fence;
-    runBlockedFill(fence, "fence.blocked_checks",
-                   {544, 141, 140, 141, 543, 2.0497237569060776, 5});
+    runBlockedFill(fence, {544, 141, 140, 543, 2.0497237569060776, 5});
 }
 
 TEST(IdleSkip, DomBlockedLoadWaitsOutDramFill)
 {
     DomPolicy dom;
-    runBlockedFill(dom, "dom.blocked_checks",
-                   {544, 141, 140, 141, 543, 2.0497237569060776, 5});
+    runBlockedFill(dom, {544, 141, 140, 543, 2.0497237569060776, 5});
 }

@@ -134,9 +134,6 @@ expectedStats(const std::string &workload, Scheme s)
 {
     std::set<std::string> keys = kBaseStats;
     switch (s) {
-      case Scheme::Fence: keys.insert("fence.blocked_checks"); break;
-      case Scheme::Dom: keys.insert("dom.blocked_checks"); break;
-      case Scheme::Stt: keys.insert("stt.blocked_checks"); break;
       case Scheme::InvisiSpec:
         keys.insert("invisispec.invisible_loads");
         break;
