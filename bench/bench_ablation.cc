@@ -34,7 +34,7 @@ namespace
 {
 
 /** Cell body: run `profile` under Perspective with a bespoke policy
- * config, reporting the custom policy's cache hit rates. */
+ * config; Experiment::run reports the leased policy's lookups. */
 SweepCell
 configCell(const WorkloadProfile &w, core::PerspectiveConfig cfg,
            std::map<std::string, std::string> tags)
@@ -52,10 +52,7 @@ configCell(const WorkloadProfile &w, core::PerspectiveConfig cfg,
         const auto &t = e.kernelState().task(e.mainPid());
         pol.registerContext(t.asid, t.domain, e.isvView());
         e.pipeline().setPolicy(&pol);
-        RunResult r = e.run(cell.iterations, cell.warmup);
-        r.isvCacheHitRate = pol.isvCache().hitRate();
-        r.dsvCacheHitRate = pol.dsvCache().hitRate();
-        return r;
+        return e.run(cell.iterations, cell.warmup);
     };
     return c;
 }

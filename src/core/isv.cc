@@ -1,5 +1,6 @@
 #include "isv.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -48,15 +49,24 @@ IsvView::bitIndex(Addr pc) const
 void
 IsvView::setFunctionBits(FuncId f, bool value)
 {
+    // A function's ops are contiguous in text, so its bits are the
+    // range [lo, hi), clamped to the kernel text span; fill it a word
+    // at a time. Text below the kernel base (user code) has no bits.
     const Function &fn = prog_.func(f);
-    for (std::uint32_t i = 0; i < fn.body.size(); ++i) {
-        std::size_t bit = bitIndex(fn.instAddr(i));
-        if (bit >= numInsts_)
-            continue;
+    if (fn.base < textBase_)
+        return;
+    const std::size_t lo = bitIndex(fn.base);
+    const std::size_t hi = std::min(lo + fn.body.size(), numInsts_);
+    for (std::size_t b = lo; b < hi;) {
+        const std::size_t end = std::min(hi, (b / 64 + 1) * 64);
+        const std::size_t n = end - b;
+        const std::uint64_t mask =
+            (n == 64 ? ~0ull : (1ull << n) - 1) << (b % 64);
         if (value)
-            bits_[bit / 64] |= 1ull << (bit % 64);
+            bits_[b / 64] |= mask;
         else
-            bits_[bit / 64] &= ~(1ull << (bit % 64));
+            bits_[b / 64] &= ~mask;
+        b = end;
     }
 }
 

@@ -250,6 +250,21 @@ PerspectivePolicy::resetDsvmtMruStats()
 }
 
 void
+PerspectivePolicy::resetAccounting()
+{
+    isvCache_.resetAccounting();
+    dsvCache_.resetAccounting();
+    resetDsvmtMruStats();
+}
+
+std::optional<sim::LookupAccounting>
+PerspectivePolicy::accounting() const
+{
+    return sim::LookupAccounting{isvCache_.hitRate(), dsvCache_.hitRate(),
+                                 dsvmtMruHits(), dsvmtMruLookups()};
+}
+
+void
 PerspectivePolicy::setStats(sim::StatSet *stats)
 {
     SpeculationPolicy::setStats(stats);

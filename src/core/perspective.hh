@@ -203,6 +203,10 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     std::uint64_t dsvmtMruLookups() const;
     void resetDsvmtMruStats();
 
+    /** The ISV/DSV cache hit rates and the DSVMT telemetry above. */
+    void resetAccounting() override;
+    std::optional<sim::LookupAccounting> accounting() const override;
+
   private:
     struct Context
     {

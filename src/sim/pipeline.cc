@@ -28,6 +28,15 @@ Pipeline::Pipeline(const Program &prog, Memory &mem,
       stackBase_(kDefaultStackBase)
 {
     rob_.init(params_.robSize);
+    // The side queues hold only live ROB entries (see their
+    // declarations), so the ROB's capacity bounds every one of them.
+    const std::size_t cap = rob_.capacity();
+    storeQ_.init(cap);
+    pendingFences_.init(cap);
+    unresolvedCtls_.init(cap);
+    readyQ_.reserve(cap);
+    frontQ_.reserve(cap);
+    pendingStores_.reserve(cap);
     renameValid_.fill(false);
 
     // Resolve hot-path stat names once; per-cycle code then bumps
@@ -149,14 +158,14 @@ Pipeline::registerDispatch(RobEntry &e)
         RobEntry *p = e.srcProdPtr[s];
         assert(p && p->seq == e.srcProd[s] &&
                "unready operand has a live producer");
-        p->wakeup.push_back({&e, e.seq, s});
+        p->addWake(rob_.slotOf(e) << 1 | s);
     }
     if (e.pendingSrcs == 0)
         readyQ_.emplace_back(e.seq, &e); // youngest: append keeps order
 
     switch (e.op->op) {
       case Op::Store:
-        storeQ_.emplace_back(e.seq, &e);
+        storeQ_.push_back({e.seq, &e});
         pendingStores_.push_back(e.seq);
         break;
       case Op::Fence:
@@ -166,7 +175,7 @@ Pipeline::registerDispatch(RobEntry &e)
         break;
     }
     if (e.isControl)
-        unresolvedCtls_.emplace_back(e.seq, &e);
+        unresolvedCtls_.push_back({e.seq, &e});
 }
 
 void
@@ -181,24 +190,31 @@ Pipeline::enqueueReady(RobEntry &e)
 void
 Pipeline::onComplete(RobEntry &e)
 {
-    for (const RobEntry::WakeEdge &w : e.wakeup) {
-        RobEntry *c = w.consumer;
-        if (c->seq != w.seq || c->srcReady[w.slot])
-            continue; // consumer squashed since registration
-        c->srcVal[w.slot] = e.result;
-        c->srcLeakTaint[w.slot] = e.leakTaint;
-        c->srcReady[w.slot] = true;
-        if (--c->pendingSrcs == 0)
-            enqueueReady(*c);
-    }
-    e.wakeup.clear();
+    // Edge liveness (RobEntry::addWake): a squashed or recycled
+    // consumer slot fails the seq or srcProd test.
+    auto wake = [this, &e](std::uint32_t edge) {
+        RobEntry &c = rob_.slot(edge >> 1);
+        const unsigned s = edge & 1;
+        if (c.seq == RobEntry::kNoSeq || c.srcReady[s] ||
+            c.srcProd[s] != e.seq)
+            return;
+        c.srcVal[s] = e.result;
+        c.srcLeakTaint[s] = e.leakTaint;
+        c.srcReady[s] = true;
+        if (--c.pendingSrcs == 0)
+            enqueueReady(c);
+    };
+    for (unsigned i = 0; i < e.numWakes; ++i)
+        wake(e.wakeInline[i]);
+    for (std::uint32_t edge : e.wakeOverflow)
+        wake(edge);
+    e.numWakes = 0;
+    e.wakeOverflow.clear();
     if (e.op->op == Op::Fence) {
-        auto it = std::lower_bound(pendingFences_.begin(),
-                                   pendingFences_.end(), e.seq);
-        if (it != pendingFences_.end() && *it == e.seq) {
-            pendingFences_.erase(it);
-            ++memGen_;
-        }
+        // Issued at the ROB head, so no older fence is pending.
+        assert(!pendingFences_.empty() &&
+               pendingFences_.front() == e.seq);
+        pendingFences_.pop_front();
     }
 }
 
@@ -321,27 +337,51 @@ Pipeline::execLatency(const RobEntry &e)
     }
 }
 
+std::uint64_t
+Pipeline::memFront() const
+{
+    // Memory disambiguation (conservative) and fence ordering: an
+    // older not-yet-Done fence or an older store whose address is
+    // still unknown stalls a load. Both lists are seq-sorted, so the
+    // oldest blocker is at a front.
+    std::uint64_t f = RobEntry::kNoSeq;
+    if (!pendingFences_.empty())
+        f = pendingFences_.front();
+    if (!pendingStores_.empty())
+        f = std::min(f, pendingStores_.front());
+    return f;
+}
+
+std::uint64_t
+Pipeline::unparkLoads(std::size_t from)
+{
+    // The parked loads memFront() has passed are a prefix of frontQ_.
+    // Merge them into readyQ_[from, end) from the back, in place:
+    // readyQ_ grows into its reserved capacity, no buffer is needed.
+    const std::uint64_t front = memFront();
+    std::size_t k = 0;
+    while (k < frontQ_.size() && frontQ_[k].first < front)
+        ++k;
+    if (k == 0)
+        return front;
+    std::size_t a = readyQ_.size(), b = k, w = a + k;
+    readyQ_.resize(w);
+    while (b > 0) {
+        if (a > from && readyQ_[a - 1].first > frontQ_[b - 1].first)
+            readyQ_[--w] = readyQ_[--a];
+        else
+            readyQ_[--w] = frontQ_[--b];
+    }
+    frontQ_.erase(frontQ_.begin(), frontQ_.begin() + k);
+    return front;
+}
+
 bool
 Pipeline::tryIssueLoad(RobEntry &e)
 {
-    if (!e.addrValid) {
-        Addr base = e.op->src1 != kNoReg ? e.srcVal[0] : 0;
-        e.effAddr = base + static_cast<std::uint64_t>(e.op->imm);
-        e.addrValid = true;
-    }
-
-    // Memory disambiguation (conservative) and fence ordering, O(1):
-    // an older not-yet-Done fence or an older store whose address is
-    // still unknown stalls the load. pendingFences_/pendingStores_
-    // are seq-sorted, so the oldest blocker is at the front.
-    if (!pendingFences_.empty() && pendingFences_.front() < e.seq) {
-        e.memGen = memGen_;
-        return false;
-    }
-    if (!pendingStores_.empty() && pendingStores_.front() < e.seq) {
-        e.memGen = memGen_;
-        return false;
-    }
+    assert(e.seq < memFront() && "only loads past the front are tried");
+    Addr base = e.op->src1 != kNoReg ? e.srcVal[0] : 0;
+    e.effAddr = base + static_cast<std::uint64_t>(e.op->imm);
 
     // Store-to-load forwarding: every older store has a resolved
     // address now; the youngest same-address one (the last match the
@@ -349,15 +389,20 @@ Pipeline::tryIssueLoad(RobEntry &e)
     bool forwarded = false;
     std::uint64_t fwd_val = 0;
     std::uint64_t fwd_taint = 0;
-    auto it = std::lower_bound(
-        storeQ_.begin(), storeQ_.end(), e.seq,
-        [](const auto &p, std::uint64_t s) { return p.first < s; });
-    while (it != storeQ_.begin()) {
-        --it;
-        if (it->second->effAddr == e.effAddr) {
+    std::size_t lo = 0, hi = storeQ_.size();
+    while (lo < hi) { // first store not older than the load
+        std::size_t mid = (lo + hi) / 2;
+        if (storeQ_[mid].first < e.seq)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    while (lo-- > 0) {
+        const RobEntry &st = *storeQ_[lo].second;
+        if (st.effAddr == e.effAddr) {
             forwarded = true;
-            fwd_val = it->second->result;
-            fwd_taint = it->second->srcLeakTaint[1];
+            fwd_val = st.result;
+            fwd_taint = st.srcLeakTaint[1];
             break;
         }
     }
@@ -500,10 +545,10 @@ Pipeline::squashAfter(std::uint64_t seq)
             c.pop_back();
     };
     chopPairs(readyQ_);
+    chopPairs(frontQ_);
     chopPairs(storeQ_);
     chopSeqs(pendingStores_);
     chopSeqs(pendingFences_);
-    ++memGen_; // chopped fronts may have receded
     chopPairs(unresolvedCtls_);
     // eventQ_ entries for squashed seqs are dropped lazily on pop.
 
@@ -593,7 +638,7 @@ Pipeline::resolveControl(RobEntry &e)
             fr.retIdx = e.idx + 1;
             fr.slotVa =
                 stackBase_ - 8 * (fetch_.stack.size() + 1);
-            fetch_.stack.push_back(fr);
+            fetch_.stack.push_back(fr, stackPool_);
             rsb_.push({e.func, e.idx + 1});
             fetch_.func = actual;
             fetch_.idx = 0;
@@ -748,14 +793,12 @@ Pipeline::tryIssue(RobEntry &e)
     if (e.op->op == Op::Store) {
         Addr base = e.op->src1 != kNoReg ? e.srcVal[0] : 0;
         e.effAddr = base + static_cast<std::uint64_t>(e.op->imm);
-        e.addrValid = true;
         e.result = e.srcVal[1];
         // Address now resolved: younger loads may disambiguate.
         auto it = std::lower_bound(pendingStores_.begin(),
                                    pendingStores_.end(), e.seq);
         assert(it != pendingStores_.end() && *it == e.seq);
         pendingStores_.erase(it);
-        ++memGen_;
     } else if (e.op->op == Op::IntAlu || e.op->op == Op::IntMul) {
         e.result = evalAlu(e);
         e.leakTaint = e.srcLeakTaint[0] | e.srcLeakTaint[1];
@@ -814,19 +857,39 @@ Pipeline::doExecute()
     }
 
     // 2) Issue: walk the ready queue (seq order, like the ROB scan)
-    // and compact out the entries that issued. A policy-blocked
-    // entry whose wake conditions all held still is not re-gated;
-    // the elided call's blocked cycle is still charged, so the stats
-    // are bit-identical to the every-cycle re-evaluation. Once the
-    // issue width is consumed, nothing downstream is attempted —
-    // the legacy scan short-circuited the same way. The elided count
-    // and earliest recheck cycle feed skipIdleCycles.
+    // and compact out the entries that issued or parked. A
+    // policy-blocked entry whose wake conditions all held still is
+    // not re-gated; the elided call's blocked cycle is still charged,
+    // so the stats are bit-identical to the every-cycle
+    // re-evaluation. Once the issue width is consumed, nothing
+    // downstream is attempted — the legacy scan short-circuited the
+    // same way. The elided count and earliest recheck cycle feed
+    // skipIdleCycles.
+    //
+    // A load behind the fence/store front parks in frontQ_ instead
+    // of being retried each cycle. The front check precedes every
+    // other issue consideration and a failed one has no side
+    // effects, and the front only recedes, so a retry can succeed
+    // only once the front has passed the load. Only a fence
+    // completion or a squash (both above) or a store issue (below)
+    // moves it, so the walk unparks at its start and after each
+    // store issue, and a load issues in the cycle an every-cycle
+    // retry would have issued it. Parking is not activity: a cycle
+    // that only parks is idle for skipIdleCycles.
     unsigned issues = 0;
     std::size_t keep = 0;
     idleElided_ = 0;
     idleRecheckAt_ = 0;
+    std::uint64_t front = unparkLoads(0);
     for (std::size_t i = 0; i < readyQ_.size(); ++i) {
-        RobEntry &e = *readyQ_[i].second;
+        const auto slot = readyQ_[i];
+        RobEntry &e = *slot.second;
+        if (e.seq > front && e.op->op == Op::Load) {
+            frontQ_.insert(std::upper_bound(frontQ_.begin(),
+                                            frontQ_.end(), slot),
+                           slot);
+            continue;
+        }
         if (issues < params_.width) {
             if (e.state == EState::Blocked && !gateWakeDue(e)) {
                 ctrBlockedCycles_.inc();
@@ -836,24 +899,18 @@ Pipeline::doExecute()
                     (idleRecheckAt_ == 0 ||
                      e.wakeRecheckAt < idleRecheckAt_))
                     idleRecheckAt_ = e.wakeRecheckAt;
-                readyQ_[keep++] = readyQ_[i];
-                continue;
-            }
-            if (e.memGen == memGen_) {
-                // Still behind the same fence/store front. The front
-                // checks precede every other issue consideration and
-                // a failed front attempt has no side effects, so the
-                // retry is pure: same fronts, same false result.
-                readyQ_[keep++] = readyQ_[i];
+                readyQ_[keep++] = slot;
                 continue;
             }
             busy = true;
             if (tryIssue(e)) {
                 ++issues;
+                if (e.op->op == Op::Store)
+                    front = unparkLoads(i + 1);
                 continue;
             }
         }
-        readyQ_[keep++] = readyQ_[i];
+        readyQ_[keep++] = slot;
     }
     readyQ_.resize(keep);
     return busy;
@@ -912,6 +969,7 @@ Pipeline::doFetch()
 
         // Recycled ring slot, filled in place — no move, no malloc.
         RobEntry &e = rob_.pushSlot();
+        e.reset();
         e.seq = nextSeq_++;
         e.func = fetch_.func;
         e.idx = fetch_.idx;
@@ -967,7 +1025,7 @@ Pipeline::doFetch()
             fr.retIdx = fetch_.idx + 1;
             fr.slotVa = stackBase_ - 8 * (fetch_.stack.size() + 1);
             e.effAddr = fr.slotVa;
-            fetch_.stack.push_back(fr);
+            fetch_.stack.push_back(fr, stackPool_);
             rsb_.push({fr.func, fr.retIdx});
             const Function &callee = prog_.func(op.callee);
             if (callee.kernel && !f.kernel) {
@@ -1006,7 +1064,7 @@ Pipeline::doFetch()
                 fr.slotVa =
                     stackBase_ - 8 * (fetch_.stack.size() + 1);
                 e.effAddr = fr.slotVa;
-                fetch_.stack.push_back(fr);
+                fetch_.stack.push_back(fr, stackPool_);
                 rsb_.push({fr.func, fr.retIdx});
                 fetch_.func = pred;
                 fetch_.idx = 0;
@@ -1169,6 +1227,7 @@ Pipeline::run(FuncId entry)
     halted_ = false;
     rob_.clear();
     readyQ_.clear();
+    frontQ_.clear();
     eventQ_.clear(now_ + 1); // first drain happens at now_ + 1
     storeQ_.clear();
     pendingStores_.clear();

@@ -28,10 +28,8 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -203,44 +201,147 @@ class Pipeline
         Addr slotVa = 0; ///< stack slot holding the return address
     };
 
+    class StackPool;
+
     /**
      * Immutable, structurally shared call stack (a persistent cons
      * list). Every control op checkpoints the fetch path's stack into
      * its ROB entry (RobEntry::stackCkpt); with a plain vector that
      * deep-copied every frame per checkpoint and per squash restore.
-     * Here checkpoint and restore are one shared_ptr copy, push is a
-     * single node allocation sharing the whole tail, and pop is a
+     * Here checkpoint and restore are one reference-count bump, push
+     * links a single node sharing the whole tail, and pop is a
      * pointer step — nothing is ever cloned, and frozen snapshots
      * stay valid through any later mutation because nodes are
-     * immutable once linked.
+     * immutable once linked. Nodes come from the owning Pipeline's
+     * StackPool and carry plain (non-atomic) counts: a Pipeline runs
+     * on one thread, and a warmed pool allocates nothing.
      */
     class CowStack
     {
       public:
+        CowStack() = default;
+        CowStack(const CowStack &o) : pool_(o.pool_), top_(o.top_)
+        {
+            if (top_)
+                ++top_->refs;
+        }
+        CowStack(CowStack &&o) noexcept
+            : pool_(o.pool_), top_(std::exchange(o.top_, nullptr))
+        {
+        }
+        CowStack &
+        operator=(const CowStack &o)
+        {
+            if (o.top_)
+                ++o.top_->refs; // before release: self-assignment
+            release();
+            pool_ = o.pool_;
+            top_ = o.top_;
+            return *this;
+        }
+        CowStack &
+        operator=(CowStack &&o) noexcept
+        {
+            if (this != &o) {
+                release();
+                pool_ = o.pool_;
+                top_ = std::exchange(o.top_, nullptr);
+            }
+            return *this;
+        }
+        ~CowStack() { release(); }
+
         std::size_t size() const { return top_ ? top_->depth : 0; }
         bool empty() const { return !top_; }
         const Frame &back() const { return top_->frame; }
 
+        /** The new node takes over this handle's reference to the
+         * old top. */
         void
-        push_back(const Frame &f)
+        push_back(const Frame &f, StackPool &pool)
         {
-            top_ = std::make_shared<const Node>(
-                Node{f, top_, size() + 1});
+            assert((!pool_ || pool_ == &pool) && "one pool per stack");
+            pool_ = &pool;
+            top_ = pool.make(f, top_, static_cast<std::uint32_t>(size() + 1));
         }
 
-        void pop_back() { top_ = top_->prev; }
+        void
+        pop_back()
+        {
+            Node *prev = top_->prev;
+            if (prev)
+                ++prev->refs;
+            release();
+            top_ = prev;
+        }
 
       private:
+        friend class StackPool;
         struct Node
         {
             Frame frame;
-            std::shared_ptr<const Node> prev;
-            std::size_t depth;
+            Node *prev;
+            std::uint32_t depth;
+            std::uint32_t refs;
         };
 
-        /** Null = empty; depth is capped by real kernel call depth,
-         * so chain destruction cannot recurse deeply. */
-        std::shared_ptr<const Node> top_;
+        /** Drop this handle's reference; frees every node it was the
+         * last holder of, iteratively (no recursion on long chains). */
+        void
+        release()
+        {
+            Node *n = std::exchange(top_, nullptr);
+            while (n && --n->refs == 0) {
+                Node *prev = n->prev;
+                pool_->free(n);
+                n = prev;
+            }
+        }
+
+        StackPool *pool_ = nullptr; ///< set by the first push
+        Node *top_ = nullptr;       ///< null = empty
+    };
+
+    /** CowStack node allocator: fixed chunks threaded onto a free
+     * list. Chunks are freed only with the pool, which the Pipeline
+     * declares before every CowStack it owns. */
+    class StackPool
+    {
+      public:
+        using Node = CowStack::Node;
+
+        Node *
+        make(const Frame &f, Node *prev, std::uint32_t depth)
+        {
+            if (!free_)
+                grow();
+            Node *n = free_;
+            free_ = n->prev;
+            *n = Node{f, prev, depth, 1};
+            return n;
+        }
+
+        void
+        free(Node *n)
+        {
+            n->prev = free_;
+            free_ = n;
+        }
+
+      private:
+        static constexpr std::size_t kChunk = 64;
+
+        void
+        grow()
+        {
+            chunks_.push_back(std::make_unique<Node[]>(kChunk));
+            Node *c = chunks_.back().get();
+            for (std::size_t i = 0; i < kChunk; ++i)
+                free(&c[i]);
+        }
+
+        std::vector<std::unique_ptr<Node[]>> chunks_;
+        Node *free_ = nullptr;
     };
 
     /** Front-end state: where fetch is and the path's call stack. */
@@ -280,8 +381,8 @@ class Pipeline
         // from the architectural file at dispatch).
         static constexpr std::uint64_t kNoSeq = ~0ull;
         std::array<std::uint64_t, 2> srcProd = {kNoSeq, kNoSeq};
-        /** Producer entries resolved at capture time (deque references
-         * are stable), consumed by registerDispatch in the same cycle
+        /** Producer entries resolved at capture time (ROB ring slots
+         * never move), consumed by registerDispatch in the same cycle
          * so dispatch never searches the ROB by seq. */
         std::array<RobEntry *, 2> srcProdPtr = {nullptr, nullptr};
         std::array<std::uint64_t, 2> srcVal = {0, 0};
@@ -313,34 +414,40 @@ class Pipeline
             wakeGen{};
         std::array<std::uint64_t, GateWake::kMaxGens> wakeGenSeen{};
 
-        /** memGen_ snapshot from the last issue attempt that failed
-         * on the fence/store fronts; while it still matches, the
-         * retry is elided (its outcome could not have changed). */
-        std::uint64_t memGen = 0;
-
         /** Unready source-operand count; 0 = issue candidate. */
         std::uint8_t pendingSrcs = 0;
-        /** One registered consumer wakeup. Ring slots are permanent,
-         * so the pointer stays dereferenceable forever; `seq` is the
-         * consumer's seq at registration and doubles as the liveness
-         * check — a squashed consumer has its seq invalidated (see
-         * squashAfter) and a recycled slot carries a different seq,
-         * so `consumer->seq != seq` exactly replaces the old
-         * ROB-search miss. Committed consumers cannot appear here:
-         * an entry with a pending operand cannot complete, and its
-         * producer fires the edge the moment it does. */
-        struct WakeEdge
+        /**
+         * Consumers to wake when this entry completes, one edge
+         * `(consumer ROB slot << 1) | operand` each: the first
+         * kInlineWakes inline, the rest in wakeOverflow (which keeps
+         * its capacity across slot reuse). An edge is live iff the
+         * consumer slot's seq is not kNoSeq, that operand is still
+         * unready and its srcProd is this entry's seq. The seq test
+         * is required: a squashed slot keeps its dead occupant's
+         * srcProd until reuse (squashAfter invalidates only the
+         * seq). A recycled slot whose new occupant waits on this same
+         * producer and operand is exactly the consumer to wake, and
+         * the unready test fires it once even if both occupants'
+         * edges are listed. Committed consumers cannot appear: an
+         * entry with a pending operand cannot complete, and its
+         * producer fires the edge the moment it does.
+         */
+        static constexpr unsigned kInlineWakes = 4;
+        std::uint8_t numWakes = 0; ///< inline edges in use
+        std::array<std::uint32_t, kInlineWakes> wakeInline{};
+        std::vector<std::uint32_t> wakeOverflow;
+
+        void
+        addWake(std::uint32_t edge)
         {
-            RobEntry *consumer;
-            std::uint64_t seq;
-            unsigned slot;
-        };
-        /** Consumers to wake when this entry completes. */
-        std::vector<WakeEdge> wakeup;
+            if (numWakes < kInlineWakes)
+                wakeInline[numWakes++] = edge;
+            else
+                wakeOverflow.push_back(edge);
+        }
 
         // Memory ops.
         Addr effAddr = 0;
-        bool addrValid = false;
 
         // Control ops.
         bool isControl = false;
@@ -359,7 +466,7 @@ class Pipeline
          * stage. Skipped fields are written before they can be read
          * on every path:
          *  - seq/func/idx/pc/op/kernel/isControl/dispatchCycle: set
-         *    by the dispatcher immediately after pushSlot();
+         *    by the dispatcher immediately after reset();
          *  - srcProd/srcProdPtr/srcVal/srcReady/srcReg/srcLeakTaint:
          *    captureOperand covers both slots in every dispatch case
          *    (and zeroes the leak taint on architectural reads);
@@ -374,7 +481,8 @@ class Pipeline
          *    through captureGateWake. */
         void reset()
         {
-            wakeup.clear();   // keeps its allocation
+            numWakes = 0;
+            wakeOverflow.clear(); // keeps its allocation
             stackCkpt = {};   // unpin the checkpointed stack nodes
             state = EState::Waiting;
             resolved = false;
@@ -384,22 +492,21 @@ class Pipeline
             invisible = false;
             tainted = false;
             taintCycle = 0;
-            memGen = 0;
             leakTaint = 0;
             leakSrcBit = LeakLedger::kNoSource;
             effAddr = 0;
-            addrValid = false;
         }
     };
 
-    /** Fixed-capacity ROB ring. The deque it replaces allocated one
-     * chunk per entry (RobEntry is near the chunk threshold), i.e.
-     * one malloc/free per dispatched micro-op; the ring's slots are
-     * permanent, recycled in place, and their wakeup vectors keep
-     * their capacity across reuse. Slot addresses never change, so
-     * the pointer-stability contract renameProd_/srcProdPtr rely on
-     * carries over unchanged. */
-    class RobRing
+    /**
+     * Fixed-capacity FIFO over a power-of-two slot array. Slots are
+     * permanent and recycled in place: element addresses never change
+     * (the contract renameProd_, srcProdPtr, wake edges and events
+     * rely on) and a ring allocates only in init(). Backs the ROB and
+     * the seq-ordered side queues, each of which holds only live ROB
+     * entries and so never outgrows the ROB's capacity.
+     */
+    template <class T> class Ring
     {
       public:
         void init(std::size_t capacity)
@@ -414,24 +521,18 @@ class Pipeline
         }
         bool empty() const { return count_ == 0; }
         std::size_t size() const { return count_; }
-        RobEntry &front() { return slots_[head_ & mask_]; }
-        RobEntry &back()
+        std::size_t capacity() const { return slots_.size(); }
+        T &front() { return slots_[head_ & mask_]; }
+        const T &front() const { return slots_[head_ & mask_]; }
+        T &back() { return slots_[(head_ + count_ - 1) & mask_]; }
+        T &operator[](std::size_t i) { return slots_[(head_ + i) & mask_]; }
+        /** Append by recycling the tail slot in place. */
+        T &pushSlot()
         {
-            return slots_[(head_ + count_ - 1) & mask_];
+            assert(count_ <= mask_ && "ring overflow");
+            return slots_[(head_ + count_++) & mask_];
         }
-        RobEntry &operator[](std::size_t i)
-        {
-            return slots_[(head_ + i) & mask_];
-        }
-        /** Append: recycle the tail slot in place and return it. */
-        RobEntry &pushSlot()
-        {
-            assert(count_ <= mask_ && "ROB ring overflow");
-            RobEntry &e = slots_[(head_ + count_) & mask_];
-            ++count_;
-            e.reset();
-            return e;
-        }
+        void push_back(const T &v) { pushSlot() = v; }
         void pop_front()
         {
             ++head_;
@@ -443,9 +544,15 @@ class Pipeline
             head_ = 0;
             count_ = 0;
         }
+        /** Permanent slot index of an element, and its inverse. */
+        std::uint32_t slotOf(const T &e) const
+        {
+            return static_cast<std::uint32_t>(&e - slots_.data());
+        }
+        T &slot(std::uint32_t i) { return slots_[i]; }
 
       private:
-        std::vector<RobEntry> slots_;
+        std::vector<T> slots_;
         std::size_t head_ = 0, mask_ = 0, count_ = 0;
     };
 
@@ -475,6 +582,8 @@ class Pipeline
     void captureOperand(RobEntry &e, unsigned slot, RegId reg);
     Cycle execLatency(const RobEntry &e);
     bool tryIssueLoad(RobEntry &e);
+    std::uint64_t memFront() const;
+    std::uint64_t unparkLoads(std::size_t from);
     void applyCommit(RobEntry &e);
     void noteFenceStallEnd(const RobEntry &e);
     void recordSpan(trace::Flag flag, const RobEntry &e, Cycle start,
@@ -484,7 +593,7 @@ class Pipeline
      * Called after an idle cycle: one that committed, completed,
      * issued, tried and dispatched nothing. Every ready-queue entry
      * was then a policy-blocked load whose wake conditions all held
-     * still, or a load behind an unchanged fence/store front, and
+     * still (loads behind the fence/store front wait in frontQ_), and
      * every following cycle repeats this one until a time-bound
      * source fires: the next completion event, the fetch stall's
      * end, a blocked load's recheck cycle or a scheduled callback.
@@ -580,14 +689,18 @@ class Pipeline
 
     std::array<std::uint64_t, kNumRegs> regs_{};
 
+    /** Node pool of every CowStack below (fetch_.stack and the ROB
+     * slots' checkpoints): declared first, destroyed last. */
+    StackPool stackPool_;
+
     // ROB as a fixed-capacity ring (capacity = params_.robSize
     // rounded up to a power of two, set once in the constructor).
-    RobRing rob_;
+    Ring<RobEntry> rob_;
     std::uint64_t nextSeq_ = 0;
     std::array<std::uint64_t, kNumRegs> renameMap_{};
     /** Producer entry per renamed register (valid iff renameValid_);
-     * deque references are stable until the entry commits or is
-     * squashed, and both paths repair the map. */
+     * ROB ring slots never move, and the commit and squash paths
+     * repair the map before a slot is recycled. */
     std::array<RobEntry *, kNumRegs> renameProd_{};
     std::array<bool, kNumRegs> renameValid_{};
 
@@ -608,13 +721,6 @@ class Pipeline
      * wake source of every blocked load (VP release, `speculative`
      * flips, STT taint clears — all tied to horizon movement). */
     std::uint64_t horizonGen_ = 0;
-    /** Ticks whenever the fence/store fronts can recede: a store
-     * issues (leaves pendingStores_), a fence completes (leaves
-     * pendingFences_), or a squash chops either deque. A load that
-     * failed its front checks at generation g fails them at every
-     * retry until memGen_ != g, so those retries are elided. Starts
-     * at 1 so a fresh entry's memGen (0) never matches. */
-    std::uint64_t memGen_ = 1;
 
     // Descriptor of the function fetch is in; re-resolved only when
     // fetch_.func changes.
@@ -647,18 +753,24 @@ class Pipeline
     SamplingEstimator sampler_;
 
     // -- incremental scheduling structures --------------------------------
-    // All are keyed/sorted by seq; RobEntry pointers are stable (the
-    // deque never relocates survivors) and every structure drops its
-    // suffix on squash and the affected front entries on commit, so
-    // no structure ever holds a pointer to a popped entry.
+    // All are keyed/sorted by seq; RobEntry pointers are stable (ring
+    // slots never move) and every structure drops its suffix on
+    // squash and the affected front entries on commit, so no
+    // structure ever holds a pointer to a popped entry. Each holds
+    // only live ROB entries, so none outgrows the ROB; the vectors
+    // are reserved to the ROB's capacity up front.
 
     /** Issue candidates (Waiting with ready operands, or Blocked),
-     * sorted by seq. Entries leave only by issuing or by squash;
-     * conflict-stalled entries are re-attempted every cycle, exactly
-     * like the full-ROB scan did. Policy-blocked entries are only
-     * re-gated when a wake condition holds (see GateWake); an
-     * elided cycle is still charged as blocked. */
+     * sorted by seq. Entries leave by issuing, by parking in frontQ_
+     * or by squash; conflict-stalled entries are re-attempted every
+     * cycle, exactly like the full-ROB scan did. Policy-blocked
+     * entries are only re-gated when a wake condition holds (see
+     * GateWake); an elided cycle is still charged as blocked. */
     std::vector<std::pair<std::uint64_t, RobEntry *>> readyQ_;
+    /** Ready loads parked behind the fence/store front (an older
+     * unissued store or not-Done fence), sorted by seq. They rejoin
+     * readyQ_ once memFront() has passed them (unparkLoads). */
+    std::vector<std::pair<std::uint64_t, RobEntry *>> frontQ_;
 
     /** Completion calendar: a ring of per-cycle seq buckets plus a
      * (practically unused) sorted overflow list for events beyond
@@ -675,8 +787,9 @@ class Pipeline
     {
       public:
         /** One completion event: the issued entry's seq (liveness
-         * check, same contract as RobEntry::WakeEdge) plus its
-         * permanent ring slot, so firing never searches the ROB. */
+         * check: a squashed entry's slot reads kNoSeq or a newer
+         * seq) plus its permanent ring slot, so firing never
+         * searches the ROB. */
         struct Ev
         {
             std::uint64_t seq;
@@ -814,15 +927,24 @@ class Pipeline
     EventRing eventQ_;
 
     /** All in-flight stores (dispatch to commit), seq order. */
-    std::deque<std::pair<std::uint64_t, RobEntry *>> storeQ_;
-    /** Seqs of stores that have not issued yet (address unknown). */
+    Ring<std::pair<std::uint64_t, RobEntry *>> storeQ_;
+    /** Seqs of stores that have not issued yet (address unknown);
+     * stores issue out of order, so this one erases mid-vector. */
     std::vector<std::uint64_t> pendingStores_;
-    /** Seqs of fences that are not Done yet. */
-    std::deque<std::uint64_t> pendingFences_;
+    /** Seqs of fences that are not Done yet. A fence issues only at
+     * the ROB head, so the completing fence is always the front. */
+    Ring<std::uint64_t> pendingFences_;
     /** Dispatched control ops as (seq, permanent ring slot);
      * resolved/dead fronts are popped lazily by horizonSeq(), which
-     * validates the slot by seq instead of searching the ROB. */
-    std::deque<std::pair<std::uint64_t, RobEntry *>> unresolvedCtls_;
+     * validates the slot by seq instead of searching the ROB. Every
+     * entry behind a live front is a live ROB entry (committed ones
+     * are popped before each cycle's dispatch), so the ROB's capacity
+     * bounds it too. */
+    Ring<std::pair<std::uint64_t, RobEntry *>> unresolvedCtls_;
+
+    /** Frames called inside a functional phase (PhaseHooks), reused
+     * across phases so a warmed pipeline's phases allocate nothing. */
+    std::vector<Frame> phaseFrames_;
 
     /** Mid-run kernel events (scheduleAt), fired by the run loop
      * once now_ reaches their cycle. Unsorted — the list is tiny

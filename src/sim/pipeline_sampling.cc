@@ -115,7 +115,7 @@ struct Pipeline::PhaseHooks : FunctionalHooks
 {
     Pipeline &p;
     SpeculationPolicy &pol;
-    std::vector<Frame> frames;
+    std::vector<Frame> &frames; ///< Pipeline::phaseFrames_, emptied
 
     void
     fetch(const Function &fn, std::uint32_t idx)
@@ -223,7 +223,8 @@ Pipeline::functionalAdvance(std::uint64_t budget, SpeculationPolicy &pol)
     // nothing here is ever classified by the leakage ledger
     // (classification requires speculation). The committed counters
     // are bumped once, when the phase returns.
-    PhaseHooks<kWarm> hooks{{}, *this, pol, {}};
+    phaseFrames_.clear();
+    PhaseHooks<kWarm> hooks{{}, *this, pol, phaseFrames_};
     FunctionalResult r = runFunctional(prog_, mem_, regs_, fetch_.func,
                                        fetch_.idx, budget, hooks);
     if (r.returned) {
@@ -234,8 +235,8 @@ Pipeline::functionalAdvance(std::uint64_t budget, SpeculationPolicy &pol)
     }
     ctrCommitted_.inc(r.uops);
     ctrCommittedKernel_.inc(r.kernelUops);
-    for (const Frame &fr : hooks.frames)
-        fetch_.stack.push_back(fr);
+    for (const Frame &fr : phaseFrames_)
+        fetch_.stack.push_back(fr, stackPool_);
 }
 
 } // namespace perspective::sim

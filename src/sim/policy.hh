@@ -12,6 +12,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 
 #include "leakage.hh"
 #include "stats.hh"
@@ -174,6 +175,16 @@ struct Verdict
     GateWake wake;
 };
 
+/** A scheme's lookup-structure accounting over a measured phase
+ * (Perspective's ISV/DSV caches and DSVMT walks). */
+struct LookupAccounting
+{
+    double isvHitRate = 0;
+    double dsvHitRate = 0;
+    std::uint64_t dsvmtMruHits = 0;
+    std::uint64_t dsvmtMruLookups = 0;
+};
+
 /**
  * Abstract defense scheme. While an instruction is blocked and still
  * speculative, gateLoad is re-invoked whenever the Block verdict's
@@ -260,6 +271,23 @@ class SpeculationPolicy
         (void)va;
         (void)asid;
         return LeakWindow::Baseline;
+    }
+
+    /**
+     * Zero the scheme's lookup accounting without evicting anything
+     * (cached entries survive) — the warmup/measured boundary. Like
+     * updateWindow, this is asked of the *active* policy, so a
+     * policy leased onto the pipeline reports its own lookups. The
+     * default (no scheme-owned lookup structures) has none.
+     */
+    virtual void resetAccounting() {}
+
+    /** The lookup accounting since resetAccounting(); nullopt for a
+     * scheme without lookup structures. */
+    virtual std::optional<LookupAccounting>
+    accounting() const
+    {
+        return std::nullopt;
     }
 
     /** Stats sink for fence-attribution counters. Virtual so schemes

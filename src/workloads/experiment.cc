@@ -301,10 +301,11 @@ Experiment::run(unsigned iterations, unsigned warmup)
         runRequestOnPipeline();
 
     // Warmup must leave the microarchitectural state warm but the
-    // accounting cold: zero every stat counter and the ISV/DSV
-    // cache hit/miss bookkeeping (cached entries survive) so the
-    // result — including the StatSet snapshot it carries and the
-    // cache hit rates — covers only measured work.
+    // accounting cold: zero every stat counter and the lookup
+    // bookkeeping of the pipeline's active policy (cells may lease
+    // their own; cached entries survive) so the result — including
+    // the StatSet snapshot it carries and the cache hit rates —
+    // covers only measured work.
     sim::StatSet &st = cpu_->stats();
     st.clear();
     cpu_->leakLedger().reset();
@@ -312,11 +313,9 @@ Experiment::run(unsigned iterations, unsigned warmup)
     // just cleared; re-anchoring also opens the measured phase with a
     // fresh detailed window and an empty estimator.
     cpu_->resetSampling();
-    if (perspective_) {
-        perspective_->isvCache().resetAccounting();
-        perspective_->dsvCache().resetAccounting();
-        perspective_->resetDsvmtMruStats();
-    }
+    sim::SpeculationPolicy *pol = cpu_->policy();
+    if (pol)
+        pol->resetAccounting();
 
     RunResult out;
     for (unsigned i = 0; i < iterations; ++i) {
@@ -328,13 +327,13 @@ Experiment::run(unsigned iterations, unsigned warmup)
     out.fences = st.get("fences");
     out.isvFences = st.get("perspective.fence.isv");
     out.dsvFences = st.get("perspective.fence.dsv");
-    if (perspective_) {
-        out.isvCacheHitRate = perspective_->isvCache().hitRate();
-        out.dsvCacheHitRate = perspective_->dsvCache().hitRate();
+    if (auto a = pol ? pol->accounting() : std::nullopt) {
+        out.isvCacheHitRate = a->isvHitRate;
+        out.dsvCacheHitRate = a->dsvHitRate;
         // DSVMT-walk MRU-granule telemetry rides along in the cell
         // stats so sweeps (and bench_report) can report it.
-        st.inc("dsvmt.mru.hits", perspective_->dsvmtMruHits());
-        st.inc("dsvmt.mru.lookups", perspective_->dsvmtMruLookups());
+        st.inc("dsvmt.mru.hits", a->dsvmtMruHits);
+        st.inc("dsvmt.mru.lookups", a->dsvmtMruLookups);
     }
     out.stats = st;
     out.leakage = cpu_->leakLedger().summary();

@@ -192,3 +192,90 @@ TEST(Audit, ApplyAuditExcludesVulnerable)
     EXPECT_FALSE(v.containsFunction(entry));
     EXPECT_FALSE(v.containsFunction(gadget));
 }
+
+namespace
+{
+
+/** The bit-by-bit form of IsvView's per-function fill: one bit per
+ * op, skipping any op outside the kernel text span. */
+void
+referenceFill(const sim::Program &prog, FuncId f, bool value,
+              std::vector<bool> &bits)
+{
+    const sim::Function &fn = prog.func(f);
+    for (std::uint32_t i = 0; i < fn.body.size(); ++i) {
+        std::size_t bit = static_cast<std::size_t>(
+            (fn.instAddr(i) - sim::kKernelTextBase) / sim::kInstBytes);
+        if (bit < bits.size())
+            bits[bit] = value;
+    }
+}
+
+/** Compare @p v against @p ref over text bits [lo, hi). */
+::testing::AssertionResult
+sameBits(const IsvView &v, const std::vector<bool> &ref, std::size_t lo,
+         std::size_t hi)
+{
+    hi = std::min(hi, ref.size());
+    for (std::size_t b = lo; b < hi; ++b) {
+        sim::Addr pc = sim::kKernelTextBase + b * sim::kInstBytes;
+        if (v.contains(pc) != ref[b])
+            return ::testing::AssertionFailure() << "bit " << b;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(IsvFill, WordRangeFillMatchesBitByBitOnBootedImage)
+{
+    // Every function of a booted image, included into an empty view
+    // and excluded from a full one, against the bit-by-bit form; the
+    // whole text is compared after the cumulative passes, so a mask
+    // that spills past a function's range shows.
+    const sim::Program &prog = stack().img.program();
+    const std::size_t n = static_cast<std::size_t>(
+        (prog.kernelTextEnd() - sim::kKernelTextBase) / sim::kInstBytes);
+    auto window = [&prog](FuncId f) {
+        const sim::Function &fn = prog.func(f);
+        std::size_t lo = fn.base < sim::kKernelTextBase
+                             ? 0
+                             : (fn.base - sim::kKernelTextBase) /
+                                   sim::kInstBytes;
+        return std::pair<std::size_t, std::size_t>(
+            lo > 64 ? lo - 64 : 0, lo + fn.body.size() + 64);
+    };
+
+    IsvView empty(prog), full(prog);
+    std::vector<bool> none(n, false), all(n, false);
+    for (FuncId f = 0; f < prog.numFunctions(); ++f) {
+        full.includeFunction(f);
+        referenceFill(prog, f, true, all);
+    }
+    ASSERT_TRUE(sameBits(full, all, 0, n));
+
+    for (FuncId f = 0; f < prog.numFunctions(); ++f) {
+        SCOPED_TRACE(prog.func(f).name);
+        auto [lo, hi] = window(f);
+        std::vector<bool> one = none;
+        referenceFill(prog, f, true, one);
+        empty.includeFunction(f);
+        EXPECT_TRUE(sameBits(empty, one, lo, hi));
+        empty.excludeFunction(f);
+        EXPECT_TRUE(sameBits(empty, none, lo, hi));
+
+        std::vector<bool> holed = all;
+        referenceFill(prog, f, false, holed);
+        full.excludeFunction(f);
+        EXPECT_TRUE(sameBits(full, holed, lo, hi));
+        full.includeFunction(f);
+    }
+    EXPECT_TRUE(sameBits(empty, none, 0, n));
+    EXPECT_TRUE(sameBits(full, all, 0, n));
+
+    for (FuncId f = 0; f < prog.numFunctions(); f += 2) {
+        full.excludeFunction(f);
+        referenceFill(prog, f, false, all);
+    }
+    EXPECT_TRUE(sameBits(full, all, 0, n));
+}

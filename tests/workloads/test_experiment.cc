@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "core/perspective.hh"
 #include "sim/trace.hh"
 #include "workloads/experiment.hh"
 
@@ -204,6 +207,63 @@ TEST(Experiment, HitRatesCoverOnlyMeasuredPhase)
     auto r = e.run(3, 5);
     EXPECT_GT(r.isvCacheHitRate, 0.95);
     EXPECT_GT(r.dsvCacheHitRate, 0.95);
+}
+
+TEST(Experiment, LeasedPolicyReportsItsOwnMeasuredLookups)
+{
+    // A cell that leases its own PerspectivePolicy onto the pipeline
+    // (the ablation and sensitivity grids do) reports that policy's
+    // lookups, over the measured iterations only. Small view caches
+    // keep the DSVMT walked in both phases.
+    constexpr unsigned kWarmup = 2, kIters = 4;
+    core::PerspectiveConfig cfg;
+    cfg.isvCacheEntries = 32;
+    cfg.dsvCacheEntries = 32;
+    auto lease = [&cfg](Experiment &e,
+                        std::optional<core::PerspectivePolicy> &slot) {
+        slot.emplace(e.kernelState().ownership(), cfg, "leased");
+        const auto &t = e.kernelState().task(e.mainPid());
+        slot->registerContext(t.asid, t.domain, e.isvView());
+        e.pipeline().setPolicy(&*slot);
+    };
+
+    Experiment a(nginxProfile(), Scheme::Perspective);
+    std::optional<core::PerspectivePolicy> pa;
+    lease(a, pa);
+    RunResult r = a.run(kIters, kWarmup);
+
+    // The same cell stepped by hand, with the leased policy's
+    // counters read at the warmup boundary and at the end.
+    Experiment b(nginxProfile(), Scheme::Perspective);
+    std::optional<core::PerspectivePolicy> pb;
+    lease(b, pb);
+    for (unsigned i = 0; i < kWarmup; ++i)
+        b.runRequestOnPipeline();
+    const auto isvHits = pb->isvCache().hits();
+    const auto isvMisses = pb->isvCache().misses();
+    const auto dsvHits = pb->dsvCache().hits();
+    const auto dsvMisses = pb->dsvCache().misses();
+    const sim::LookupAccounting warm = *pb->accounting();
+    for (unsigned i = 0; i < kIters; ++i)
+        b.runRequestOnPipeline();
+    const sim::LookupAccounting end = *pb->accounting();
+
+    auto rate = [](std::uint64_t hits, std::uint64_t misses) {
+        return static_cast<double>(hits) / (hits + misses);
+    };
+    EXPECT_GT(warm.dsvmtMruLookups, 0u);
+    EXPECT_GT(r.stats.get("dsvmt.mru.lookups"), 0u);
+    EXPECT_EQ(r.stats.get("dsvmt.mru.lookups"),
+              end.dsvmtMruLookups - warm.dsvmtMruLookups);
+    EXPECT_EQ(r.stats.get("dsvmt.mru.hits"),
+              end.dsvmtMruHits - warm.dsvmtMruHits);
+    EXPECT_DOUBLE_EQ(r.isvCacheHitRate,
+                     rate(pb->isvCache().hits() - isvHits,
+                          pb->isvCache().misses() - isvMisses));
+    EXPECT_DOUBLE_EQ(r.dsvCacheHitRate,
+                     rate(pb->dsvCache().hits() - dsvHits,
+                          pb->dsvCache().misses() - dsvMisses));
+    EXPECT_NE(r.isvCacheHitRate, end.isvHitRate); // warmup excluded
 }
 
 TEST(Experiment, DeterministicAcrossRuns)

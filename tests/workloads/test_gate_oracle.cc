@@ -79,6 +79,12 @@ class EveryCyclePolicy : public sim::SpeculationPolicy
     {
         return inner_.updateWindow(va, asid);
     }
+    void resetAccounting() override { inner_.resetAccounting(); }
+    std::optional<sim::LookupAccounting>
+    accounting() const override
+    {
+        return inner_.accounting();
+    }
     void setStats(sim::StatSet *stats) override { inner_.setStats(stats); }
 
   private:
