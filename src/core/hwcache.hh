@@ -1,18 +1,27 @@
 /**
  * @file
  * Perspective's two hardware lookup structures (Section 6.2,
- * Table 7.1): the ISV cache and the DSVMT (DSV) cache. Both are
- * 128-entry, 32-set, 4-way, tagged with the ASID so context switches
- * need no flush. On a miss the pipeline conservatively blocks
- * speculation while the fill happens in the background; replacement
- * state is only updated once the instruction reaches its Visibility
- * Point (modeled by the deferLru flag on lookups).
+ * Table 7.1): the ISV cache and the DSVMT (DSV) cache. Both are one
+ * ASID-tagged, set-associative ViewCache (128 entries, 32 sets, 4 ways
+ * by default), so context switches need no flush. They differ only in
+ * the granule an entry covers (a 512-byte code region vs a 4-KB data
+ * page) and its payload (128 per-instruction ISV bits vs one in-DSV
+ * bit). On a miss the pipeline conservatively blocks speculation while
+ * the fill happens in the background.
+ *
+ * Replacement: a fill takes the set's first invalid way, else the way
+ * with the oldest stamp. Fills stamp their entry, and so do lookups
+ * with defer_lru=false. A defer_lru=true lookup leaves the stamps
+ * alone and no later touch is applied: gateLoad looks up that way, so
+ * the detailed path replaces in fill order, while functional warming
+ * (warmAccess, defer_lru=false) replaces by LRU.
  */
 
 #ifndef PERSPECTIVE_CORE_HWCACHE_HH
 #define PERSPECTIVE_CORE_HWCACHE_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -52,35 +61,105 @@ struct IsvRegionBits
     }
 };
 
+/** Verdict of a payload for the byte @p offset into its granule: the
+ * ISV bit of the instruction there, or the page's single DSV bit. */
+inline bool
+viewAllows(const IsvRegionBits &b, sim::Addr offset)
+{
+    return b.test(static_cast<unsigned>(offset / 4));
+}
+inline bool
+viewAllows(bool in_dsv, sim::Addr)
+{
+    return in_dsv;
+}
+
 /**
- * ISV cache: maps (code-region VA, ASID) to the region's per-
- * instruction ISV bits.
+ * A view cache: maps (granule of 2^GranuleShift bytes, ASID) to the
+ * granule's @p Payload.
  */
-class IsvCache
+template <unsigned GranuleShift, typename Payload>
+class ViewCache
 {
   public:
-    /** Bytes of kernel text each entry covers. */
-    static constexpr sim::Addr kRegionBytes = 512;
+    /** Bytes of VA each entry covers. */
+    static constexpr sim::Addr kGranuleBytes = sim::Addr{1}
+                                               << GranuleShift;
 
-    IsvCache(std::uint32_t entries = 128, std::uint32_t assoc = 4);
+    ViewCache(std::uint32_t entries = 128, std::uint32_t assoc = 4)
+        : sets_(entries / assoc), assoc_(assoc), entries_(entries)
+    {
+        assert(entries % assoc == 0);
+    }
 
     /**
-     * Look up instruction @p pc under @p asid at time @p now. An
-     * in-flight fill (ready_at in the future) still reports a miss.
+     * Look up @p va under @p asid at time @p now. An in-flight fill
+     * (ready_at in the future) still reports a miss.
      */
-    HwLookup lookup(sim::Addr pc, sim::Asid asid, bool defer_lru,
-                    sim::Cycle now = 0, bool count = true);
+    HwLookup
+    lookup(sim::Addr va, sim::Asid asid, bool defer_lru,
+           sim::Cycle now = 0, bool count = true)
+    {
+        const sim::Addr key = va >> GranuleShift;
+        Entry *e = find(key, asid);
+        if (!e || now < e->readyAt) { // absent, or fill in flight
+            if (count)
+                ++misses_;
+            return {false, false, e ? e->readyAt : 0};
+        }
+        if (!defer_lru)
+            e->lru = ++useClock_;
+        if (count)
+            ++hits_;
+        return {true, viewAllows(e->payload, va - (key << GranuleShift))};
+    }
 
-    /** Fill the region containing @p pc with @p bits, usable at
+    /** Fill the granule containing @p va with @p payload, usable at
      * @p ready_at (models the TLB+L2 refill latency). A fill already
      * in flight keeps its own ready cycle. Returns the cycle the
      * entry becomes usable. */
-    sim::Cycle fill(sim::Addr pc, sim::Asid asid, IsvRegionBits bits,
-                    sim::Cycle ready_at = 0);
+    sim::Cycle
+    fill(sim::Addr va, sim::Asid asid, Payload payload,
+         sim::Cycle ready_at = 0)
+    {
+        const sim::Addr key = va >> GranuleShift;
+        ++gen_;
+        if (Entry *e = find(key, asid)) {
+            e->payload = payload;
+            return e->readyAt; // already filling or present
+        }
+        Entry *set = &entries_[(key % sets_) * assoc_];
+        Entry *victim = set;
+        for (Entry *e = set; e != set + assoc_ && victim->valid; ++e) {
+            if (!e->valid || e->lru < victim->lru)
+                victim = e;
+        }
+        *victim = {key, asid, payload, true, ++useClock_, ready_at};
+        return ready_at;
+    }
 
     /** Drop every entry of @p asid (view reconfigured). */
-    void invalidateAsid(sim::Asid asid);
-    void invalidateAll();
+    void
+    invalidateAsid(sim::Asid asid)
+    {
+        invalidateIf([asid](const Entry &e) { return e.asid == asid; });
+    }
+
+    /** Drop every ASID's entry for the granule containing @p va (a
+     * DSV page whose ownership changed — wired to the OwnershipMap
+     * listener). */
+    void
+    shootdown(sim::Addr va)
+    {
+        const sim::Addr key = va >> GranuleShift;
+        invalidateIf([key](const Entry &e) { return e.key == key; });
+    }
+
+    void
+    invalidateAll()
+    {
+        invalidateIf([](const Entry &) { return true; });
+    }
 
     /** Zero the hit/miss counters without evicting entries (used to
      * separate warmup from measurement). */
@@ -108,74 +187,35 @@ class IsvCache
   private:
     struct Entry
     {
-        sim::Addr line = 0;
+        sim::Addr key = 0; ///< va >> GranuleShift
         sim::Asid asid = 0;
-        IsvRegionBits bits;
+        Payload payload{};
         bool valid = false;
         std::uint64_t lru = 0;
         sim::Cycle readyAt = 0;
     };
 
-    std::uint32_t sets_;
-    std::uint32_t assoc_;
-    std::vector<Entry> entries_;
-    std::uint64_t useClock_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t gen_ = 0;
-};
+    Entry *
+    find(sim::Addr key, sim::Asid asid)
+    {
+        Entry *set = &entries_[(key % sets_) * assoc_];
+        for (Entry *e = set; e != set + assoc_; ++e) {
+            if (e->valid && e->key == key && e->asid == asid)
+                return e;
+        }
+        return nullptr;
+    }
 
-/**
- * DSVMT cache: maps (data page VA, ASID) to a single in-DSV bit
- * (53-bit entries in the paper's layout).
- */
-class DsvCache
-{
-  public:
-    DsvCache(std::uint32_t entries = 128, std::uint32_t assoc = 4);
-
-    HwLookup lookup(sim::Addr va, sim::Asid asid, bool defer_lru,
-                    sim::Cycle now = 0, bool count = true);
-    /** As IsvCache::fill, for the page containing @p va. */
-    sim::Cycle fill(sim::Addr va, sim::Asid asid, bool in_dsv,
-                    sim::Cycle ready_at = 0);
-
-    /** Shoot down all entries caching @p page_va (ownership changed —
-     * wired to the OwnershipMap listener). */
-    void invalidatePage(sim::Addr page_va);
-    void invalidateAll();
-
-    /** Zero the hit/miss counters without evicting entries (used to
-     * separate warmup from measurement). */
+    template <typename Pred>
     void
-    resetAccounting()
+    invalidateIf(Pred pred)
     {
-        hits_ = 0;
-        misses_ = 0;
+        for (Entry &e : entries_) {
+            if (pred(e))
+                e.valid = false;
+        }
+        ++gen_;
     }
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-    double
-    hitRate() const
-    {
-        std::uint64_t t = hits_ + misses_;
-        return t == 0 ? 0.0 : static_cast<double>(hits_) / t;
-    }
-
-    /** Content generation (see IsvCache::genPtr). */
-    const std::uint64_t *genPtr() const { return &gen_; }
-
-  private:
-    struct Entry
-    {
-        sim::Addr page = 0;
-        sim::Asid asid = 0;
-        bool inDsv = false;
-        bool valid = false;
-        std::uint64_t lru = 0;
-        sim::Cycle readyAt = 0;
-    };
 
     std::uint32_t sets_;
     std::uint32_t assoc_;
@@ -185,6 +225,13 @@ class DsvCache
     std::uint64_t misses_ = 0;
     std::uint64_t gen_ = 0;
 };
+
+/** ISV cache: (512-byte code region, ASID) -> per-instruction bits. */
+using IsvCache = ViewCache<9, IsvRegionBits>;
+
+/** DSVMT cache: (data page, ASID) -> the single in-DSV bit (53-bit
+ * entries in the paper's layout). */
+using DsvCache = ViewCache<sim::kPageShift, bool>;
 
 } // namespace perspective::core
 

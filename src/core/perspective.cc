@@ -15,6 +15,21 @@ using kernel::kDomainUnknown;
 using sim::Gate;
 using sim::SpecContext;
 
+namespace
+{
+
+/** The DSV ownership predicate: may @p domain speculatively access a
+ * frame owned by @p owner? */
+bool
+ownerAdmits(DomainId owner, DomainId domain, bool block_unknown)
+{
+    if (owner == kDomainUnknown)
+        return !block_unknown;
+    return owner == domain || owner == kDomainReplicated;
+}
+
+} // namespace
+
 PerspectivePolicy::PerspectivePolicy(kernel::OwnershipMap &ownership,
                                      PerspectiveConfig cfg,
                                      std::string name)
@@ -36,12 +51,7 @@ PerspectivePolicy::PerspectivePolicy(kernel::OwnershipMap &ownership,
                 {pfn, *clock_, *clock_ + cfg_.revocationLatency});
             return;
         }
-        dsvCache_.invalidatePage(kernel::directMapVa(pfn));
-        DomainId owner = ownership_.ownerOf(pfn);
-        for (auto &[domain, tree] : dsvmts_) {
-            tree.setPage(pfn, owner == domain ||
-                                  owner == kDomainReplicated);
-        }
+        syncFrame(pfn);
     });
 }
 
@@ -81,12 +91,8 @@ PerspectivePolicy::registerContext(sim::Asid asid, DomainId domain,
 bool
 PerspectivePolicy::inDsv(sim::Addr va, DomainId domain) const
 {
-    DomainId owner = ownership_.ownerOfVa(va);
-    if (owner == kDomainReplicated)
-        return true;
-    if (owner == kDomainUnknown)
-        return !cfg_.blockUnknown;
-    return owner == domain;
+    return ownerAdmits(ownership_.ownerOfVa(va), domain,
+                       cfg_.blockUnknown);
 }
 
 sim::LeakWindow
@@ -164,15 +170,19 @@ PerspectivePolicy::noteUpdateLatency(sim::Cycle latency)
 }
 
 void
+PerspectivePolicy::syncFrame(kernel::Pfn pfn)
+{
+    dsvCache_.shootdown(kernel::directMapVa(pfn));
+    DomainId owner = ownership_.ownerOf(pfn);
+    for (auto &[domain, tree] : dsvmts_)
+        tree.setPage(pfn, owner == domain || owner == kDomainReplicated);
+}
+
+void
 PerspectivePolicy::applyRevocation(const PendingRevocation &r,
                                    sim::Cycle now)
 {
-    dsvCache_.invalidatePage(kernel::directMapVa(r.pfn));
-    DomainId owner = ownership_.ownerOf(r.pfn);
-    for (auto &[domain, tree] : dsvmts_) {
-        tree.setPage(r.pfn,
-                     owner == domain || owner == kDomainReplicated);
-    }
+    syncFrame(r.pfn);
     if (stats_) {
         stats_->histogram("transient_gap_cycles")
             .sample(now >= r.revokedAt ? now - r.revokedAt : 0);
@@ -272,30 +282,99 @@ PerspectivePolicy::setStats(sim::StatSet *stats)
         return;
     ctrUnregistered_ =
         stats->counter("perspective.fence.unregistered");
-    ctrIsvFence_ = stats->counter("perspective.fence.isv");
-    ctrIsvMiss_ = stats->counter("perspective.fence.isv_miss");
-    ctrDsvFence_ = stats->counter("perspective.fence.dsv");
-    ctrDsvMiss_ = stats->counter("perspective.fence.dsv_miss");
-    histIsvMissBurst_ = sim::LazyHistogram(stats, "isv_miss_burst");
-    histDsvMissBurst_ = sim::LazyHistogram(stats, "dsv_miss_burst");
+    isvTally_.fence = stats->counter("perspective.fence.isv");
+    isvTally_.miss = stats->counter("perspective.fence.isv_miss");
+    isvTally_.burst = sim::LazyHistogram(stats, "isv_miss_burst");
+    dsvTally_.fence = stats->counter("perspective.fence.dsv");
+    dsvTally_.miss = stats->counter("perspective.fence.dsv_miss");
+    dsvTally_.burst = sim::LazyHistogram(stats, "dsv_miss_burst");
     // Dynamic-update metrics ("update_latency",
     // "transient_gap_cycles", "revocation.stale_allows") are created
     // lazily at event time: static configurations must emit exactly
     // the legacy stat set, bit for bit.
 }
 
-void
-PerspectivePolicy::noteHit(std::uint64_t &run,
-                           sim::LazyHistogram &hist)
+PerspectivePolicy::Context *
+PerspectivePolicy::contextFor(sim::Asid asid)
 {
-    if (run == 0)
-        return;
-    // A hit ends a consecutive-miss burst: record its length so the
-    // cache-behaviour analyses can tell scattered misses (capacity)
-    // from bursts (cold regions / view reconfigurations).
-    if (stats_)
-        hist.sample(run);
-    run = 0;
+    // Every load of a run resolves the same ASID: a one-entry MRU
+    // makes the common case pointer-stable and hash-free
+    // (unordered_map node addresses survive rehashing; the MRU is
+    // dropped whenever contexts_/dsvmts_ can change).
+    if (ctxMruCtx_ && ctxMruAsid_ == asid)
+        return ctxMruCtx_;
+    auto it = contexts_.find(asid);
+    if (it == contexts_.end())
+        return nullptr;
+    ctxMruAsid_ = asid;
+    ctxMruCtx_ = &it->second;
+    auto tit = dsvmts_.find(it->second.domain);
+    ctxMruTree_ = tit == dsvmts_.end() ? nullptr : &tit->second;
+    return ctxMruCtx_;
+}
+
+void
+PerspectivePolicy::syncIsvEpoch(sim::Asid asid, Context &c)
+{
+    // A reconfigured view invalidates this context's entries.
+    if (c.isvEpochSeen != c.isv->epoch()) {
+        isvCache_.invalidateAsid(asid);
+        c.isvEpochSeen = c.isv->epoch();
+    }
+}
+
+IsvRegionBits
+PerspectivePolicy::isvFillBits(sim::Addr pc, const Context &c) const
+{
+    IsvRegionBits bits;
+    bits.bits = c.isv->regionBits(pc, IsvCache::kGranuleBytes);
+    if (adminIsv_ && c.fleetSeen == fleetGen_ &&
+        (fleetBits_ & kernel::kFleetRestrictIsv) != 0) {
+        // Admin restriction composes by intersection: no tenant view
+        // may widen past the fleet view.
+        auto admin = adminIsv_->regionBits(pc, IsvCache::kGranuleBytes);
+        bits.bits[0] &= admin[0];
+        bits.bits[1] &= admin[1];
+    }
+    return bits;
+}
+
+template <typename Cache, typename FillValue>
+std::optional<sim::Cycle>
+PerspectivePolicy::checkView(Cache &cache, ViewTally &tally,
+                             const SpecContext &ctx, sim::Addr va,
+                             FillValue fill_value)
+{
+    HwLookup look =
+        cache.lookup(va, ctx.asid, true, ctx.now, ctx.firstCheck);
+    if (!look.hit) {
+        if (!ctx.firstCheck)
+            return look.readyAt;
+        // A fill already in flight (started by another load) keeps
+        // its ready cycle; block until then.
+        sim::Cycle ready = cache.fill(va, ctx.asid, fill_value(),
+                                      ctx.now + cfg_.fillLatency);
+        ++tally.missRun;
+        if (stats_) {
+            tally.fence.inc();
+            tally.miss.inc();
+        }
+        return ready;
+    }
+    if (ctx.firstCheck && tally.missRun != 0) {
+        // A hit ends a consecutive-miss burst: record its length so
+        // the cache-behaviour analyses can tell scattered misses
+        // (capacity) from bursts (cold regions / view
+        // reconfigurations).
+        if (stats_)
+            tally.burst.sample(tally.missRun);
+        tally.missRun = 0;
+    }
+    if (look.allow)
+        return std::nullopt;
+    if (stats_ && ctx.firstCheck)
+        tally.fence.inc();
+    return sim::Cycle{0};
 }
 
 bool
@@ -331,31 +410,17 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
     }
     lastAsid_ = ctx.asid;
 
-    // Every load of a run resolves the same ASID: a one-entry MRU
-    // makes the common case pointer-stable and hash-free
-    // (unordered_map node addresses survive rehashing; the MRU is
-    // dropped whenever contexts_/dsvmts_ can change).
-    Context *c;
-    if (ctxMruCtx_ && ctxMruAsid_ == ctx.asid) {
-        c = ctxMruCtx_;
-    } else {
-        auto it = contexts_.find(ctx.asid);
-        if (it == contexts_.end()) {
-            // Unregistered context: conservatively block. The
-            // verdict only changes if the context gets registered;
-            // the recheck keeps the drain above on time.
-            if (stats_ && ctx.firstCheck)
-                ctrUnregistered_.inc();
-            sim::Verdict v{Gate::Block, sim::GateWake::untilInputs()};
-            v.wake.depend(&contextsGen_);
-            v.wake.recheckAt = nextRevocationAt();
-            return v;
-        }
-        ctxMruAsid_ = ctx.asid;
-        ctxMruCtx_ = &it->second;
-        auto tit = dsvmts_.find(it->second.domain);
-        ctxMruTree_ = tit == dsvmts_.end() ? nullptr : &tit->second;
-        c = ctxMruCtx_;
+    Context *c = contextFor(ctx.asid);
+    if (!c) {
+        // Unregistered context: conservatively block. The verdict
+        // only changes if the context gets registered; the recheck
+        // keeps the drain above on time.
+        if (stats_ && ctx.firstCheck)
+            ctrUnregistered_.inc();
+        sim::Verdict v{Gate::Block, sim::GateWake::untilInputs()};
+        v.wake.depend(&contextsGen_);
+        v.wake.recheckAt = nextRevocationAt();
+        return v;
     }
 
     // Fleet sync (DEXCR model): a task picks up a tightened
@@ -397,75 +462,17 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
     };
 
     if (cfg_.enableIsv && c->isv) {
-        // A reconfigured view invalidates this context's entries.
-        if (c->isvEpochSeen != c->isv->epoch()) {
-            isvCache_.invalidateAsid(ctx.asid);
-            c->isvEpochSeen = c->isv->epoch();
-        }
-        HwLookup look = isvCache_.lookup(ctx.pc, ctx.asid, true,
-                                         ctx.now, ctx.firstCheck);
-        if (!look.hit) {
-            if (ctx.firstCheck) {
-                IsvRegionBits bits;
-                bits.bits = c->isv->regionBits(
-                    ctx.pc, IsvCache::kRegionBytes);
-                if (adminIsv_ && c->fleetSeen == fleetGen_ &&
-                    (fleetBits_ & kernel::kFleetRestrictIsv) != 0) {
-                    // Admin restriction composes by intersection:
-                    // no tenant view may widen past the fleet view.
-                    auto admin = adminIsv_->regionBits(
-                        ctx.pc, IsvCache::kRegionBytes);
-                    bits.bits[0] &= admin[0];
-                    bits.bits[1] &= admin[1];
-                }
-                // A fill already in flight (started by another
-                // load) keeps its ready cycle; block until then.
-                sim::Cycle ready =
-                    isvCache_.fill(ctx.pc, ctx.asid, bits,
-                                   ctx.now + cfg_.fillLatency);
-                noteMiss(isvMissRun_);
-                if (stats_) {
-                    ctrIsvFence_.inc();
-                    ctrIsvMiss_.inc();
-                }
-                return blockOnViews(ready);
-            }
-            return blockOnViews(look.readyAt);
-        }
-        if (ctx.firstCheck)
-            noteHit(isvMissRun_, histIsvMissBurst_);
-        if (!look.allow) {
-            if (stats_ && ctx.firstCheck)
-                ctrIsvFence_.inc();
-            return blockOnViews(0);
-        }
+        syncIsvEpoch(ctx.asid, *c);
+        auto bits = [&] { return isvFillBits(ctx.pc, *c); };
+        if (auto ready = checkView(isvCache_, isvTally_, ctx, ctx.pc, bits))
+            return blockOnViews(*ready);
     }
 
     if (cfg_.enableDsv && kernel::inDirectMap(ctx.dataVa)) {
-        HwLookup look = dsvCache_.lookup(ctx.dataVa, ctx.asid, true,
-                                         ctx.now, ctx.firstCheck);
-        if (!look.hit) {
-            if (ctx.firstCheck) {
-                sim::Cycle ready =
-                    dsvCache_.fill(ctx.dataVa, ctx.asid,
-                                   dsvFillValue(ctx.dataVa, *c),
-                                   ctx.now + cfg_.fillLatency);
-                noteMiss(dsvMissRun_);
-                if (stats_) {
-                    ctrDsvFence_.inc();
-                    ctrDsvMiss_.inc();
-                }
-                return blockOnViews(ready);
-            }
-            return blockOnViews(look.readyAt);
-        }
-        if (ctx.firstCheck)
-            noteHit(dsvMissRun_, histDsvMissBurst_);
-        if (!look.allow) {
-            if (stats_ && ctx.firstCheck)
-                ctrDsvFence_.inc();
-            return blockOnViews(0);
-        }
+        auto bit = [&] { return dsvFillValue(ctx.dataVa, *c); };
+        if (auto ready =
+                checkView(dsvCache_, dsvTally_, ctx, ctx.dataVa, bit))
+            return blockOnViews(*ready);
 
         // The verdict says Allow — but is it stale? If a pending
         // revocation covers this page and ground truth now denies it,
@@ -507,46 +514,19 @@ PerspectivePolicy::warmAccess(const SpecContext &ctx)
     if (!ctx.kernelMode)
         return;
 
-    Context *c;
-    if (ctxMruCtx_ && ctxMruAsid_ == ctx.asid) {
-        c = ctxMruCtx_;
-    } else {
-        auto it = contexts_.find(ctx.asid);
-        if (it == contexts_.end())
-            return; // unregistered: nothing to warm
-        ctxMruAsid_ = ctx.asid;
-        ctxMruCtx_ = &it->second;
-        auto tit = dsvmts_.find(it->second.domain);
-        ctxMruTree_ = tit == dsvmts_.end() ? nullptr : &tit->second;
-        c = ctxMruCtx_;
-    }
+    Context *c = contextFor(ctx.asid);
+    if (!c)
+        return; // unregistered: nothing to warm
 
     if (cfg_.enableIsv && c->isv) {
-        if (c->isvEpochSeen != c->isv->epoch()) {
-            isvCache_.invalidateAsid(ctx.asid);
-            c->isvEpochSeen = c->isv->epoch();
-        }
-        HwLookup look = isvCache_.lookup(ctx.pc, ctx.asid, false,
-                                         ctx.now, false);
-        if (!look.hit) {
-            IsvRegionBits bits;
-            bits.bits =
-                c->isv->regionBits(ctx.pc, IsvCache::kRegionBytes);
-            if (adminIsv_ && c->fleetSeen == fleetGen_ &&
-                (fleetBits_ & kernel::kFleetRestrictIsv) != 0) {
-                auto admin = adminIsv_->regionBits(
-                    ctx.pc, IsvCache::kRegionBytes);
-                bits.bits[0] &= admin[0];
-                bits.bits[1] &= admin[1];
-            }
-            isvCache_.fill(ctx.pc, ctx.asid, bits, 0);
-        }
+        syncIsvEpoch(ctx.asid, *c);
+        if (!isvCache_.lookup(ctx.pc, ctx.asid, false, ctx.now, false).hit)
+            isvCache_.fill(ctx.pc, ctx.asid, isvFillBits(ctx.pc, *c), 0);
     }
 
     if (cfg_.enableDsv && kernel::inDirectMap(ctx.dataVa)) {
-        HwLookup look = dsvCache_.lookup(ctx.dataVa, ctx.asid, false,
-                                         ctx.now, false);
-        if (!look.hit)
+        if (!dsvCache_.lookup(ctx.dataVa, ctx.asid, false, ctx.now, false)
+                 .hit)
             dsvCache_.fill(ctx.dataVa, ctx.asid,
                            dsvFillValue(ctx.dataVa, *c), 0);
     }
@@ -570,12 +550,7 @@ PerspectivePolicy::dsvFillValue(sim::Addr va, const Context &c)
             return ownership_.ownerOfVa(va) == kDomainUnknown;
         return false;
     }
-    DomainId owner = ownership_.ownerOfVa(va);
-    if (owner == kDomainReplicated)
-        return true;
-    if (owner == kDomainUnknown)
-        return !block_unknown;
-    return owner == c.domain;
+    return ownerAdmits(ownership_.ownerOfVa(va), c.domain, block_unknown);
 }
 
 } // namespace perspective::core

@@ -39,6 +39,7 @@
 #ifndef PERSPECTIVE_CORE_PERSPECTIVE_HH
 #define PERSPECTIVE_CORE_PERSPECTIVE_HH
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -259,15 +260,44 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     sim::Cycle fleetVisibleAt_ = 0;
     const IsvView *adminIsv_ = nullptr;
 
-    // Cached hot-path counter handles (resolved in setStats).
+    /** One view cache's gate telemetry (counter handles resolved in
+     * setStats). */
+    struct ViewTally
+    {
+        sim::Counter fence;
+        sim::Counter miss;
+        /** Miss-burst histogram, created at its first sample. */
+        sim::LazyHistogram burst;
+        /** Current consecutive-miss run; a hit closes the run and
+         * samples it into burst. */
+        std::uint64_t missRun = 0;
+    };
+
     sim::Counter ctrUnregistered_;
-    sim::Counter ctrIsvFence_;
-    sim::Counter ctrIsvMiss_;
-    sim::Counter ctrDsvFence_;
-    sim::Counter ctrDsvMiss_;
-    /** Miss-burst histograms, created at their first sample. */
-    sim::LazyHistogram histIsvMissBurst_;
-    sim::LazyHistogram histDsvMissBurst_;
+    ViewTally isvTally_;
+    ViewTally dsvTally_;
+
+    /** The context registered under @p asid (null when none), through
+     * the one-entry MRU; also points ctxMruTree_ at its mirror. */
+    Context *contextFor(sim::Asid asid);
+
+    /** Drop @p c's ISV cache entries when its view was reconfigured
+     * since the last check (epoch tick). */
+    void syncIsvEpoch(sim::Asid asid, Context &c);
+
+    /** ISV-cache refill bits for @p pc's region under context @p c:
+     * the context's view, intersected with a synced fleet admin view
+     * under kFleetRestrictIsv. */
+    IsvRegionBits isvFillBits(sim::Addr pc, const Context &c) const;
+
+    /** One view's half of gateLoad: look @p va up in @p cache, fill
+     * it with fill_value() on a first-check miss, and keep @p tally.
+     * Returns nullopt when the view allows, else the cycle the Block
+     * rechecks at (0 = none). */
+    template <typename Cache, typename FillValue>
+    std::optional<sim::Cycle> checkView(Cache &cache, ViewTally &tally,
+                                        const sim::SpecContext &ctx,
+                                        sim::Addr va, FillValue fill_value);
 
     /** DSV-cache refill value for @p va under context @p c: walk the
      * domain's DSVMT mirror (MRU-cached), falling back to the
@@ -281,9 +311,12 @@ class PerspectivePolicy : public sim::SpeculationPolicy
      * has synchronized with). */
     bool effBlockUnknown(const Context &c) const;
 
-    /** Land one pending revocation: shoot down the cached page and
-     * refresh every mirror from current ownership; samples the
-     * realized window into "transient_gap_cycles". */
+    /** Shoot down @p pfn's DSV cache entries and refresh every
+     * mirror's bit for it from current ownership. */
+    void syncFrame(kernel::Pfn pfn);
+
+    /** Land one pending revocation (syncFrame); samples the realized
+     * window into "transient_gap_cycles". */
     void applyRevocation(const PendingRevocation &r, sim::Cycle now);
     void drainRevocations(sim::Cycle now);
 
@@ -291,16 +324,6 @@ class PerspectivePolicy : public sim::SpeculationPolicy
      * gateLoad drains it at the first check past that cycle, so a
      * blocked load's wake rechecks there. */
     sim::Cycle nextRevocationAt() const;
-
-    /** Record a miss (or a run-ending hit) on one view cache and
-     * sample completed burst lengths into @p hist. */
-    void noteMiss(std::uint64_t &run) { ++run; }
-    void noteHit(std::uint64_t &run, sim::LazyHistogram &hist);
-
-    // Current consecutive-miss run length per view cache; a hit
-    // closes the run and samples it into the burst histogram.
-    std::uint64_t isvMissRun_ = 0;
-    std::uint64_t dsvMissRun_ = 0;
 };
 
 } // namespace perspective::core

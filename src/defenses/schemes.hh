@@ -149,12 +149,12 @@ class InvisiSpecPolicy : public sim::SpeculationPolicy
 
 /**
  * SpecCFI/CET-style speculative control-flow integrity (Chapter 10).
- * A hardware shadow stack protects returns and CFI labels gate
- * indirect-call speculation — but with coarse labels every kernel
- * function entry is legal, so control flow can still be steered to
- * *any* function's gadget, and speculative data access (v1) is
- * untouched. This is the baseline Perspective's ISVs improve on:
- * views are per-application, not kernel-wide.
+ * A hardware shadow stack protects returns. Coarse CFI labels make
+ * every kernel function entry a legal indirect target, so they never
+ * reject a prediction and are not modeled: control flow can still be
+ * steered to *any* function's gadget, and speculative data access
+ * (v1) is untouched. This is the baseline Perspective's ISVs improve
+ * on: views are per-application, not kernel-wide.
  */
 class SpecCfiPolicy : public sim::SpeculationPolicy
 {
@@ -163,14 +163,6 @@ class SpecCfiPolicy : public sim::SpeculationPolicy
     gateLoad(const sim::SpecContext &) override
     {
         return {};
-    }
-
-    bool
-    cfiAllowsIndirectTarget(sim::FuncId) const override
-    {
-        // Coarse-grained labels: all function entries are legal
-        // indirect targets; the check never fires in practice.
-        return true;
     }
 
     bool shadowStack() const override { return true; }

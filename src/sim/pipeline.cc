@@ -1046,12 +1046,6 @@ Pipeline::doFetch()
             e.rsbCkpt = rsb_.save();
             FuncId pred =
                 pol->retpoline() ? kNoFunc : btb_.predict(pc);
-            if (pred != kNoFunc &&
-                !pol->cfiAllowsIndirectTarget(pred)) {
-                // CFI label check rejects the predicted target:
-                // speculation stalls until the call resolves.
-                pred = kNoFunc;
-            }
             if (pred == kNoFunc) {
                 e.predTargetFunc = kNoFunc;
                 fetchBlockedOnSeq_ = e.seq;

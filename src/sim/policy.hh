@@ -217,20 +217,6 @@ class SpeculationPolicy
     virtual bool retpoline() const { return false; }
 
     /**
-     * Speculative control-flow integrity check (SpecCFI/CET-style):
-     * may the front end speculate into @p target from an indirect
-     * call? Coarse-grained CFI labels every kernel function entry as
-     * legal — which is exactly why CFI alone leaves a large passive
-     * attack surface (Chapter 10).
-     */
-    virtual bool
-    cfiAllowsIndirectTarget(FuncId target) const
-    {
-        (void)target;
-        return true;
-    }
-
-    /**
      * When true, a hardware shadow stack provides return predictions
      * on RSB underflow instead of the (poisonable) BTB fallback.
      */

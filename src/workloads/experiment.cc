@@ -211,16 +211,11 @@ Experiment::buildIsv()
     // Dynamic ISV: trace the process lifecycle (startup + steady
     // state) offline, like the kernel tracing subsystem would.
     core::DynamicIsvBuilder builder(*img_);
-    auto observe = [&](FuncId f) { builder.observe(f); };
-    for (const auto &inv : processStartupTrace()) {
-        auto prep = exec_->prepare(mainPid_, inv);
-        kernel::Interpreter &in = *interp_;
-        in.reset();
-        for (auto [r, v] : prep.regs)
-            in.setReg(r, v);
-        in.run(img_->entryOf(inv.sys), 2'000'000, observe);
-        exec_->finish(mainPid_, inv);
-    }
+    std::function<void(FuncId)> observe = [&](FuncId f) {
+        builder.observe(f);
+    };
+    for (const auto &inv : processStartupTrace())
+        traceInvocation(inv, observe);
     for (unsigned i = 0; i < 3; ++i)
         traceRequest(observe);
     isv_.emplace(builder.build());
@@ -254,16 +249,23 @@ void
 Experiment::traceRequest(
     const std::function<void(FuncId)> &on_func)
 {
-    for (const auto &inv : profile_.request) {
-        auto prep = exec_->prepare(mainPid_, inv);
-        kernel::Interpreter &in = *interp_;
-        in.reset();
-        for (auto [r, v] : prep.regs)
-            in.setReg(r, v);
-        in.setReg(dreg::kPadIters, 0);
-        in.run(img_->entryOf(inv.sys), 2'000'000, on_func);
-        exec_->finish(mainPid_, inv);
-    }
+    for (const auto &inv : profile_.request)
+        traceInvocation(inv, on_func);
+}
+
+void
+Experiment::traceInvocation(
+    const kernel::SyscallInvocation &inv,
+    const std::function<void(FuncId)> &on_func)
+{
+    // reset() zeroes every register, kPadIters included: prepare()
+    // sets only the syscall argument registers.
+    auto prep = exec_->prepare(mainPid_, inv);
+    interp_->reset();
+    for (auto [r, v] : prep.regs)
+        interp_->setReg(r, v);
+    interp_->run(img_->entryOf(inv.sys), 2'000'000, on_func);
+    exec_->finish(mainPid_, inv);
 }
 
 sim::RunResult

@@ -157,6 +157,10 @@ class Experiment
 
   private:
     void buildIsv();
+    /** Trace one syscall of the main process on the interpreter from
+     * zeroed registers (buildIsv's startup trace, traceRequest). */
+    void traceInvocation(const kernel::SyscallInvocation &inv,
+                         const std::function<void(sim::FuncId)> &on_func);
 
     WorkloadProfile profile_;
     Scheme scheme_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/hwcache.hh"
 
 using namespace perspective::core;
@@ -113,7 +115,7 @@ TEST(DsvCache, PageInvalidationShootsDownAllAsids)
     DsvCache c;
     c.fill(kPage, 1, true);
     c.fill(kPage, 2, false);
-    c.invalidatePage(kPage + 8);
+    c.shootdown(kPage + 8);
     EXPECT_FALSE(c.lookup(kPage, 1, false).hit);
     EXPECT_FALSE(c.lookup(kPage, 2, false).hit);
 }
@@ -125,4 +127,97 @@ TEST(DsvCache, DistinctPagesCoexist)
     c.fill(kPage + 0x1000, 1, false);
     EXPECT_TRUE(c.lookup(kPage, 1, false).allow);
     EXPECT_FALSE(c.lookup(kPage + 0x1000, 1, false).allow);
+}
+
+namespace
+{
+
+/** Replacement within one set of a two-set, 4-way view cache: keys
+ * two granules apart share a set. */
+template <typename Cache>
+struct ViewCacheReplacement : ::testing::Test
+{
+    static constexpr std::uint32_t kAssoc = 4;
+    Cache c{2 * kAssoc, kAssoc};
+
+    static Addr
+    key(unsigned i)
+    {
+        return kPage + Addr{i} * 2 * Cache::kGranuleBytes;
+    }
+
+    static auto
+    payload()
+    {
+        if constexpr (std::is_same_v<Cache, IsvCache>)
+            return allowAll();
+        else
+            return true;
+    }
+
+    void
+    fill(unsigned i)
+    {
+        c.fill(key(i), 1, payload());
+    }
+
+    bool
+    present(unsigned i)
+    {
+        return c.lookup(key(i), 1, true, 0, false).hit;
+    }
+
+    void
+    fillWays()
+    {
+        for (unsigned i = 0; i < kAssoc; ++i)
+            fill(i);
+    }
+};
+
+using ViewCaches = ::testing::Types<IsvCache, DsvCache>;
+TYPED_TEST_SUITE(ViewCacheReplacement, ViewCaches);
+
+} // namespace
+
+TYPED_TEST(ViewCacheReplacement, InvalidWayFirstThenOldestStamp)
+{
+    // A set's free ways fill before anything is evicted.
+    this->fillWays();
+    for (unsigned i = 0; i < this->kAssoc; ++i)
+        EXPECT_TRUE(this->present(i)) << i;
+
+    // A shot-down way is taken before the oldest stamp (key 0)...
+    this->c.shootdown(this->key(1));
+    this->fill(4);
+    EXPECT_TRUE(this->present(0));
+    EXPECT_FALSE(this->present(1));
+    EXPECT_TRUE(this->present(4));
+
+    // ...and once the set is full again, the oldest stamp goes.
+    this->fill(5);
+    EXPECT_FALSE(this->present(0));
+    for (unsigned i : {2u, 3u, 4u, 5u})
+        EXPECT_TRUE(this->present(i)) << i;
+}
+
+TYPED_TEST(ViewCacheReplacement, DeferredLookupsKeepFillOrder)
+{
+    // gateLoad's lookups defer the LRU touch and nothing applies it:
+    // a hit on the oldest fill does not save it.
+    this->fillWays();
+    EXPECT_TRUE(this->c.lookup(this->key(0), 1, /*defer_lru=*/true).hit);
+    this->fill(4);
+    EXPECT_FALSE(this->present(0));
+    EXPECT_TRUE(this->present(1));
+}
+
+TYPED_TEST(ViewCacheReplacement, UndeferredLookupsRefreshTheStamp)
+{
+    // warmAccess's lookups touch the entry: the next-oldest fill goes.
+    this->fillWays();
+    EXPECT_TRUE(this->c.lookup(this->key(0), 1, /*defer_lru=*/false).hit);
+    this->fill(4);
+    EXPECT_TRUE(this->present(0));
+    EXPECT_FALSE(this->present(1));
 }

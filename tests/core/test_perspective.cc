@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/perspective.hh"
 #include "kernel/fleet.hh"
@@ -59,6 +62,88 @@ struct PerspFixture : ::testing::Test
             c.firstCheck = true;
         }
         return g;
+    }
+
+    /** Every counter, and every histogram's count and buckets. */
+    static std::map<std::string, std::vector<std::uint64_t>>
+    statSnapshot(const StatSet &s)
+    {
+        std::map<std::string, std::vector<std::uint64_t>> out;
+        for (const auto &[name, v] : s.all())
+            out[name] = {v};
+        for (const auto &[name, h] : s.allHistograms()) {
+            auto &row = out["histogram " + name];
+            row.push_back(h.count());
+            for (unsigned b = 0; b < Histogram::kNumBuckets; ++b)
+                row.push_back(h.bucket(b));
+        }
+        return out;
+    }
+
+    /**
+     * The warmAccess contract: warming asid 1's cold (pc, page) leaves
+     * every hit/miss count, counter and histogram alone, and the
+     * first gateLoad there then hits without a fill. With
+     * @p restrict_isv a synced fleet admin view excludes the pc, and
+     * the warmed and unwarmed paths both block.
+     */
+    void
+    checkWarmAccessContract(bool restrict_isv)
+    {
+        PerspectivePolicy pol(own);
+        StatSet stats;
+        pol.setStats(&stats);
+        IsvView view(prog);
+        view.includeFunction(kf);
+        IsvView admin(prog); // empty: excludes kf
+        pol.registerContext(1, 3, &view);
+        pol.registerContext(2, 3, &view);
+        own.assign(5, 3);
+        const Addr pc = prog.func(kf).instAddr(0);
+        const SpecContext c = ctxFor(pc, directMapVa(5), 1);
+        const Gate expected = restrict_isv ? Gate::Block : Gate::Allow;
+        if (restrict_isv) {
+            // Sync asid 1 with the flip, then drop what that check
+            // filled.
+            pol.fleetTighten(kernel::kFleetRestrictIsv, &admin);
+            ASSERT_EQ(pol.gateLoad(c).gate, Gate::Block);
+            pol.isvCache().invalidateAll();
+            pol.dsvCache().invalidateAll();
+        }
+        // The unwarmed path (asid 2) leaves accounting to preserve.
+        ASSERT_EQ(steadyGate(pol, ctxFor(pc, directMapVa(5), 2)),
+                  expected);
+        ASSERT_GT(pol.isvCache().hits(), 0u);
+
+        const auto before = statSnapshot(stats);
+        const std::uint64_t isv_hits = pol.isvCache().hits();
+        const std::uint64_t isv_misses = pol.isvCache().misses();
+        const std::uint64_t dsv_hits = pol.dsvCache().hits();
+        const std::uint64_t dsv_misses = pol.dsvCache().misses();
+        pol.warmAccess(c);
+        EXPECT_EQ(statSnapshot(stats), before);
+        EXPECT_EQ(pol.isvCache().hits(), isv_hits);
+        EXPECT_EQ(pol.isvCache().misses(), isv_misses);
+        EXPECT_EQ(pol.dsvCache().hits(), dsv_hits);
+        EXPECT_EQ(pol.dsvCache().misses(), dsv_misses);
+
+        const std::uint64_t isv_gen = *pol.isvCache().genPtr();
+        const std::uint64_t dsv_gen = *pol.dsvCache().genPtr();
+        EXPECT_EQ(pol.gateLoad(c).gate, expected);
+        EXPECT_EQ(pol.isvCache().hits(), isv_hits + 1);
+        EXPECT_EQ(pol.isvCache().misses(), isv_misses);
+        EXPECT_EQ(pol.dsvCache().misses(), dsv_misses);
+        EXPECT_EQ(*pol.isvCache().genPtr(), isv_gen);
+        EXPECT_EQ(*pol.dsvCache().genPtr(), dsv_gen);
+        if (restrict_isv) {
+            // An ISV deny ends the check before the DSV lookup; the
+            // warmed page is there all the same.
+            EXPECT_EQ(pol.dsvCache().hits(), dsv_hits);
+            EXPECT_TRUE(
+                pol.dsvCache().lookup(c.dataVa, 1, true, c.now, false).hit);
+        } else {
+            EXPECT_EQ(pol.dsvCache().hits(), dsv_hits + 1);
+        }
     }
 };
 
@@ -430,4 +515,14 @@ TEST_F(PerspFixture, NullClockKeepsRevocationSynchronous)
     EXPECT_FALSE(pol.dsvmtOf(3).queryPfn(5));
     EXPECT_EQ(steadyGate(pol, ctxFor(pc, directMapVa(5), 1)),
               Gate::Block);
+}
+
+TEST_F(PerspFixture, WarmAccessFillsWithoutAccounting)
+{
+    checkWarmAccessContract(false);
+}
+
+TEST_F(PerspFixture, WarmAccessHonorsFleetAdminView)
+{
+    checkWarmAccessContract(true);
 }

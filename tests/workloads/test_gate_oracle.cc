@@ -58,11 +58,6 @@ class EveryCyclePolicy : public sim::SpeculationPolicy
         return inner_.kernelExitCost();
     }
     bool retpoline() const override { return inner_.retpoline(); }
-    bool
-    cfiAllowsIndirectTarget(sim::FuncId target) const override
-    {
-        return inner_.cfiAllowsIndirectTarget(target);
-    }
     bool shadowStack() const override { return inner_.shadowStack(); }
     bool
     allowFunctionalPhases() const override
