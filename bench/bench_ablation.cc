@@ -46,7 +46,8 @@ configCell(const WorkloadProfile &w, core::PerspectiveConfig cfg,
     c.warmup = kWarmup;
     c.tags = std::move(tags);
     c.body = [cfg](const SweepCell &cell) {
-        Experiment e(cell.profile, Scheme::Perspective, cell.seed);
+        Experiment e(cell.profile, Scheme::Perspective, cell.seed,
+                     cell.sampling);
         core::PerspectivePolicy pol(e.kernelState().ownership(), cfg,
                                     "ablation");
         const auto &t = e.kernelState().task(e.mainPid());
@@ -160,8 +161,8 @@ main(int argc, char **argv)
                   {"mode", flush_on_switch ? "flush-on-switch"
                                            : "asid-tagged"}};
         c.body = [flush_on_switch](const SweepCell &cell) {
-            Experiment e(cell.profile, Scheme::Perspective,
-                         cell.seed);
+            Experiment e(cell.profile, Scheme::Perspective, cell.seed,
+                         cell.sampling);
             core::PerspectiveConfig cfg;
             cfg.flushOnContextSwitch = flush_on_switch;
             core::PerspectivePolicy pol(e.kernelState().ownership(),
@@ -201,8 +202,8 @@ main(int argc, char **argv)
         c.body = [](const SweepCell &cell) {
             // Isolate the allocator: secure-slab kernel, all
             // speculation gating off.
-            Experiment e(cell.profile, Scheme::Perspective,
-                         cell.seed);
+            Experiment e(cell.profile, Scheme::Perspective, cell.seed,
+                         cell.sampling);
             e.pipeline().setPolicy(nullptr);
             return e.run(cell.iterations, cell.warmup);
         };

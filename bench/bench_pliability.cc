@@ -77,7 +77,8 @@ scenarioCell(const char *name, ScenarioFn fn)
     c.warmup = 0;
     c.tags = {{"pliability", name}};
     c.body = [fn](const SweepCell &cell) {
-        Experiment e(cell.profile, Scheme::Perspective, cell.seed);
+        Experiment e(cell.profile, Scheme::Perspective, cell.seed,
+                     cell.sampling);
         attacks::RaceResult race = fn(e);
         RunResult r;
         harvestRace(r, e, race);
@@ -99,7 +100,8 @@ budgetCell(sim::Cycle budget)
     c.tags = {{"pliability", "revocation-curve"},
               {"budget", std::to_string(budget)}};
     c.body = [budget](const SweepCell &cell) {
-        Experiment e(cell.profile, Scheme::Perspective, cell.seed);
+        Experiment e(cell.profile, Scheme::Perspective, cell.seed,
+                     cell.sampling);
         attacks::RaceResult race = attacks::raceRevocation(e, budget);
         RunResult r;
         harvestRace(r, e, race);

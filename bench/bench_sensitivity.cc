@@ -38,7 +38,8 @@ unknownCell(const WorkloadProfile &w, bool block_unknown)
     c.tags = {{"section", "unknown-allocations"},
               {"block_unknown", block_unknown ? "true" : "false"}};
     c.body = [block_unknown](const SweepCell &cell) {
-        Experiment e(cell.profile, Scheme::Perspective, cell.seed);
+        Experiment e(cell.profile, Scheme::Perspective, cell.seed,
+                     cell.sampling);
         core::PerspectiveConfig cfg;
         cfg.blockUnknown = block_unknown;
         core::PerspectivePolicy pol(e.kernelState().ownership(), cfg,

@@ -9,7 +9,6 @@ namespace perspective::attacks
 using kernel::KernelImage;
 using kernel::Sys;
 using kernel::SyscallInvocation;
-using kernel::reg::kArg0;
 using sim::Addr;
 using sim::FlushReload;
 using sim::FuncId;
@@ -20,23 +19,6 @@ namespace
 
 constexpr unsigned kVictimSecret = 0x5e; ///< written by Experiment
 constexpr unsigned kOwnSecret = 0x6b;    ///< victim's own data (passive)
-
-/** Run one syscall of the *main* process on the pipeline, optionally
- * overriding the attacker-controlled first argument after the benign
- * wrapper's preparation. */
-void
-runSyscall(Experiment &e, Sys s, const SyscallInvocation &inv,
-           std::optional<std::uint64_t> arg0_override = {})
-{
-    auto prep = e.executor().prepare(e.mainPid(), inv);
-    for (auto [r, v] : prep.regs)
-        e.pipeline().setReg(r, v);
-    e.pipeline().setReg(workloads::dreg::kPadIters, 0);
-    if (arg0_override)
-        e.pipeline().setReg(kArg0, *arg0_override);
-    e.pipeline().run(e.drivers().driverFor(s));
-    e.executor().finish(e.mainPid(), inv);
-}
 
 /**
  * Active Spectre-v1 attack through a reachable kernel gadget: the
@@ -65,7 +47,7 @@ activeV1(Experiment &e, Sys entry_sys, FuncId gadget)
 
     // (1) Mistrain the bounds check with in-bounds indices.
     for (int i = 0; i < 24; ++i)
-        runSyscall(e, entry_sys, inv);
+        e.runSyscall(e.mainPid(), inv, 0);
 
     PocResult res;
     res.expected = kVictimSecret;
@@ -78,7 +60,7 @@ activeV1(Experiment &e, Sys entry_sys, FuncId gadget)
         fr.prime();
 
         // (3) Out-of-bounds invocation; (4) reload.
-        runSyscall(e, entry_sys, inv, oob);
+        e.runSyscall(e.mainPid(), inv, 0, oob);
         res.recovered = fr.recover();
         res.leaked = res.recovered && *res.recovered == res.expected;
     }
@@ -106,7 +88,7 @@ passiveV2(Experiment &e)
     SyscallInvocation inv{Sys::Read, 0, 8, 0};
 
     // Warm run (trains the dispatch BTB entry to the benign target).
-    runSyscall(e, Sys::Read, inv);
+    e.runSyscall(e.mainPid(), inv, 0);
 
     auto [disp_func, icall_idx] = img.vfsReadDispatch();
     Addr icall_pc = img.program().func(disp_func).instAddr(icall_idx);
@@ -128,7 +110,7 @@ passiveV2(Experiment &e)
         fr.prime();
 
         // (3) The victim innocently issues read().
-        runSyscall(e, Sys::Read, inv);
+        e.runSyscall(e.mainPid(), inv, 0);
 
         res.recovered = fr.recover();
         res.leaked = res.recovered && *res.recovered == res.expected;
@@ -175,10 +157,10 @@ passiveRetbleed(Experiment &e)
         // (3) The victim opens a deeply nested path: 20 recursion
         // levels push 20 return addresses through the 16-entry RSB.
         SyscallInvocation inv{Sys::Open, 0, 0, 20};
-        runSyscall(e, Sys::Open, inv);
+        e.runSyscall(e.mainPid(), inv, 0);
         // Balance the open with a close.
-        runSyscall(e, Sys::Close,
-                   SyscallInvocation{Sys::Close, 0, 0, 0});
+        e.runSyscall(e.mainPid(), SyscallInvocation{Sys::Close, 0, 0, 0},
+                     0);
 
         res.recovered = fr.recover();
         res.leaked = res.recovered && *res.recovered == res.expected;

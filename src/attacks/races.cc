@@ -15,7 +15,6 @@ using kernel::DomainId;
 using kernel::KernelImage;
 using kernel::Sys;
 using kernel::SyscallInvocation;
-using kernel::reg::kArg0;
 using sim::Addr;
 using sim::FlushReload;
 using sim::FuncId;
@@ -28,27 +27,13 @@ constexpr unsigned kHandoffSecret = 0x77; ///< written post-handoff
 constexpr unsigned kGlobalSecret = 0x4d;  ///< unknown-provenance data
 constexpr unsigned kOwnSecret = 0x6b;     ///< victim's own data
 
-void
-runSyscall(Experiment &e, Sys s, const SyscallInvocation &inv,
-           std::optional<std::uint64_t> arg0_override = {})
-{
-    auto prep = e.executor().prepare(e.mainPid(), inv);
-    for (auto [r, v] : prep.regs)
-        e.pipeline().setReg(r, v);
-    e.pipeline().setReg(workloads::dreg::kPadIters, 0);
-    if (arg0_override)
-        e.pipeline().setReg(kArg0, *arg0_override);
-    e.pipeline().run(e.drivers().driverFor(s));
-    e.executor().finish(e.mainPid(), inv);
-}
-
 /** Mistrain the ioctl-path bounds check with in-bounds indices. */
 void
 mistrainIoctl(Experiment &e)
 {
     SyscallInvocation inv{Sys::Ioctl, 3, 4, 2};
     for (int i = 0; i < 24; ++i)
-        runSyscall(e, Sys::Ioctl, inv);
+        e.runSyscall(e.mainPid(), inv, 0);
 }
 
 /**
@@ -76,7 +61,7 @@ tryLeakVa(Experiment &e, Addr target_va, unsigned expected,
         FlushReload fr(cpu.caches(), kernel::kSharedProbeBase);
         fr.prime();
 
-        runSyscall(e, Sys::Ioctl, inv, oob);
+        e.runSyscall(e.mainPid(), inv, 0, oob);
         auto rec = fr.recover();
         if (rec && *rec == expected)
             return true;
@@ -109,7 +94,7 @@ tryHijack(Experiment &e, int attempts)
         FlushReload fr(cpu.caches(), kernel::kSharedProbeBase);
         fr.prime();
 
-        runSyscall(e, Sys::Read, inv);
+        e.runSyscall(e.mainPid(), inv, 0);
         auto rec = fr.recover();
         if (rec && *rec == kOwnSecret)
             return true;
@@ -273,7 +258,8 @@ raceFleetFlip(Experiment &e)
 
     // Barrier: a benign run drives the clock past the visibility
     // point and every context's next gate check synchronizes.
-    runSyscall(e, Sys::Ioctl, SyscallInvocation{Sys::Ioctl, 3, 4, 2});
+    e.runSyscall(e.mainPid(), SyscallInvocation{Sys::Ioctl, 3, 4, 2},
+                 0);
 
     r.leakedAfterUpdate = tryLeakVa(e, gva, kGlobalSecret, 3);
     return r;

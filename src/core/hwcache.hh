@@ -10,11 +10,10 @@
  * the fill happens in the background.
  *
  * Replacement: a fill takes the set's first invalid way, else the way
- * with the oldest stamp. Fills stamp their entry, and so do lookups
- * with defer_lru=false. A defer_lru=true lookup leaves the stamps
- * alone and no later touch is applied: gateLoad looks up that way, so
- * the detailed path replaces in fill order, while functional warming
- * (warmAccess, defer_lru=false) replaces by LRU.
+ * with the oldest stamp. Only fills stamp their entry; lookups leave
+ * the stamps alone (Section 6.2's touch at the Visibility Point is not
+ * modeled), so both the detailed path (gateLoad) and functional
+ * warming (warmAccess) replace in fill order.
  */
 
 #ifndef PERSPECTIVE_CORE_HWCACHE_HH
@@ -97,8 +96,8 @@ class ViewCache
      * (ready_at in the future) still reports a miss.
      */
     HwLookup
-    lookup(sim::Addr va, sim::Asid asid, bool defer_lru,
-           sim::Cycle now = 0, bool count = true)
+    lookup(sim::Addr va, sim::Asid asid, sim::Cycle now = 0,
+           bool count = true)
     {
         const sim::Addr key = va >> GranuleShift;
         Entry *e = find(key, asid);
@@ -107,8 +106,6 @@ class ViewCache
                 ++misses_;
             return {false, false, e ? e->readyAt : 0};
         }
-        if (!defer_lru)
-            e->lru = ++useClock_;
         if (count)
             ++hits_;
         return {true, viewAllows(e->payload, va - (key << GranuleShift))};
@@ -180,8 +177,8 @@ class ViewCache
     }
 
     /** Content generation: ticks on every fill and invalidation —
-     * anything that can change a lookup's outcome. LRU touches do
-     * not tick it. Used as a GateWake source. */
+     * anything that can change a lookup's outcome. Used as a
+     * GateWake source. */
     const std::uint64_t *genPtr() const { return &gen_; }
 
   private:
@@ -191,7 +188,7 @@ class ViewCache
         sim::Asid asid = 0;
         Payload payload{};
         bool valid = false;
-        std::uint64_t lru = 0;
+        std::uint64_t lru = 0; ///< fill stamp
         sim::Cycle readyAt = 0;
     };
 

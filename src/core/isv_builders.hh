@@ -93,14 +93,9 @@ class DynamicIsvBuilder
     void
     observe(sim::FuncId f)
     {
-        if (f < seen_.size() && !seen_[f]) {
+        if (f < seen_.size())
             seen_[f] = true;
-            ++numSeen_;
-        }
     }
-
-    /** Number of distinct kernel functions observed so far. */
-    std::size_t numObserved() const { return numSeen_; }
 
     /** Emit the personalized dynamic ISV. */
     IsvView build() const;
@@ -109,7 +104,6 @@ class DynamicIsvBuilder
     const kernel::KernelImage &img_;
     /** Kernel-FuncId-indexed bitmap of observed functions. */
     std::vector<bool> seen_;
-    std::size_t numSeen_ = 0;
 };
 
 /**

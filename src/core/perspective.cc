@@ -88,13 +88,6 @@ PerspectivePolicy::registerContext(sim::Asid asid, DomainId domain,
     }
 }
 
-bool
-PerspectivePolicy::inDsv(sim::Addr va, DomainId domain) const
-{
-    return ownerAdmits(ownership_.ownerOfVa(va), domain,
-                       cfg_.blockUnknown);
-}
-
 sim::LeakWindow
 PerspectivePolicy::updateWindow(sim::Addr va, sim::Asid asid) const
 {
@@ -346,7 +339,7 @@ PerspectivePolicy::checkView(Cache &cache, ViewTally &tally,
                              FillValue fill_value)
 {
     HwLookup look =
-        cache.lookup(va, ctx.asid, true, ctx.now, ctx.firstCheck);
+        cache.lookup(va, ctx.asid, ctx.now, ctx.firstCheck);
     if (!look.hit) {
         if (!ctx.firstCheck)
             return look.readyAt;
@@ -475,8 +468,10 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
             return blockOnViews(*ready);
 
         // The verdict says Allow — but is it stale? If a pending
-        // revocation covers this page and ground truth now denies it,
-        // this load is reading through the open transient window.
+        // revocation covers this page and ground truth now denies it
+        // (under the context's effective blockUnknown, which a synced
+        // fleet flip may have raised), this load is reading through
+        // the open transient window.
         // (No firstCheck gate: a load that missed the DSV cache gets
         // its Allow on a recheck, and Allow ends the recheck loop, so
         // this fires once per resolved load either way.)
@@ -484,7 +479,8 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
             kernel::Pfn pfn = kernel::directMapPfn(ctx.dataVa);
             for (const PendingRevocation &r : pending_) {
                 if (r.pfn == pfn &&
-                    !inDsv(ctx.dataVa, c->domain)) {
+                    !ownerAdmits(ownership_.ownerOfVa(ctx.dataVa),
+                                 c->domain, effBlockUnknown(*c))) {
                     if (stats_) {
                         stats_
                             ->counter(
@@ -508,7 +504,7 @@ PerspectivePolicy::warmAccess(const SpecContext &ctx)
     // start with the lookup state a continuously-detailed run would
     // have. Everything here must stay accounting-free: no counters,
     // no burst runs, no histogram samples — warming has no timeline,
-    // so fills land immediately ready and deferred-LRU is off. The
+    // so fills land immediately ready. The
     // pipeline only warms while allowFunctionalPhases() holds, so no
     // revocation window is open.
     if (!ctx.kernelMode)
@@ -520,13 +516,12 @@ PerspectivePolicy::warmAccess(const SpecContext &ctx)
 
     if (cfg_.enableIsv && c->isv) {
         syncIsvEpoch(ctx.asid, *c);
-        if (!isvCache_.lookup(ctx.pc, ctx.asid, false, ctx.now, false).hit)
+        if (!isvCache_.lookup(ctx.pc, ctx.asid, ctx.now, false).hit)
             isvCache_.fill(ctx.pc, ctx.asid, isvFillBits(ctx.pc, *c), 0);
     }
 
     if (cfg_.enableDsv && kernel::inDirectMap(ctx.dataVa)) {
-        if (!dsvCache_.lookup(ctx.dataVa, ctx.asid, false, ctx.now, false)
-                 .hit)
+        if (!dsvCache_.lookup(ctx.dataVa, ctx.asid, ctx.now, false).hit)
             dsvCache_.fill(ctx.dataVa, ctx.asid,
                            dsvFillValue(ctx.dataVa, *c), 0);
     }
@@ -539,7 +534,7 @@ PerspectivePolicy::dsvFillValue(sim::Addr va, const Context &c)
     // DSVMT (the flat radix mirror — this is where the walk MRU
     // earns its keep). Unknown-provenance frames have no per-domain
     // entry; their verdict is the blockUnknown policy bit, exactly
-    // the inDsv predicate. During an open revocation window the
+    // the ownerAdmits predicate. During an open revocation window the
     // mirror still holds the pre-handoff bit — by design.
     bool block_unknown = effBlockUnknown(c);
     if (ctxMruTree_) {

@@ -138,9 +138,6 @@ class PerspectivePolicy : public sim::SpeculationPolicy
      */
     const Dsvmt &dsvmtOf(kernel::DomainId domain) const;
 
-    /** Ground-truth DSV membership for @p va under @p domain. */
-    bool inDsv(sim::Addr va, kernel::DomainId domain) const;
-
     const PerspectiveConfig &config() const { return cfg_; }
 
     /** Wire the pipeline cycle counter; timestamps deferred

@@ -48,9 +48,6 @@ class BuddyAllocator
     /** Frames currently allocated. */
     std::uint64_t allocatedFrames() const { return allocated_; }
 
-    /** Frames managed in total. */
-    std::uint64_t totalFrames() const { return total_; }
-
     /** Allocation call count (for experiment bookkeeping). */
     std::uint64_t allocCount() const { return allocCount_; }
 

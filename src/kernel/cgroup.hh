@@ -41,13 +41,6 @@ class CgroupRegistry
         return entries_[id].domain;
     }
 
-    const std::string &
-    nameOf(CgroupId id) const
-    {
-        assert(id < entries_.size());
-        return entries_[id].name;
-    }
-
     std::size_t size() const { return entries_.size(); }
 
   private:

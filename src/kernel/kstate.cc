@@ -123,6 +123,11 @@ KernelState::exitProcess(Pid pid)
     for (auto [va, cls] : t.slabObjects)
         kmallocCaches_[cls]->free(va);
     t.slabObjects.clear();
+    for (auto [va, size] : t.openObjects)
+        kfree(va, size);
+    for (const auto &r : t.regions)
+        if (r)
+            buddy_.freePages(r->pfn, r->order);
     for (Pfn pfn : t.userPages)
         buddy_.freePages(pfn, 0);
     t.userPages.clear();

@@ -7,7 +7,10 @@
 #ifndef PERSPECTIVE_KERNEL_PROCESS_HH
 #define PERSPECTIVE_KERNEL_PROCESS_HH
 
+#include <array>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "types.hh"
@@ -31,6 +34,24 @@ inline constexpr sim::RegId kPerCpu = 16; ///< per-cpu area base
 inline constexpr sim::RegId kRet = 9;     ///< syscall return value
 } // namespace reg
 
+/** Long-lived kernel regions a task's syscalls create at first use
+ * (the buffers SyscallExecutor hands the IR handlers). */
+enum class TaskRegion : unsigned
+{
+    FileBuf,   ///< 4-page file buffer
+    SockBuf,   ///< 4-page socket buffer
+    BigRegion, ///< 32-page data region (big-fork's copy source)
+    FdRegion,  ///< 64-page fd/file-struct region (the poll scans)
+    Count
+};
+
+/** A buddy block a task owns: its first frame and its order. */
+struct OwnedBlock
+{
+    Pfn pfn = 0;
+    unsigned order = 0;
+};
+
 /** One task. All addresses are direct-map VAs. */
 struct Task
 {
@@ -53,6 +74,15 @@ struct Task
 
     /** Live kmalloc'd objects (address, size-class index). */
     std::vector<std::pair<Addr, unsigned>> slabObjects;
+
+    /** Lazily created regions, indexed by TaskRegion. */
+    std::array<std::optional<OwnedBlock>,
+               static_cast<unsigned>(TaskRegion::Count)>
+        regions;
+
+    /** Open file/socket slab objects, closed last-opened first:
+     * (address, size in bytes). */
+    std::vector<std::pair<Addr, std::uint32_t>> openObjects;
 
     /** Per-task enforcement aspects (fleet.hh bits) — the task half
      * of the DEXCR-style value; the kernel runs the task under

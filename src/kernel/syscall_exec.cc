@@ -1,5 +1,6 @@
 #include "syscall_exec.hh"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "process.hh"
@@ -19,80 +20,60 @@ clampLines(std::uint64_t v, std::uint64_t dflt, std::uint64_t max)
     return v > max ? max : v;
 }
 
+/** Order and out-of-memory message of each TaskRegion. */
+struct RegionSpec
+{
+    unsigned order;
+    const char *oom;
+};
+constexpr RegionSpec kRegionSpecs[] = {
+    {2, "oom: file buffer"},
+    {2, "oom: socket buffer"},
+    {5, "oom: big region"},
+    {6, "oom: fd region"},
+};
+static_assert(std::size(kRegionSpecs) ==
+              static_cast<std::size_t>(TaskRegion::Count));
+
 } // namespace
 
 Addr
-SyscallExecutor::fileBuf(Pid pid)
+SyscallExecutor::region(Task &t, TaskRegion which)
 {
-    TaskExtra &ex = extra(pid);
-    if (!ex.hasFileBuf) {
-        auto pfn = ks_.buddy().allocPages(2, ks_.domainOf(pid));
+    auto &slot = t.regions[static_cast<unsigned>(which)];
+    if (!slot) {
+        const RegionSpec &spec =
+            kRegionSpecs[static_cast<unsigned>(which)];
+        auto pfn = ks_.buddy().allocPages(spec.order, t.domain);
         if (!pfn)
-            throw std::runtime_error("oom: file buffer");
-        ex.fileBufPfn = *pfn;
-        ex.hasFileBuf = true;
-    }
-    return directMapVa(ex.fileBufPfn);
-}
-
-Addr
-SyscallExecutor::sockBuf(Pid pid)
-{
-    TaskExtra &ex = extra(pid);
-    if (!ex.hasSockBuf) {
-        auto pfn = ks_.buddy().allocPages(2, ks_.domainOf(pid));
-        if (!pfn)
-            throw std::runtime_error("oom: socket buffer");
-        ex.sockBufPfn = *pfn;
-        ex.hasSockBuf = true;
-    }
-    return directMapVa(ex.sockBufPfn);
-}
-
-Addr
-SyscallExecutor::bigRegion(Pid pid)
-{
-    TaskExtra &ex = extra(pid);
-    if (!ex.hasBigRegion) {
-        auto pfn = ks_.buddy().allocPages(5, ks_.domainOf(pid));
-        if (!pfn)
-            throw std::runtime_error("oom: big region");
-        ex.bigRegionPfn = *pfn;
-        ex.hasBigRegion = true;
-    }
-    return directMapVa(ex.bigRegionPfn);
-}
-
-Addr
-SyscallExecutor::fdRegion(Pid pid)
-{
-    TaskExtra &ex = extra(pid);
-    if (!ex.hasFdRegion) {
-        auto pfn = ks_.buddy().allocPages(6, ks_.domainOf(pid));
-        if (!pfn)
-            throw std::runtime_error("oom: fd region");
-        ex.fdRegionPfn = *pfn;
-        ex.hasFdRegion = true;
-        // Each 192-byte file struct starts with a pointer to another
-        // struct in the window (ops/inode links) for the poll scan's
-        // pointer chase.
-        Addr base = directMapVa(*pfn);
-        for (unsigned i = 0; i < 512; ++i) {
-            ks_.memory().write(base + Addr{i} * 192,
-                               base + ((i * 131 + 7) % 170) * 192);
+            throw std::runtime_error(spec.oom);
+        slot = OwnedBlock{*pfn, spec.order};
+        if (which == TaskRegion::FdRegion) {
+            // Each 192-byte file struct starts with a pointer to
+            // another struct in the window (ops/inode links) for the
+            // poll scan's pointer chase.
+            Addr base = directMapVa(*pfn);
+            for (unsigned i = 0; i < 512; ++i) {
+                ks_.memory().write(base + Addr{i} * 192,
+                                   base + ((i * 131 + 7) % 170) * 192);
+            }
         }
     }
-    return directMapVa(ex.fdRegionPfn);
+    return directMapVa(slot->pfn);
 }
 
 PreparedSyscall
 SyscallExecutor::prepare(Pid pid, const SyscallInvocation &inv)
 {
+    static_assert(reg::kCtx + PreparedSyscall::kNumRegs - 1 ==
+                  reg::kPerCpu);
     Task &t = ks_.task(pid);
     DomainId dom = t.domain;
     PreparedSyscall p;
+    // Each register has one slot: a syscall-specific value overwrites
+    // the baseline below.
     auto set = [&p](unsigned r, std::uint64_t v) {
-        p.regs.emplace_back(r, v);
+        p.regs[r - reg::kCtx] = {r, v};
     };
 
     // Baseline register conventions for every syscall.
@@ -104,10 +85,7 @@ SyscallExecutor::prepare(Pid pid, const SyscallInvocation &inv)
     set(reg::kArg1, inv.arg1);
     set(reg::kArg2, inv.arg2);
 
-    pendingChild_ = 0;
-    pendingKmalloc_ = 0;
-    pendingChildRegionValid_ = false;
-    pendingPageValid_ = false;
+    pending_ = {};
 
     switch (inv.sys) {
       case Sys::Mmap:
@@ -129,8 +107,7 @@ SyscallExecutor::prepare(Pid pid, const SyscallInvocation &inv)
         auto pfn = ks_.buddy().allocPages(0, dom);
         if (!pfn)
             throw std::runtime_error("oom: page fault");
-        pendingPage_ = *pfn;
-        pendingPageValid_ = true;
+        pending_.page = *pfn;
         set(reg::kArg1, 1);
         set(reg::kArg2, directMapVa(*pfn));
         break;
@@ -144,22 +121,21 @@ SyscallExecutor::prepare(Pid pid, const SyscallInvocation &inv)
       }
       case Sys::Fork:
       case Sys::ThreadCreate: {
-        pendingChild_ = ks_.createProcess(t.cgroup);
-        Task &child = ks_.task(pendingChild_);
+        pending_.child = ks_.createProcess(t.cgroup);
+        Task &child = ks_.task(*pending_.child);
         set(reg::kArg0, t.ctxVa);       // copy source
         set(reg::kArg1, 4);             // pages
         set(reg::kArg2, child.ctxVa);   // copy destination
         break;
       }
       case Sys::BigFork: {
-        pendingChild_ = ks_.createProcess(t.cgroup);
-        Addr parent_region = bigRegion(pid);
+        pending_.child = ks_.createProcess(t.cgroup);
+        Addr parent_region = region(t, TaskRegion::BigRegion);
         auto child_region = ks_.buddy().allocPages(
-            5, ks_.task(pendingChild_).domain);
+            5, ks_.task(*pending_.child).domain);
         if (!child_region)
             throw std::runtime_error("oom: big fork");
-        pendingChildRegion_ = *child_region;
-        pendingChildRegionValid_ = true;
+        pending_.childRegion = *child_region;
         set(reg::kArg0, parent_region);
         set(reg::kArg1, 32);
         set(reg::kArg2, directMapVa(*child_region));
@@ -169,37 +145,35 @@ SyscallExecutor::prepare(Pid pid, const SyscallInvocation &inv)
       case Sys::Write:
       case Sys::Fsync:
         set(reg::kArg1, clampLines(inv.arg1, 16, 64));
-        set(reg::kArg2, fileBuf(pid));
+        set(reg::kArg2, region(t, TaskRegion::FileBuf));
         break;
       case Sys::BigRead:
       case Sys::BigWrite:
         set(reg::kArg1, clampLines(inv.arg1 ? inv.arg1 : 256, 256,
                                    256));
-        set(reg::kArg2, fileBuf(pid));
+        set(reg::kArg2, region(t, TaskRegion::FileBuf));
         break;
       case Sys::Open: {
         // Path walk depth; the file object lives until close().
         set(reg::kArg2, inv.arg2 ? inv.arg2 : 3);
         Addr obj = ks_.kmalloc(512, dom);
-        extra(pid).openObjects.emplace_back(obj, 512);
+        t.openObjects.emplace_back(obj, 512);
         break;
       }
       case Sys::Stat: {
         // Path walk depth; the dentry reference is transient.
         set(reg::kArg2, inv.arg2 ? inv.arg2 : 3);
-        pendingKmalloc_ = ks_.kmalloc(512, dom);
-        pendingKmallocSize_ = 512;
+        pending_.kmalloc.emplace(ks_.kmalloc(512, dom), 512);
         break;
       }
-      case Sys::Close: {
-        TaskExtra &ex = extra(pid);
-        if (!ex.openObjects.empty()) {
-            auto [va, sz] = ex.openObjects.back();
+      case Sys::Close:
+      case Sys::Shutdown:
+        if (!t.openObjects.empty()) {
+            auto [va, sz] = t.openObjects.back();
             ks_.kfree(va, sz);
-            ex.openObjects.pop_back();
+            t.openObjects.pop_back();
         }
         break;
-      }
       case Sys::Ioctl:
         // Benign index into the driver's table (bounds value is 16).
         set(reg::kArg0, inv.arg0 % 16);
@@ -208,15 +182,15 @@ SyscallExecutor::prepare(Pid pid, const SyscallInvocation &inv)
       case Sys::Poll:
       case Sys::EpollWait: {
         set(reg::kArg1, clampLines(inv.arg1, 64, 512)); // nfds
-        set(reg::kArg2, fdRegion(pid)); // per-fd file structs
+        // Per-fd file structs.
+        set(reg::kArg2, region(t, TaskRegion::FdRegion));
         // Transient metadata allocation (Figure 5.2's poll example).
-        pendingKmalloc_ = ks_.kmalloc(256, dom);
-        pendingKmallocSize_ = 256;
+        pending_.kmalloc.emplace(ks_.kmalloc(256, dom), 256);
         break;
       }
       case Sys::EpollCreate: {
         Addr obj = ks_.kmalloc(512, dom);
-        extra(pid).openObjects.emplace_back(obj, 512);
+        t.openObjects.emplace_back(obj, 512);
         break;
       }
       case Sys::Send:
@@ -224,24 +198,14 @@ SyscallExecutor::prepare(Pid pid, const SyscallInvocation &inv)
       case Sys::Recv:
       case Sys::RecvFrom: {
         set(reg::kArg1, clampLines(inv.arg1, 16, 64));
-        set(reg::kArg2, sockBuf(pid));
+        set(reg::kArg2, region(t, TaskRegion::SockBuf));
         // skb allocation, freed on completion.
-        pendingKmalloc_ = ks_.kmalloc(2048, dom);
-        pendingKmallocSize_ = 2048;
+        pending_.kmalloc.emplace(ks_.kmalloc(2048, dom), 2048);
         break;
       }
       case Sys::Socket: {
         Addr obj = ks_.kmalloc(1024, dom);
-        extra(pid).openObjects.emplace_back(obj, 1024);
-        break;
-      }
-      case Sys::Shutdown: {
-        TaskExtra &ex = extra(pid);
-        if (!ex.openObjects.empty()) {
-            auto [va, sz] = ex.openObjects.back();
-            ks_.kfree(va, sz);
-            ex.openObjects.pop_back();
-        }
+        t.openObjects.emplace_back(obj, 1024);
         break;
       }
       default:
@@ -255,45 +219,20 @@ SyscallExecutor::finish(Pid pid, const SyscallInvocation &inv)
 {
     (void)pid;
     (void)inv;
-    if (pendingKmalloc_ != 0) {
-        ks_.kfree(pendingKmalloc_, pendingKmallocSize_);
-        pendingKmalloc_ = 0;
-    }
-    if (pendingChildRegionValid_) {
-        ks_.buddy().freePages(pendingChildRegion_, 5);
-        pendingChildRegionValid_ = false;
-    }
-    if (pendingChild_ != 0) {
+    if (pending_.kmalloc)
+        ks_.kfree(pending_.kmalloc->first, pending_.kmalloc->second);
+    if (pending_.childRegion)
+        ks_.buddy().freePages(*pending_.childRegion, 5);
+    if (pending_.child) {
         // The forked child exits immediately in our workloads.
-        ks_.exitProcess(pendingChild_);
-        pendingChild_ = 0;
+        ks_.exitProcess(*pending_.child);
     }
-    if (pendingPageValid_) {
+    if (pending_.page) {
         // The faulted page stays mapped only transiently in the
         // microbenchmark loop; release it to keep memory bounded.
-        ks_.buddy().freePages(pendingPage_, 0);
-        pendingPageValid_ = false;
+        ks_.buddy().freePages(*pending_.page, 0);
     }
-}
-
-void
-SyscallExecutor::releaseTask(Pid pid)
-{
-    auto it = extra_.find(pid);
-    if (it == extra_.end())
-        return;
-    TaskExtra &ex = it->second;
-    if (ex.hasFileBuf)
-        ks_.buddy().freePages(ex.fileBufPfn, 2);
-    if (ex.hasSockBuf)
-        ks_.buddy().freePages(ex.sockBufPfn, 2);
-    if (ex.hasBigRegion)
-        ks_.buddy().freePages(ex.bigRegionPfn, 5);
-    if (ex.hasFdRegion)
-        ks_.buddy().freePages(ex.fdRegionPfn, 6);
-    for (auto [va, sz] : ex.openObjects)
-        ks_.kfree(va, sz);
-    extra_.erase(it);
+    pending_ = {};
 }
 
 } // namespace perspective::kernel

@@ -21,10 +21,10 @@
 #ifndef PERSPECTIVE_KERNEL_SYSCALL_EXEC_HH
 #define PERSPECTIVE_KERNEL_SYSCALL_EXEC_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <utility>
-#include <vector>
 
 #include "image.hh"
 #include "kstate.hh"
@@ -42,13 +42,19 @@ struct SyscallInvocation
     std::uint64_t arg2 = 0;
 };
 
-/** Register assignments to apply before running the IR handler. */
+/** Register assignments to apply before running the IR handler: one
+ * (register, value) slot for each of r10-r16, in register order. */
 struct PreparedSyscall
 {
-    std::vector<std::pair<unsigned, std::uint64_t>> regs;
+    static constexpr unsigned kNumRegs = 7;
+    std::array<std::pair<unsigned, std::uint64_t>, kNumRegs> regs;
 };
 
-/** Executes syscall semantics against the KernelState. */
+/**
+ * Executes syscall semantics against the KernelState. It keeps no
+ * per-task state: a task's long-lived regions and open objects live
+ * in its kernel::Task and are freed by KernelState::exitProcess.
+ */
 class SyscallExecutor
 {
   public:
@@ -63,47 +69,26 @@ class SyscallExecutor
     /** Step 3: release transient resources of the invocation. */
     void finish(Pid pid, const SyscallInvocation &inv);
 
-    /** Drop all lazily-created per-task regions for @p pid (call
-     * before exiting the process). */
-    void releaseTask(Pid pid);
-
     KernelState &kernelState() { return ks_; }
     KernelImage &image() { return img_; }
 
   private:
-    /** Lazily-created long-lived regions per task. */
-    struct TaskExtra
-    {
-        Pfn fileBufPfn = 0;  ///< 4-page file buffer (order 2)
-        Pfn sockBufPfn = 0;  ///< 4-page socket buffer (order 2)
-        Pfn bigRegionPfn = 0;///< 32-page data region (order 5)
-        Pfn fdRegionPfn = 0; ///< 64-page fd/file-struct region
-        bool hasFileBuf = false;
-        bool hasSockBuf = false;
-        bool hasBigRegion = false;
-        bool hasFdRegion = false;
-        /** Open file/socket slab objects: (address, size class). */
-        std::vector<std::pair<Addr, std::uint32_t>> openObjects;
-    };
-
-    TaskExtra &extra(Pid pid) { return extra_[pid]; }
-    Addr fileBuf(Pid pid);
-    Addr sockBuf(Pid pid);
-    Addr bigRegion(Pid pid);
-    Addr fdRegion(Pid pid);
+    /** @p t's region @p which, allocated at first use. */
+    Addr region(Task &t, TaskRegion which);
 
     KernelState &ks_;
     KernelImage &img_;
-    std::unordered_map<Pid, TaskExtra> extra_;
 
-    // Transient state between prepare() and finish().
-    Pid pendingChild_ = 0;
-    Addr pendingKmalloc_ = 0;
-    std::uint32_t pendingKmallocSize_ = 0;
-    Pfn pendingChildRegion_ = 0;
-    bool pendingChildRegionValid_ = false;
-    Pfn pendingPage_ = 0;
-    bool pendingPageValid_ = false;
+    /** Transient resources between prepare() and finish(). */
+    struct Pending
+    {
+        std::optional<Pid> child;       ///< forked child, exits in finish
+        std::optional<Pfn> childRegion; ///< big-fork copy, order 5
+        std::optional<Pfn> page;        ///< faulted page
+        /** Transient slab object: (address, size in bytes). */
+        std::optional<std::pair<Addr, std::uint32_t>> kmalloc;
+    };
+    Pending pending_;
 };
 
 } // namespace perspective::kernel

@@ -126,12 +126,8 @@ Cache::flushAll()
 CacheHierarchy::CacheHierarchy(const CacheParams &l1i,
                                const CacheParams &l1d,
                                const CacheParams &l2,
-                               Cycle dram_latency, bool prefetch)
-    : l1i_(l1i),
-      l1d_(l1d),
-      l2_(l2),
-      dramLatency_(dram_latency),
-      prefetch_(prefetch)
+                               Cycle dram_latency)
+    : l1i_(l1i), l1d_(l1d), l2_(l2), dramLatency_(dram_latency)
 {
 }
 
@@ -155,7 +151,7 @@ CacheHierarchy::accessData(Addr addr, CacheCounters *ctrs)
     // Next-line prefetcher (Table 7.1): a demand miss triggers a
     // background fill of the following line. No latency is charged —
     // the prefetch overlaps with the demand access.
-    if (prefetch_ && prefetchInto(l1d_, addr) && ctrs)
+    if (prefetchInto(l1d_, addr) && ctrs)
         ctrs->l1dPrefetches.inc();
     return latency;
 }
@@ -174,7 +170,7 @@ CacheHierarchy::accessInst(Addr addr, CacheCounters *ctrs)
     l1i_.install(miss);
     if (ctrs)
         ctrs->l1iMisses.inc();
-    if (prefetch_ && prefetchInto(l1i_, addr) && ctrs)
+    if (prefetchInto(l1i_, addr) && ctrs)
         ctrs->l1iPrefetches.inc();
     return latency;
 }

@@ -178,8 +178,7 @@ class CacheHierarchy
 {
   public:
     CacheHierarchy(const CacheParams &l1i, const CacheParams &l1d,
-                   const CacheParams &l2, Cycle dram_latency,
-                   bool prefetch = true);
+                   const CacheParams &l2, Cycle dram_latency);
 
     /** Data access: charge latency, install in L1D/L2; counts into
      * @p ctrs when given. */
@@ -202,10 +201,6 @@ class CacheHierarchy
     Cache &l2() { return l2_; }
     Cycle dramLatency() const { return dramLatency_; }
 
-    /** Toggle the next-line prefetchers (Table 7.1 has one per L1). */
-    void setPrefetch(bool on) { prefetch_ = on; }
-    bool prefetch() const { return prefetch_; }
-
   private:
     /** The L2 leg of an L1 miss: one walk, filling the L2 on a
      * miss. True on an L2 hit. */
@@ -219,7 +214,6 @@ class CacheHierarchy
     Cache l1d_;
     Cache l2_;
     Cycle dramLatency_;
-    bool prefetch_;
 };
 
 /** The Table 7.1 configuration. */

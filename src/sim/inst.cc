@@ -61,17 +61,6 @@ movImm(RegId dst, std::int64_t imm)
 }
 
 MicroOp
-mov(RegId dst, RegId src)
-{
-    MicroOp u;
-    u.op = Op::IntAlu;
-    u.alu = AluOp::Mov;
-    u.dst = dst;
-    u.src1 = src;
-    return u;
-}
-
-MicroOp
 add(RegId dst, RegId src1, RegId src2)
 {
     MicroOp u;

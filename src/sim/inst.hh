@@ -82,13 +82,6 @@ struct MicroOp
     /** Direct call target. */
     FuncId callee = kNoFunc;
 
-    /** True for ops whose execution can leak through a covert channel. */
-    bool
-    isTransmitter() const
-    {
-        return op == Op::Load;
-    }
-
     /** True for control-flow ops resolved by a predictor. */
     bool
     isControl() const
@@ -143,7 +136,6 @@ evalCondOp(Cond c, std::uint64_t a, std::uint64_t b)
  * @{
  */
 MicroOp movImm(RegId dst, std::int64_t imm);
-MicroOp mov(RegId dst, RegId src);
 MicroOp add(RegId dst, RegId src1, RegId src2);
 MicroOp addImm(RegId dst, RegId src1, std::int64_t imm);
 MicroOp andImm(RegId dst, RegId src1, std::int64_t imm);

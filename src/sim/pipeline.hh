@@ -179,10 +179,7 @@ class Pipeline
 
     Memory &memory() { return mem_; }
     CacheHierarchy &caches() { return caches_; }
-    CondPredictor &condPredictor() { return cond_; }
     Btb &btb() { return btb_; }
-    Rsb &rsb() { return rsb_; }
-    Tlb &dtlb() { return dtlb_; }
     StatSet &stats() { return stats_; }
     const Program &program() const { return prog_; }
     const PipelineParams &params() const { return params_; }

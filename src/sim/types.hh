@@ -53,13 +53,6 @@ inline constexpr Addr kKernelTextBase = 0xffff'8000'0000'0000;
 inline constexpr Addr kIsvShadowOffset = 0x0000'2000'0000'0000;
 inline constexpr Addr kDirectMapBase = 0xffff'c000'0000'0000;
 
-/** Convert an address to its page-aligned base. */
-constexpr Addr
-pageBase(Addr a)
-{
-    return a & ~(kPageSize - 1);
-}
-
 /** Convert an address to its page frame number. */
 constexpr Addr
 pageNumber(Addr a)

@@ -31,13 +31,6 @@ schemeName(Scheme s)
 }
 
 std::vector<Scheme>
-paperSchemes()
-{
-    return {Scheme::Unsafe, Scheme::Fence, Scheme::PerspectiveStatic,
-            Scheme::Perspective, Scheme::PerspectivePlusPlus};
-}
-
-std::vector<Scheme>
 allSchemes()
 {
     return {Scheme::Unsafe,           Scheme::Fence,
@@ -284,16 +277,27 @@ Experiment::runRequestAs(Pid pid)
 
     sim::RunResult total;
     for (const auto &inv : profile_.request) {
-        auto prep = exec_->prepare(pid, inv);
-        for (auto [r, v] : prep.regs)
-            cpu_->setReg(r, v);
-        cpu_->setReg(dreg::kPadIters, profile_.userPadIters);
-        auto r = cpu_->run(drivers_->driverFor(inv.sys));
-        exec_->finish(pid, inv);
+        auto r = runSyscall(pid, inv, profile_.userPadIters);
         total.cycles += r.cycles;
         total.instructions += r.instructions;
     }
     return total;
+}
+
+sim::RunResult
+Experiment::runSyscall(Pid pid, const kernel::SyscallInvocation &inv,
+                       std::uint64_t pad_iters,
+                       std::optional<std::uint64_t> arg0)
+{
+    auto prep = exec_->prepare(pid, inv);
+    for (auto [r, v] : prep.regs)
+        cpu_->setReg(r, v);
+    cpu_->setReg(dreg::kPadIters, pad_iters);
+    if (arg0)
+        cpu_->setReg(kernel::reg::kArg0, *arg0);
+    auto r = cpu_->run(drivers_->driverFor(inv.sys));
+    exec_->finish(pid, inv);
+    return r;
 }
 
 RunResult

@@ -45,8 +45,6 @@ enum class Scheme
 
 const char *schemeName(Scheme s);
 
-/** The five schemes of Figures 9.2/9.3. */
-std::vector<Scheme> paperSchemes();
 /** All eight (adds DOM/STT/spot comparisons of Section 9.1). */
 std::vector<Scheme> allSchemes();
 
@@ -103,15 +101,15 @@ class Experiment
   public:
     /**
      * @p sampling selects sampled simulation (DESIGN §5.8; the
-     * default follows PERSPECTIVE_SAMPLE). Sampled results are
+     * default is exact, and sweep cells pass the PERSPECTIVE_SAMPLE
+     * choice through SweepCell::sampling). Sampled results are
      * statistical: RunResult::cycles is an extrapolated estimate
      * carrying the RunResult::sampling confidence interval, and
      * stats cover only the detailed windows.
      */
     Experiment(const WorkloadProfile &profile, Scheme scheme,
                std::uint64_t seed = 42,
-               sim::SamplingParams sampling =
-                   sim::SamplingParams::fromEnv());
+               sim::SamplingParams sampling = {});
 
     /** Run @p iterations measured request iterations (after
      * @p warmup unmeasured ones) and report the aggregate. */
@@ -146,6 +144,18 @@ class Experiment
     /** Same, but on behalf of @p pid (context-switch studies). The
      * pipeline's ASID and kernel stack switch to that task's. */
     sim::RunResult runRequestAs(kernel::Pid pid);
+
+    /**
+     * Run one syscall of @p pid on the pipeline: prepare it, load its
+     * registers and @p pad_iters user-side pad iterations, optionally
+     * override the first argument with the raw @p arg0 (an attacker's
+     * unchecked index), run the syscall's driver and finish it. The
+     * pipeline's ASID and kernel stack are left as they are.
+     */
+    sim::RunResult runSyscall(kernel::Pid pid,
+                              const kernel::SyscallInvocation &inv,
+                              std::uint64_t pad_iters,
+                              std::optional<std::uint64_t> arg0 = {});
 
     /** Trace one request iteration on the interpreter, reporting
      * function entries to @p on_func. */

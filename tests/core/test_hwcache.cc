@@ -26,9 +26,9 @@ allowAll()
 TEST(IsvCache, MissThenHit)
 {
     IsvCache c;
-    EXPECT_FALSE(c.lookup(kPc, 1, false).hit);
+    EXPECT_FALSE(c.lookup(kPc, 1).hit);
     c.fill(kPc, 1, allowAll());
-    auto r = c.lookup(kPc, 1, false);
+    auto r = c.lookup(kPc, 1);
     EXPECT_TRUE(r.hit);
     EXPECT_TRUE(r.allow);
 }
@@ -41,25 +41,25 @@ TEST(IsvCache, PerInstructionBits)
     b.set(5);
     Addr base = kPc & ~Addr{511};
     c.fill(base, 1, b);
-    EXPECT_TRUE(c.lookup(base, 1, false).allow);
-    EXPECT_FALSE(c.lookup(base + 4, 1, false).allow);
-    EXPECT_TRUE(c.lookup(base + 5 * 4, 1, false).allow);
+    EXPECT_TRUE(c.lookup(base, 1).allow);
+    EXPECT_FALSE(c.lookup(base + 4, 1).allow);
+    EXPECT_TRUE(c.lookup(base + 5 * 4, 1).allow);
 }
 
 TEST(IsvCache, AsidTaggingIsolatesContexts)
 {
     IsvCache c;
     c.fill(kPc, 1, allowAll());
-    EXPECT_TRUE(c.lookup(kPc, 1, false).hit);
-    EXPECT_FALSE(c.lookup(kPc, 2, false).hit);
+    EXPECT_TRUE(c.lookup(kPc, 1).hit);
+    EXPECT_FALSE(c.lookup(kPc, 2).hit);
 }
 
 TEST(IsvCache, InFlightFillStillMisses)
 {
     IsvCache c;
     c.fill(kPc, 1, allowAll(), /*ready_at=*/100);
-    EXPECT_FALSE(c.lookup(kPc, 1, false, /*now=*/50).hit);
-    EXPECT_TRUE(c.lookup(kPc, 1, false, /*now=*/100).hit);
+    EXPECT_FALSE(c.lookup(kPc, 1, /*now=*/50).hit);
+    EXPECT_TRUE(c.lookup(kPc, 1, /*now=*/100).hit);
 }
 
 TEST(IsvCache, InvalidateAsidDropsOnlyThatContext)
@@ -68,16 +68,16 @@ TEST(IsvCache, InvalidateAsidDropsOnlyThatContext)
     c.fill(kPc, 1, allowAll());
     c.fill(kPc, 2, allowAll());
     c.invalidateAsid(1);
-    EXPECT_FALSE(c.lookup(kPc, 1, false).hit);
-    EXPECT_TRUE(c.lookup(kPc, 2, false).hit);
+    EXPECT_FALSE(c.lookup(kPc, 1).hit);
+    EXPECT_TRUE(c.lookup(kPc, 2).hit);
 }
 
 TEST(IsvCache, HitRateAccounting)
 {
     IsvCache c;
-    (void)c.lookup(kPc, 1, false);
+    (void)c.lookup(kPc, 1);
     c.fill(kPc, 1, allowAll());
-    (void)c.lookup(kPc, 1, false);
+    (void)c.lookup(kPc, 1);
     EXPECT_EQ(c.hits(), 1u);
     EXPECT_EQ(c.misses(), 1u);
     EXPECT_DOUBLE_EQ(c.hitRate(), 0.5);
@@ -87,16 +87,16 @@ TEST(IsvCache, UncountedLookupLeavesStats)
 {
     IsvCache c;
     c.fill(kPc, 1, allowAll());
-    (void)c.lookup(kPc, 1, false, 0, /*count=*/false);
+    (void)c.lookup(kPc, 1, 0, /*count=*/false);
     EXPECT_EQ(c.hits(), 0u);
 }
 
 TEST(DsvCache, MissFillHit)
 {
     DsvCache c;
-    EXPECT_FALSE(c.lookup(kPage, 1, false).hit);
+    EXPECT_FALSE(c.lookup(kPage, 1).hit);
     c.fill(kPage, 1, true);
-    auto r = c.lookup(kPage + 0x123, 1, false);
+    auto r = c.lookup(kPage + 0x123, 1);
     EXPECT_TRUE(r.hit);
     EXPECT_TRUE(r.allow);
 }
@@ -105,7 +105,7 @@ TEST(DsvCache, NegativeEntryBlocks)
 {
     DsvCache c;
     c.fill(kPage, 1, false);
-    auto r = c.lookup(kPage, 1, false);
+    auto r = c.lookup(kPage, 1);
     EXPECT_TRUE(r.hit);
     EXPECT_FALSE(r.allow);
 }
@@ -116,8 +116,8 @@ TEST(DsvCache, PageInvalidationShootsDownAllAsids)
     c.fill(kPage, 1, true);
     c.fill(kPage, 2, false);
     c.shootdown(kPage + 8);
-    EXPECT_FALSE(c.lookup(kPage, 1, false).hit);
-    EXPECT_FALSE(c.lookup(kPage, 2, false).hit);
+    EXPECT_FALSE(c.lookup(kPage, 1).hit);
+    EXPECT_FALSE(c.lookup(kPage, 2).hit);
 }
 
 TEST(DsvCache, DistinctPagesCoexist)
@@ -125,8 +125,8 @@ TEST(DsvCache, DistinctPagesCoexist)
     DsvCache c;
     c.fill(kPage, 1, true);
     c.fill(kPage + 0x1000, 1, false);
-    EXPECT_TRUE(c.lookup(kPage, 1, false).allow);
-    EXPECT_FALSE(c.lookup(kPage + 0x1000, 1, false).allow);
+    EXPECT_TRUE(c.lookup(kPage, 1).allow);
+    EXPECT_FALSE(c.lookup(kPage + 0x1000, 1).allow);
 }
 
 namespace
@@ -164,7 +164,7 @@ struct ViewCacheReplacement : ::testing::Test
     bool
     present(unsigned i)
     {
-        return c.lookup(key(i), 1, true, 0, false).hit;
+        return c.lookup(key(i), 1, 0, false).hit;
     }
 
     void
@@ -203,21 +203,11 @@ TYPED_TEST(ViewCacheReplacement, InvalidWayFirstThenOldestStamp)
 
 TYPED_TEST(ViewCacheReplacement, DeferredLookupsKeepFillOrder)
 {
-    // gateLoad's lookups defer the LRU touch and nothing applies it:
-    // a hit on the oldest fill does not save it.
+    // Lookups never touch the stamps (Section 6.2's deferred touch is
+    // not modeled): a hit on the oldest fill does not save it.
     this->fillWays();
-    EXPECT_TRUE(this->c.lookup(this->key(0), 1, /*defer_lru=*/true).hit);
+    EXPECT_TRUE(this->c.lookup(this->key(0), 1).hit);
     this->fill(4);
     EXPECT_FALSE(this->present(0));
     EXPECT_TRUE(this->present(1));
-}
-
-TYPED_TEST(ViewCacheReplacement, UndeferredLookupsRefreshTheStamp)
-{
-    // warmAccess's lookups touch the entry: the next-oldest fill goes.
-    this->fillWays();
-    EXPECT_TRUE(this->c.lookup(this->key(0), 1, /*defer_lru=*/false).hit);
-    this->fill(4);
-    EXPECT_TRUE(this->present(0));
-    EXPECT_FALSE(this->present(1));
 }

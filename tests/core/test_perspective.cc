@@ -140,7 +140,7 @@ struct PerspFixture : ::testing::Test
             // warmed page is there all the same.
             EXPECT_EQ(pol.dsvCache().hits(), dsv_hits);
             EXPECT_TRUE(
-                pol.dsvCache().lookup(c.dataVa, 1, true, c.now, false).hit);
+                pol.dsvCache().lookup(c.dataVa, 1, c.now, false).hit);
         } else {
             EXPECT_EQ(pol.dsvCache().hits(), dsv_hits + 1);
         }
@@ -525,4 +525,60 @@ TEST_F(PerspFixture, WarmAccessFillsWithoutAccounting)
 TEST_F(PerspFixture, WarmAccessHonorsFleetAdminView)
 {
     checkWarmAccessContract(true);
+}
+
+TEST_F(PerspFixture, WarmedSetEvictsOldestFillAfterLookups)
+{
+    // Warming replaces in fill order, as the detailed path does: a
+    // warm lookup that hits the oldest page does not save it.
+    PerspectiveConfig cfg;
+    cfg.dsvCacheEntries = 4; // one 4-way set
+    PerspectivePolicy pol(own, cfg);
+    IsvView view(prog);
+    view.includeFunction(kf);
+    pol.registerContext(1, 3, &view);
+    const Addr pc = prog.func(kf).instAddr(0);
+    for (kernel::Pfn pfn = 5; pfn <= 9; ++pfn)
+        own.assign(pfn, 3);
+    for (kernel::Pfn pfn = 5; pfn <= 8; ++pfn)
+        pol.warmAccess(ctxFor(pc, directMapVa(pfn), 1));
+    pol.warmAccess(ctxFor(pc, directMapVa(5), 1)); // hits page 5
+    pol.warmAccess(ctxFor(pc, directMapVa(9), 1));
+    EXPECT_FALSE(pol.dsvCache().lookup(directMapVa(5), 1, 1000, false).hit);
+    for (kernel::Pfn pfn = 6; pfn <= 9; ++pfn)
+        EXPECT_TRUE(pol.dsvCache().lookup(directMapVa(pfn), 1, 1000, false)
+                        .hit)
+            << pfn;
+}
+
+TEST_F(PerspFixture, StaleAllowCountsUnderSyncedFleetBlockUnknown)
+{
+    // blockUnknown is off in the static configuration and raised by a
+    // synced fleet flip. A frame released to the unknown domain inside
+    // an open revocation window is then a stale allow, exactly as it
+    // is with a static blockUnknown.
+    own.assign(5, 3);
+    PerspectiveConfig cfg;
+    cfg.blockUnknown = false;
+    cfg.revocationLatency = 500;
+    PerspectivePolicy pol(own, cfg);
+    StatSet stats;
+    pol.setStats(&stats);
+    sim::Cycle clock = 1000;
+    pol.setClock(&clock);
+    IsvView view(prog);
+    view.includeFunction(kf);
+    pol.registerContext(1, 3, &view);
+    const Addr pc = prog.func(kf).instAddr(0);
+    SpecContext c = ctxFor(pc, directMapVa(5), 1);
+    c.now = clock + pol.fleetTighten(kernel::kFleetBlockUnknown);
+    ASSERT_EQ(steadyGate(pol, c), Gate::Allow); // syncs the flip
+
+    clock = 20000;
+    own.release(5);
+    ASSERT_EQ(pol.pendingRevocations(), 1u);
+    SpecContext in_window = ctxFor(pc, directMapVa(5), 1);
+    in_window.now = 20200;
+    EXPECT_EQ(pol.gateLoad(in_window).gate, Gate::Allow);
+    EXPECT_EQ(stats.get("perspective.revocation.stale_allows"), 1u);
 }

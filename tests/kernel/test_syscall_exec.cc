@@ -123,17 +123,39 @@ TEST_F(ExecFixture, IoctlClampsBenignIndex)
     exec->finish(pid, {Sys::Ioctl, 1234, 0, 0});
 }
 
-TEST_F(ExecFixture, ReleaseTaskFreesLazyRegions)
+TEST_F(ExecFixture, ExitProcessFreesLazyRegions)
 {
-    std::uint64_t before = ks->buddy().allocatedFrames();
-    // Touch the lazy regions.
-    exec->prepare(pid, {Sys::Read, 0, 8, 0});
-    exec->finish(pid, {Sys::Read, 0, 8, 0});
-    exec->prepare(pid, {Sys::Poll, 0, 8, 0});
-    exec->finish(pid, {Sys::Poll, 0, 8, 0});
-    EXPECT_GT(ks->buddy().allocatedFrames(), before);
-    exec->releaseTask(pid);
-    EXPECT_EQ(ks->buddy().allocatedFrames(), before);
+    // A task owns the regions its syscalls create at first use and
+    // the objects it has open; exiting it frees them with the rest of
+    // its memory.
+    const std::uint64_t frames = ks->buddy().allocatedFrames();
+    auto &files = ks->cacheFor(512);
+    const std::uint64_t open_files = files.activeObjects();
+    Pid p = ks->createProcess(ks->createCgroup("exiting"));
+    for (SyscallInvocation inv :
+         {SyscallInvocation{Sys::Read, 0, 8, 0}, {Sys::Send, 0, 8, 0},
+          {Sys::BigFork, 0, 0, 0}, {Sys::Poll, 0, 8, 0},
+          {Sys::Open, 0, 0, 3}}) {
+        exec->prepare(p, inv);
+        exec->finish(p, inv);
+    }
+    for (const auto &r : ks->task(p).regions)
+        EXPECT_TRUE(r.has_value());
+    EXPECT_EQ(ks->task(p).openObjects.size(), 1u);
+    ks->exitProcess(p);
+    EXPECT_EQ(ks->buddy().allocatedFrames(), frames);
+    EXPECT_EQ(files.activeObjects(), open_files);
+}
+
+TEST_F(ExecFixture, LaterRegisterSetOverwritesItsSlot)
+{
+    // One slot per register r10-r16: a syscall-specific value
+    // replaces the baseline argument instead of following it.
+    auto p = exec->prepare(pid, {Sys::Ioctl, 1234, 0, 0});
+    for (unsigned i = 0; i < p.regs.size(); ++i)
+        EXPECT_EQ(p.regs[i].first, reg::kCtx + i);
+    EXPECT_EQ(p.regs[reg::kArg0 - reg::kCtx].second, 1234u % 16);
+    exec->finish(pid, {Sys::Ioctl, 1234, 0, 0});
 }
 
 TEST_F(ExecFixture, MunmapReleasesLastMapping)

@@ -1,16 +1,21 @@
 /**
  * @file
- * Allocation guard for the detailed loop: once a Pipeline has run a
+ * Allocation guards. The detailed loop: once a Pipeline has run a
  * program twice, a further run makes no heap allocation — call-stack
  * checkpoints, wake edges, the seq-ordered side queues and the
- * completion calendar all reuse what the warm runs left. Replaces the
- * global operator new of this binary (its own test executable) to
- * count calls.
+ * completion calendar all reuse what the warm runs left. A measured
+ * cell: once an Experiment has served a few requests, a further
+ * request makes none either — the syscall executor hands registers
+ * over in a fixed array and a task's regions outlive the request.
+ * Replaces the global operator new of this binary (its own test
+ * executable) to count calls.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +23,7 @@
 #include "sim/pipeline.hh"
 #include "sim/program.hh"
 #include "support/program_gen.hh"
+#include "workloads/experiment.hh"
 
 namespace
 {
@@ -106,6 +112,43 @@ TEST(AllocGuard, WarmPipelineRunAllocatesNothing)
             RunResult r = cpu.run(0);
             EXPECT_EQ(gNews.load() - before, 0u);
             EXPECT_GT(r.instructions, 0u);
+        }
+    }
+}
+
+TEST(AllocGuard, WarmExperimentRequestAllocatesNothing)
+{
+    // The LEBench cells whose requests keep no growing state. The
+    // other seven allocate on every request, at these sites:
+    // - fork, big-fork, thread-create: KernelState::createProcess
+    //   builds the child's Task (its vectors and its slab objects);
+    // - mmap: the task's userPages grows, and Pipeline::run writes
+    //   fresh sim::Memory pages into each newly mapped region;
+    // - select, poll, epoll: a ROB slot's first wake-overflow growth
+    //   (registerDispatch -> addWake) lands in later requests too.
+    const char *const cells[] = {
+        "getpid",    "ctx-switch", "read",   "write",
+        "big-read",  "big-write",  "munmap", "page-fault",
+        "open",      "stat",       "send",   "recv"};
+    const auto suite = workloads::lebenchSuite();
+    for (const char *name : cells) {
+        auto w = std::find_if(suite.begin(), suite.end(),
+                              [name](const auto &p) {
+                                  return p.name == name;
+                              });
+        ASSERT_NE(w, suite.end()) << name;
+        for (workloads::Scheme scheme : workloads::allSchemes()) {
+            SCOPED_TRACE(std::string(name) + " under " +
+                         workloads::schemeName(scheme));
+            workloads::Experiment e(*w, scheme);
+            for (int i = 0; i < 3; ++i)
+                e.runRequestOnPipeline();
+            const std::uint64_t before = gNews.load();
+            std::uint64_t insts = 0;
+            for (int i = 0; i < 4; ++i)
+                insts += e.runRequestOnPipeline().instructions;
+            EXPECT_EQ(gNews.load() - before, 0u);
+            EXPECT_GT(insts, 0u);
         }
     }
 }

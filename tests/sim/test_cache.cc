@@ -142,23 +142,12 @@ TEST(Hierarchy, SpeculativeFillPersists)
 
 TEST(Hierarchy, NextLinePrefetcherFillsFollowingLine)
 {
-    CacheHierarchy h(defaultL1I(), defaultL1D(), defaultL2(), 100,
-                     /*prefetch=*/true);
+    CacheHierarchy h(defaultL1I(), defaultL1D(), defaultL2(), 100);
     Addr a = 0x40000;
     EXPECT_FALSE(h.probeL1D(a + 64));
     h.accessData(a); // miss -> demand fill + next-line prefetch
     EXPECT_TRUE(h.probeL1D(a));
     EXPECT_TRUE(h.probeL1D(a + 64));
-}
-
-TEST(Hierarchy, PrefetcherCanBeDisabled)
-{
-    CacheHierarchy h(defaultL1I(), defaultL1D(), defaultL2(), 100,
-                     /*prefetch=*/false);
-    Addr a = 0x50000;
-    h.accessData(a);
-    EXPECT_TRUE(h.probeL1D(a));
-    EXPECT_FALSE(h.probeL1D(a + 64));
 }
 
 TEST(Hierarchy, PrefetchDoesNotCrossIntoProbeSlots)

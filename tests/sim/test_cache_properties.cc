@@ -125,7 +125,6 @@ struct RefHierarchy
 {
     RefCache l1i, l1d, l2;
     Cycle dram;
-    bool prefetch;
 
     Cycle
     access(RefCache &l1, Addr a)
@@ -138,12 +137,10 @@ struct RefHierarchy
             l2.fill(a);
         }
         l1.fill(a);
-        if (prefetch) {
-            Addr next = a + l1.params().line_bytes;
-            if (!l1.probe(next)) {
-                l2.fill(next);
-                l1.fill(next);
-            }
+        Addr next = a + l1.params().line_bytes; // next-line prefetch
+        if (!l1.probe(next)) {
+            l2.fill(next);
+            l1.fill(next);
         }
         return lat;
     }
@@ -337,49 +334,46 @@ TEST_P(CacheGeometry, HierarchyMatchesSeparateWalkReference)
     const CacheParams l2p{"l2", d.size_bytes * 4, d.line_bytes,
                           d.assoc * 2, 8};
     const CacheParams ip{"l1i", d.size_bytes / 4, d.line_bytes, 1, 2};
-    for (bool prefetch : {true, false}) {
-        CacheHierarchy h(ip, d, l2p, 100, prefetch);
-        RefHierarchy ref{RefCache(ip), RefCache(d), RefCache(l2p), 100,
-                         prefetch};
-        Rng rng{d.size_bytes * 7 + d.assoc + prefetch};
-        for (unsigned i = 0; i < 20000; ++i) {
-            const Addr a = randomAddr(rng, l2p);
-            switch (rng(8)) {
-              case 0:
-                ASSERT_EQ(h.accessInst(a), ref.access(ref.l1i, a))
-                    << "op " << i;
-                break;
-              case 1:
-                ASSERT_EQ(h.probeLatency(a) == d.hit_latency,
-                          ref.l1d.probe(a))
-                    << "op " << i;
-                break;
-              case 2:
-                if (rng(8) == 0) {
-                    h.flush(a);
-                    ref.l1i.flush(a);
-                    ref.l1d.flush(a);
-                    ref.l2.flush(a);
-                    break;
-                }
-                [[fallthrough]];
-              default:
-                ASSERT_EQ(h.accessData(a), ref.access(ref.l1d, a))
-                    << "op " << i;
+    CacheHierarchy h(ip, d, l2p, 100);
+    RefHierarchy ref{RefCache(ip), RefCache(d), RefCache(l2p), 100};
+    Rng rng{d.size_bytes * 7 + d.assoc + 1};
+    for (unsigned i = 0; i < 20000; ++i) {
+        const Addr a = randomAddr(rng, l2p);
+        switch (rng(8)) {
+          case 0:
+            ASSERT_EQ(h.accessInst(a), ref.access(ref.l1i, a))
+                << "op " << i;
+            break;
+          case 1:
+            ASSERT_EQ(h.probeLatency(a) == d.hit_latency,
+                      ref.l1d.probe(a))
+                << "op " << i;
+            break;
+          case 2:
+            if (rng(8) == 0) {
+                h.flush(a);
+                ref.l1i.flush(a);
+                ref.l1d.flush(a);
+                ref.l2.flush(a);
                 break;
             }
+            [[fallthrough]];
+          default:
+            ASSERT_EQ(h.accessData(a), ref.access(ref.l1d, a))
+                << "op " << i;
+            break;
         }
-        EXPECT_EQ(h.l1d().hits(), ref.l1d.hits);
-        EXPECT_EQ(h.l1d().misses(), ref.l1d.misses);
-        EXPECT_EQ(h.l1i().hits(), ref.l1i.hits);
-        EXPECT_EQ(h.l1i().misses(), ref.l1i.misses);
-        EXPECT_EQ(h.l2().hits(), ref.l2.hits);
-        EXPECT_EQ(h.l2().misses(), ref.l2.misses);
-        EXPECT_EQ(*h.l1d().contentGenPtr(), ref.l1d.contentGen);
-        EXPECT_EQ(*h.l1i().contentGenPtr(), ref.l1i.contentGen);
-        EXPECT_EQ(*h.l2().contentGenPtr(), ref.l2.contentGen);
-        EXPECT_GT(ref.l2.misses, 0u);
     }
+    EXPECT_EQ(h.l1d().hits(), ref.l1d.hits);
+    EXPECT_EQ(h.l1d().misses(), ref.l1d.misses);
+    EXPECT_EQ(h.l1i().hits(), ref.l1i.hits);
+    EXPECT_EQ(h.l1i().misses(), ref.l1i.misses);
+    EXPECT_EQ(h.l2().hits(), ref.l2.hits);
+    EXPECT_EQ(h.l2().misses(), ref.l2.misses);
+    EXPECT_EQ(*h.l1d().contentGenPtr(), ref.l1d.contentGen);
+    EXPECT_EQ(*h.l1i().contentGenPtr(), ref.l1i.contentGen);
+    EXPECT_EQ(*h.l2().contentGenPtr(), ref.l2.contentGen);
+    EXPECT_GT(ref.l2.misses, 0u);
 }
 
 TEST(CacheGeometryCheck, RejectsNonPowerOfTwoIndexing)

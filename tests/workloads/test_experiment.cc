@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <optional>
 
 #include "core/perspective.hh"
@@ -385,6 +386,26 @@ TEST(Experiment, SampledMeasuredCyclesPinnedForMmap)
         ASSERT_TRUE(r.sampling.active);
         EXPECT_EQ(r.sampling.measuredCycles, p.measuredCycles);
     }
+}
+
+TEST(Experiment, DirectConstructionIgnoresSampleEnvironment)
+{
+    // PERSPECTIVE_SAMPLE is read by SweepCell alone: an Experiment
+    // built directly runs exact unless it is handed sampling params.
+    WorkloadProfile mmap;
+    for (const auto &w : lebenchSuite())
+        if (w.name == "mmap")
+            mmap = w;
+    ASSERT_EQ(mmap.name, "mmap");
+    ASSERT_EQ(::setenv("PERSPECTIVE_SAMPLE", "1", 1), 0);
+    const sim::SamplingParams from_env = sim::SamplingParams::fromEnv();
+    Experiment exact(mmap, Scheme::Unsafe);
+    RunResult r = exact.run(30, 3);
+    Experiment sampled(mmap, Scheme::Unsafe, 42, from_env);
+    RunResult s = sampled.run(30, 3);
+    ::unsetenv("PERSPECTIVE_SAMPLE");
+    EXPECT_FALSE(r.sampling.active);
+    EXPECT_TRUE(s.sampling.active);
 }
 
 TEST(Experiment, TracingIsObservationOnly)

@@ -190,21 +190,6 @@ lebenchNamed(const char *name)
     throw std::runtime_error(std::string("no profile ") + name);
 }
 
-/** One syscall of the main process, first argument overridable. */
-void
-syscallOn(Experiment &e, const SyscallInvocation &inv,
-          std::optional<std::uint64_t> arg0 = {})
-{
-    auto prep = e.executor().prepare(e.mainPid(), inv);
-    for (auto [r, v] : prep.regs)
-        e.pipeline().setReg(r, v);
-    e.pipeline().setReg(dreg::kPadIters, 0);
-    if (arg0)
-        e.pipeline().setReg(kernel::reg::kArg0, *arg0);
-    e.pipeline().run(e.drivers().driverFor(inv.sys));
-    e.executor().finish(e.mainPid(), inv);
-}
-
 /** Mistrain the ioctl-path bounds check, then read @p va through its
  * gadget out of bounds (the activeV1 PoC aimed at @p va). */
 void
@@ -212,13 +197,13 @@ attackVa(Experiment &e, Addr va)
 {
     const SyscallInvocation inv{Sys::Ioctl, 3, 4, 2};
     for (int i = 0; i < 24; ++i)
-        syscallOn(e, inv);
+        e.runSyscall(e.mainPid(), inv, 0);
     Addr table = e.kernelState().task(e.mainPid()).ctxVa +
                  KernelImage::kGadgetTableOff;
     for (int i = 0; i < 3; ++i) {
         e.pipeline().caches().accessData(va);
         e.pipeline().caches().flush(e.image().pocBoundGlobalVa());
-        syscallOn(e, inv, (va - table) / 8);
+        e.runSyscall(e.mainPid(), inv, 0, (va - table) / 8);
     }
 }
 
