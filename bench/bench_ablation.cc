@@ -157,6 +157,9 @@ main(int argc, char **argv)
         c.scheme = Scheme::Perspective;
         c.iterations = 24; // interleaved requests
         c.warmup = 0;
+        // The body sums runRequestAs() itself, outside
+        // Experiment::run's extrapolation, so it always runs exact.
+        c.sampling = {};
         c.tags = {{"ablation", "asid-tagging"},
                   {"mode", flush_on_switch ? "flush-on-switch"
                                            : "asid-tagged"}};

@@ -75,6 +75,9 @@ scenarioCell(const char *name, ScenarioFn fn)
     c.scheme = Scheme::Perspective;
     c.iterations = 1;
     c.warmup = 0;
+    // The race drives the pipeline itself, not through
+    // Experiment::run, so it always runs exact.
+    c.sampling = {};
     c.tags = {{"pliability", name}};
     c.body = [fn](const SweepCell &cell) {
         Experiment e(cell.profile, Scheme::Perspective, cell.seed,
@@ -95,6 +98,7 @@ budgetCell(sim::Cycle budget)
     c.scheme = Scheme::Perspective;
     c.iterations = 1;
     c.warmup = 0;
+    c.sampling = {}; // a race, like scenarioCell: always exact
     // The budget tag keeps every curve cell's config hash distinct
     // (custom-body cells alias without distinguishing tags).
     c.tags = {{"pliability", "revocation-curve"},

@@ -9,29 +9,6 @@ namespace perspective::kernel
 
 using namespace sim;
 
-/** Tiny fix-up assembler for generated bodies. */
-struct KernelImage::Assembler
-{
-    std::vector<MicroOp> ops;
-
-    unsigned
-    emit(MicroOp op)
-    {
-        ops.push_back(op);
-        return static_cast<unsigned>(ops.size() - 1);
-    }
-
-    std::uint32_t here() const
-    {
-        return static_cast<std::uint32_t>(ops.size());
-    }
-
-    void patch(unsigned idx, std::uint32_t target)
-    {
-        ops[idx].target = target;
-    }
-};
-
 /** Recipe for one generated function body. */
 struct KernelImage::BodyCfg
 {
@@ -50,6 +27,14 @@ KernelImage::KernelImage(sim::Memory &mem, ImageParams params)
       params_(params),
       rngState_(params.seed * 0x9e3779b97f4a7c15ull + 1)
 {
+    // The cold bulk stops within one module tree (at most 40
+    // functions) of the target, and the hijack gadget follows it;
+    // workload drivers add one user function per syscall.
+    std::size_t kernel_cap = params_.targetFunctions + 64;
+    prog_.reserve(kernel_cap + kNumSyscalls);
+    info_.reserve(kernel_cap);
+    class_.reserve(kernel_cap);
+
     coreAnchors_.resize(16);
     coreFuncs_.resize(16);
 
@@ -69,7 +54,6 @@ KernelImage::KernelImage(sim::Memory &mem, ImageParams params)
     buildSyscallTrees();
     buildColdBulk();
     plantGadgets();
-    finalizeEdges();
     writeRodataTables();
 
     for (std::size_t f = 0; f < info_.size(); ++f) {
@@ -132,10 +116,24 @@ KernelImage::emitGadgetIr(Assembler &a, GadgetKind)
     a.patch(skip, a.here());
 }
 
-std::vector<MicroOp>
-KernelImage::genBody(const BodyCfg &cfg)
+void
+KernelImage::setBody(FuncId f, const std::vector<MicroOp> &ops)
 {
-    Assembler a;
+    // Exact-size copy; the direct call edges are read off the body
+    // now, exactly as a disassembler would, while it is in cache.
+    prog_.func(f).body.assign(ops.begin(), ops.end());
+    auto &callees = info_[f].callees;
+    callees.clear();
+    for (const MicroOp &op : ops) {
+        if (op.op == Op::Call)
+            callees.push_back(op.callee);
+    }
+}
+
+void
+KernelImage::genBody(FuncId f, const BodyCfg &cfg)
+{
+    Assembler &a = asm_.begin();
 
     for (unsigned i = 0; i < cfg.aluOps; ++i) {
         a.emit(addImm(static_cast<RegId>(20 + rnd(4)), reg::kCtx,
@@ -231,7 +229,7 @@ KernelImage::genBody(const BodyCfg &cfg)
                       static_cast<std::int64_t>(-22))); // -EINVAL
         a.emit(jump(tail));
     }
-    return std::move(a.ops);
+    setBody(f, a.ops);
 }
 
 FuncId
@@ -286,7 +284,7 @@ KernelImage::genTree(const std::string &prefix, Subsystem ss,
         cfg.errorCalls.push_back(errorPool_[rnd(errorPool_.size())]);
     }
 
-    prog_.func(root).body = genBody(cfg);
+    genBody(root, cfg);
     return root;
 }
 
@@ -301,7 +299,7 @@ KernelImage::buildPools()
         cfg.aluOps = 1 + static_cast<unsigned>(rnd(2));
         cfg.ctxLoads = static_cast<unsigned>(rnd(3));
         cfg.stores = static_cast<unsigned>(rnd(2));
-        prog_.func(f).body = genBody(cfg);
+        genBody(f, cfg);
         libPool_.push_back(f);
     }
 
@@ -314,7 +312,7 @@ KernelImage::buildPools()
         cfg.ctxLoads = 1;
         if (rnd(2))
             cfg.hotCalls.push_back(libPool_[rnd(libPool_.size())]);
-        prog_.func(f).body = genBody(cfg);
+        genBody(f, cfg);
         errorPool_.push_back(f);
     }
 }
@@ -377,7 +375,7 @@ KernelImage::buildCore(Subsystem ss, unsigned size)
         }
         acfg[i].errorCalls.push_back(
             errorPool_[rnd(errorPool_.size())]);
-        prog_.func(anchors[i]).body = genBody(acfg[i]);
+        genBody(anchors[i], acfg[i]);
     }
 
     unsigned idx = static_cast<unsigned>(ss);
@@ -415,7 +413,7 @@ KernelImage::buildWorkers()
     pollScanWorker_ =
         newFunc("poll_scan_worker", Subsystem::Fs, FuncClass::Hot);
     {
-        Assembler a;
+        Assembler &a = asm_.begin();
         a.emit(movImm(20, 0));
         std::uint32_t head = a.here();
         unsigned b = a.emit(branch(Cond::Ge, 20, reg::kArg1, 0));
@@ -451,14 +449,14 @@ KernelImage::buildWorkers()
         a.emit(jump(head));
         a.patch(b, a.here());
         a.emit(ret());
-        prog_.func(pollScanWorker_).body = std::move(a.ops);
+        setBody(pollScanWorker_, a.ops);
     }
 
     // read/write/send/recv copy: r12 cache lines from [r13].
     copyWorker_ =
         newFunc("uaccess_copy_worker", Subsystem::Lib, FuncClass::Hot);
     {
-        Assembler a;
+        Assembler &a = asm_.begin();
         a.emit(movImm(20, 0));
         std::uint32_t head = a.here();
         unsigned b = a.emit(branch(Cond::Ge, 20, reg::kArg1, 0));
@@ -480,14 +478,14 @@ KernelImage::buildWorkers()
         a.emit(jump(head));
         a.patch(b, a.here());
         a.emit(ret());
-        prog_.func(copyWorker_).body = std::move(a.ops);
+        setBody(copyWorker_, a.ops);
     }
 
     // mmap/page-fault populate: touch r12 fresh pages at [r13].
     populateWorker_ =
         newFunc("mm_populate_worker", Subsystem::Mm, FuncClass::Hot);
     {
-        Assembler a;
+        Assembler &a = asm_.begin();
         // Zero/initialize 8 lines per fresh page; each touch is
         // checked (PTE/validity), and the first access per page is
         // DSV-cold — where Perspective's allocation-path overhead
@@ -512,7 +510,7 @@ KernelImage::buildWorkers()
         a.emit(jump(head));
         a.patch(b, a.here());
         a.emit(ret());
-        prog_.func(populateWorker_).body = std::move(a.ops);
+        setBody(populateWorker_, a.ops);
     }
 
     // big read/write copy: page-cache walk at 512-byte stride over a
@@ -521,7 +519,7 @@ KernelImage::buildWorkers()
     bigCopyWorker_ = newFunc("pagecache_copy_worker", Subsystem::Fs,
                              FuncClass::Hot);
     {
-        Assembler a;
+        Assembler &a = asm_.begin();
         a.emit(movImm(20, 0));
         std::uint32_t head = a.here();
         unsigned b = a.emit(branch(Cond::Ge, 20, reg::kArg1, 0));
@@ -540,7 +538,7 @@ KernelImage::buildWorkers()
         a.emit(jump(head));
         a.patch(b, a.here());
         a.emit(ret());
-        prog_.func(bigCopyWorker_).body = std::move(a.ops);
+        setBody(bigCopyWorker_, a.ops);
     }
 
     // fork copy: 8 lines per page, from [r11] (parent) to [r13]
@@ -548,7 +546,7 @@ KernelImage::buildWorkers()
     forkCopyWorker_ =
         newFunc("mm_fork_copy_worker", Subsystem::Mm, FuncClass::Hot);
     {
-        Assembler a;
+        Assembler &a = asm_.begin();
         a.emit(movImm(20, 0));
         a.emit(shlImm(26, reg::kArg1, 3));
         std::uint32_t head = a.here();
@@ -571,7 +569,7 @@ KernelImage::buildWorkers()
         a.emit(jump(head));
         a.patch(b, a.here());
         a.emit(ret());
-        prog_.func(forkCopyWorker_).body = std::move(a.ops);
+        setBody(forkCopyWorker_, a.ops);
     }
 
     // Recursive path walk (open/stat): r13 levels deep. Depths beyond
@@ -579,14 +577,14 @@ KernelImage::buildWorkers()
     pathWalk_ = newFunc("fs_path_walk_recursive", Subsystem::Fs,
                         FuncClass::Hot);
     {
-        Assembler a;
+        Assembler &a = asm_.begin();
         unsigned b = a.emit(branchImm(Cond::Eq, reg::kArg2, 0, 0));
         a.emit(addImm(reg::kArg2, reg::kArg2, -1));
         a.emit(load(23, reg::kCtx, 0x1200));
         a.emit(call(pathWalk_));
         a.patch(b, a.here());
         a.emit(ret());
-        prog_.func(pathWalk_).body = std::move(a.ops);
+        setBody(pathWalk_, a.ops);
     }
 }
 
@@ -624,11 +622,11 @@ KernelImage::buildIndirectImpls()
         FuncId f = newFunc(std::string("vfs_dispatch_") +
                                fs_ops[slot],
                            Subsystem::Fs, FuncClass::Hot);
-        Assembler a;
+        Assembler &a = asm_.begin();
         a.emit(loadAbs(30, fopsSlotVa(0, slot)));
         vfsDispatchIcallIdx_[slot] = a.emit(indirectCall(30));
         a.emit(ret());
-        prog_.func(f).body = std::move(a.ops);
+        setBody(f, a.ops);
         info_[f].indirectTargets.push_back(fsImpls_[0][slot]);
         vfsDispatch_[slot] = f;
     }
@@ -638,11 +636,11 @@ KernelImage::buildIndirectImpls()
         FuncId f = newFunc(std::string("proto_dispatch_") +
                                net_ops[slot],
                            Subsystem::Net, FuncClass::Hot);
-        Assembler a;
+        Assembler &a = asm_.begin();
         a.emit(loadAbs(30, protoOpsSlotVa(0, slot)));
         a.emit(indirectCall(30));
         a.emit(ret());
-        prog_.func(f).body = std::move(a.ops);
+        setBody(f, a.ops);
         info_[f].indirectTargets.push_back(netImpls_[0][slot]);
         netDispatch_[slot] = f;
     }
@@ -658,7 +656,7 @@ KernelImage::buildEntryExit()
         BodyCfg cfg;
         cfg.ctxLoads = 2;
         cfg.hotCalls.push_back(libPool_[rnd(libPool_.size())]);
-        prog_.func(e3).body = genBody(cfg);
+        genBody(e3, cfg);
     }
     FuncId e1 = newFunc("entry_seccomp", Subsystem::Entry,
                         FuncClass::Hot);
@@ -667,7 +665,7 @@ KernelImage::buildEntryExit()
         cfg.ctxLoads = 2;
         cfg.hotCalls = pickAnchors(Subsystem::Security, 1);
         cfg.errorCalls.push_back(errorPool_[rnd(errorPool_.size())]);
-        prog_.func(e1).body = genBody(cfg);
+        genBody(e1, cfg);
     }
     FuncId e2 = newFunc("entry_ctx_track", Subsystem::Entry,
                         FuncClass::Hot);
@@ -675,7 +673,7 @@ KernelImage::buildEntryExit()
         BodyCfg cfg;
         cfg.ctxLoads = 1;
         cfg.hotCalls.push_back(libPool_[rnd(libPool_.size())]);
-        prog_.func(e2).body = genBody(cfg);
+        genBody(e2, cfg);
     }
     FuncId e0 = newFunc("entry_common", Subsystem::Entry,
                         FuncClass::Hot);
@@ -684,7 +682,7 @@ KernelImage::buildEntryExit()
         cfg.ctxLoads = 2;
         cfg.hotCalls = {e1, e2};
         cfg.variantCalls = {e3};
-        prog_.func(e0).body = genBody(cfg);
+        genBody(e0, cfg);
     }
     entryChain_ = {e0, e1, e2, e3};
 
@@ -693,14 +691,14 @@ KernelImage::buildEntryExit()
     {
         BodyCfg cfg;
         cfg.ctxLoads = 1;
-        prog_.func(x1).body = genBody(cfg);
+        genBody(x1, cfg);
     }
     FuncId x2 = newFunc("exit_resched_check", Subsystem::Entry,
                         FuncClass::Warm);
     {
         BodyCfg cfg;
         cfg.hotCalls = pickAnchors(Subsystem::Sched, 1);
-        prog_.func(x2).body = genBody(cfg);
+        genBody(x2, cfg);
     }
     FuncId x0 = newFunc("exit_common", Subsystem::Entry,
                         FuncClass::Hot);
@@ -709,7 +707,7 @@ KernelImage::buildEntryExit()
         cfg.ctxLoads = 1;
         cfg.hotCalls = {x1};
         cfg.variantCalls = {x2};
-        prog_.func(x0).body = genBody(cfg);
+        genBody(x0, cfg);
     }
     exitChain_ = {x0, x1, x2};
 }
@@ -897,7 +895,7 @@ KernelImage::buildSyscallTrees()
             BodyCfg gcfg;
             gcfg.ctxLoads = 1;
             gcfg.gadget = GadgetKind::Cache;
-            prog_.func(g).body = genBody(gcfg);
+            genBody(g, gcfg);
             info_[g].gadgets.push_back(GadgetKind::Cache);
             ++totalGadgets_;
             cfg.hotCalls.push_back(g);
@@ -914,7 +912,7 @@ KernelImage::buildSyscallTrees()
             cfg.hotCalls.push_back(sc.worker);
 
         cfg.hotCalls.push_back(exitChain_[0]);
-        prog_.func(entry).body = genBody(cfg);
+        genBody(entry, cfg);
         entries_[i] = entry;
     }
 
@@ -948,14 +946,14 @@ KernelImage::buildColdBulk()
     pocHijackGadget_ = newFunc("usb_audio_probe_gadget",
                                Subsystem::Driver, FuncClass::Cold);
     {
-        Assembler a;
+        Assembler &a = asm_.begin();
         a.emit(load(24, reg::kCtx, kSecretCtxOff));
         a.emit(shlImm(25, 24, 12));
         a.emit(addImm(26, 25,
                       static_cast<std::int64_t>(kSharedProbeBase)));
         a.emit(load(27, 26, 0));
         a.emit(ret());
-        prog_.func(pocHijackGadget_).body = std::move(a.ops);
+        setBody(pocHijackGadget_, a.ops);
     }
     info_[pocHijackGadget_].gadgets.push_back(GadgetKind::Cache);
     ++totalGadgets_;
@@ -965,18 +963,17 @@ void
 KernelImage::plantGadgetIr(FuncId f, GadgetKind kind)
 {
     // Prepend the gadget snippet; all intra-function branch targets
-    // shift by the snippet length.
-    Assembler a;
+    // shift by the snippet length. The snippet's own skip target is
+    // relative to position 0 and stays valid after prepending.
+    Assembler &a = asm_.begin();
     emitGadgetIr(a, kind);
     std::uint32_t shift = a.here();
-    auto &body = prog_.func(f).body;
-    for (auto &op : body) {
+    for (MicroOp op : prog_.func(f).body) {
         if (op.op == Op::Branch || op.op == Op::Jump)
             op.target += shift;
+        a.emit(op);
     }
-    // The snippet's own skip target is relative to position 0 and
-    // stays valid after prepending.
-    body.insert(body.begin(), a.ops.begin(), a.ops.end());
+    setBody(f, a.ops);
 }
 
 void
@@ -1041,21 +1038,6 @@ KernelImage::plantGadgets()
         plant(hot_startup, hot, q.kind, true);
         plant(warmTreeFuncs_, warm, q.kind, false);
         plant(coldFuncs_, cold, q.kind, false);
-    }
-}
-
-void
-KernelImage::finalizeEdges()
-{
-    // Derive the static call graph from the bodies, exactly as a
-    // disassembler would.
-    for (std::size_t f = 0; f < info_.size(); ++f) {
-        auto &callees = info_[f].callees;
-        for (const MicroOp &op : prog_.func(
-                 static_cast<FuncId>(f)).body) {
-            if (op.op == Op::Call)
-                callees.push_back(op.callee);
-        }
     }
 }
 

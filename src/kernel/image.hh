@@ -184,12 +184,44 @@ class KernelImage
     FuncClass classOf(sim::FuncId f) const { return class_[f]; }
 
   private:
-    struct Assembler;
+    /** Tiny fix-up assembler for generated bodies. The image owns one
+     * and assembles every body in it, so its buffer grows to the
+     * largest body once; setBody() stores each body at exact size. */
+    struct Assembler
+    {
+        std::vector<sim::MicroOp> ops;
+
+        /** Start a new body, keeping the buffer. */
+        Assembler &
+        begin()
+        {
+            ops.clear();
+            return *this;
+        }
+
+        unsigned
+        emit(sim::MicroOp op)
+        {
+            ops.push_back(op);
+            return static_cast<unsigned>(ops.size() - 1);
+        }
+
+        std::uint32_t here() const
+        {
+            return static_cast<std::uint32_t>(ops.size());
+        }
+
+        void patch(unsigned idx, std::uint32_t target)
+        {
+            ops[idx].target = target;
+        }
+    };
     struct BodyCfg;
 
     sim::FuncId newFunc(std::string name, Subsystem ss,
                         FuncClass cls);
-    std::vector<sim::MicroOp> genBody(const BodyCfg &cfg);
+    void setBody(sim::FuncId f, const std::vector<sim::MicroOp> &ops);
+    void genBody(sim::FuncId f, const BodyCfg &cfg);
     sim::FuncId genTree(const std::string &prefix, Subsystem ss,
                         unsigned depth, unsigned fanout,
                         double hot_fraction, FuncClass cls);
@@ -205,7 +237,6 @@ class KernelImage
     void buildSyscallTrees();
     void buildColdBulk();
     void plantGadgets();
-    void finalizeEdges();
     void writeRodataTables();
     std::uint64_t rnd(std::uint64_t bound);
     double rndReal();
@@ -213,6 +244,7 @@ class KernelImage
     sim::Memory &mem_;
     ImageParams params_;
     sim::Program prog_;
+    Assembler asm_;
     std::vector<KFuncInfo> info_;
     std::vector<FuncClass> class_;
     std::array<sim::FuncId, kNumSyscalls> entries_{};

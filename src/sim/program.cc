@@ -12,30 +12,23 @@ FuncId
 Program::addFunction(std::string name, bool kernel)
 {
     FuncId id = static_cast<FuncId>(funcs_.size());
-    Function f;
+    Function &f = funcs_.emplace_back();
     f.name = std::move(name);
     f.id = id;
     f.kernel = kernel;
-    byName_.emplace(f.name, id);
-    funcs_.push_back(std::move(f));
     laidOut_ = false;
     return id;
-}
-
-FuncId
-Program::findByName(const std::string &name) const
-{
-    auto it = byName_.find(name);
-    return it == byName_.end() ? kNoFunc : it->second;
 }
 
 void
 Program::layout()
 {
+    // Each region packs in id order, so its (base, id) run comes out
+    // ascending; one merge of the two runs sorts the whole index.
     Addr kernel_cursor = kKernelTextBase;
     Addr user_cursor = kUserBase;
-    layoutIndex_.clear();
-    layoutIndex_.reserve(funcs_.size());
+    std::vector<std::pair<Addr, FuncId>> kernel_run, user_run;
+    kernel_run.reserve(funcs_.size());
 
     for (auto &f : funcs_) {
         Addr &cursor = f.kernel ? kernel_cursor : user_cursor;
@@ -44,29 +37,28 @@ Program::layout()
         // Align the next function so none spans a page boundary more
         // than necessary and layout stays deterministic.
         cursor = (cursor + kInstBytes - 1) & ~(kInstBytes - 1);
-        layoutIndex_.emplace_back(f.base, f.id);
+        (f.kernel ? kernel_run : user_run).emplace_back(f.base, f.id);
     }
     kernelTextEnd_ = kernel_cursor;
-    std::sort(layoutIndex_.begin(), layoutIndex_.end());
+    layoutIndex_.resize(funcs_.size());
+    std::merge(user_run.begin(), user_run.end(), kernel_run.begin(),
+               kernel_run.end(), layoutIndex_.begin());
 
     // Page-granular resolve acceleration over the kernel text span
-    // (the only region resolve() is hot for).
+    // (the only region resolve() is hot for): one sweep that keeps,
+    // per page, the last index entry at or below the page start.
     kernelPageIdx_.clear();
     if (kernelTextEnd_ > kKernelTextBase) {
         std::size_t pages = static_cast<std::size_t>(
             (kernelTextEnd_ - kKernelTextBase + kPageSize - 1) >>
             kPageShift);
         kernelPageIdx_.resize(pages);
+        std::size_t idx = 0;
         for (std::size_t p = 0; p < pages; ++p) {
             Addr page_va = kKernelTextBase + (Addr{p} << kPageShift);
-            auto it = std::upper_bound(
-                layoutIndex_.begin(), layoutIndex_.end(),
-                std::make_pair(page_va, kNoFunc));
-            std::size_t idx =
-                it == layoutIndex_.begin()
-                    ? 0
-                    : static_cast<std::size_t>(
-                          it - layoutIndex_.begin()) - 1;
+            while (idx + 1 < layoutIndex_.size() &&
+                   layoutIndex_[idx + 1].first <= page_va)
+                ++idx;
             kernelPageIdx_[p] = static_cast<std::uint32_t>(idx);
         }
     }

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "inst.hh"
@@ -54,13 +53,14 @@ class Program
     /** Create a function; returns its id. Body may be filled in later. */
     FuncId addFunction(std::string name, bool kernel);
 
+    /** Reserve room for @p n functions, so a generator that knows its
+     * scale adds them without regrowing the function table. */
+    void reserve(std::size_t n) { funcs_.reserve(n); }
+
     Function &func(FuncId id) { return funcs_[id]; }
     const Function &func(FuncId id) const { return funcs_[id]; }
 
     std::size_t numFunctions() const { return funcs_.size(); }
-
-    /** Look up a function id by name; kNoFunc when absent. */
-    FuncId findByName(const std::string &name) const;
 
     /**
      * Assign base addresses: kernel functions pack from
@@ -83,9 +83,9 @@ class Program
 
   private:
     std::vector<Function> funcs_;
-    std::unordered_map<std::string, FuncId> byName_;
 
-    /** Sorted (base, id) pairs for resolve(). */
+    /** Sorted (base, id) pairs for resolve(): the user run and the
+     * kernel run, each ascending as laid out, merged. */
     std::vector<std::pair<Addr, FuncId>> layoutIndex_;
 
     /** Direct page-indexed table over kernel text: for each 4 KiB

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "kernel/image.hh"
 #include "kernel/interp.hh"
@@ -135,6 +138,110 @@ TEST_F(ImageFixture, DeterministicAcrossBuilds)
             EXPECT_EQ(a[i].imm, b[i].imm);
         }
     }
+}
+
+namespace
+{
+
+/** FNV-1a 64 over values fed low byte first. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    mix(std::uint64_t v, unsigned bytes = 8)
+    {
+        for (unsigned b = 0; b < bytes; ++b)
+            h = (h ^ ((v >> (8 * b)) & 0xff)) * 0x100000001b3ull;
+    }
+
+    void
+    mix(const std::string &s)
+    {
+        mix(s.size());
+        for (char c : s)
+            mix(static_cast<unsigned char>(c), 1);
+    }
+
+    void
+    mix(const std::vector<FuncId> &v)
+    {
+        mix(v.size());
+        for (FuncId f : v)
+            mix(f, 4);
+    }
+};
+
+/**
+ * Digest of everything a generated, laid-out image determines: every
+ * function's name, kernel flag, base and micro-ops; every kernel
+ * function's KFuncInfo and class; the gadget list; and the boot
+ * globals and ops-table words the generator writes to memory.
+ */
+std::uint64_t
+imageDigest(std::uint64_t seed)
+{
+    perspective::sim::Memory mem;
+    ImageParams ip;
+    ip.seed = seed;
+    KernelImage img(mem, ip);
+    img.program().layout();
+    const auto &prog = img.program();
+
+    Fnv d;
+    d.mix(prog.numFunctions());
+    for (FuncId f = 0; f < prog.numFunctions(); ++f) {
+        const auto &fn = prog.func(f);
+        d.mix(fn.name);
+        d.mix(fn.kernel, 1);
+        d.mix(fn.base);
+        d.mix(fn.body.size());
+        for (const auto &op : fn.body) {
+            d.mix(static_cast<std::uint64_t>(op.op), 1);
+            d.mix(static_cast<std::uint64_t>(op.alu), 1);
+            d.mix(static_cast<std::uint64_t>(op.cond), 1);
+            d.mix(op.dst, sizeof(op.dst));
+            d.mix(op.src1, sizeof(op.src1));
+            d.mix(op.src2, sizeof(op.src2));
+            d.mix(static_cast<std::uint64_t>(op.imm));
+            d.mix(op.target, 4);
+            d.mix(op.callee, 4);
+        }
+    }
+    for (FuncId f = 0; f < img.numKernelFunctions(); ++f) {
+        const KFuncInfo &fi = img.info(f);
+        d.mix(static_cast<std::uint64_t>(fi.subsys), 1);
+        d.mix(fi.callees);
+        d.mix(fi.indirectTargets);
+        d.mix(fi.gadgets.size());
+        for (GadgetKind g : fi.gadgets)
+            d.mix(static_cast<std::uint64_t>(g), 1);
+        d.mix(static_cast<std::uint64_t>(img.classOf(f)), 1);
+    }
+    d.mix(img.functionsWithGadgets());
+    for (unsigned i = 0; i < 1024; ++i)
+        d.mix(mem.read(bootGlobalVa(i)));
+    for (unsigned t = 0; t < 4; ++t)
+        for (unsigned slot = 0; slot < 6; ++slot)
+            d.mix(mem.read(fopsSlotVa(t, slot)));
+    for (unsigned p = 0; p < 3; ++p)
+        for (unsigned slot = 0; slot < 5; ++slot)
+            d.mix(mem.read(protoOpsSlotVa(p, slot)));
+    return d.h;
+}
+
+} // namespace
+
+/**
+ * The generated image, pinned. DeterministicAcrossBuilds compares two
+ * images from one binary, so it cannot see a generator change; these
+ * constants can. Any change to what the generator emits, lays out or
+ * writes moves them.
+ */
+TEST_F(ImageFixture, GeneratedImageMatchesPinnedDigest)
+{
+    EXPECT_EQ(imageDigest(42), 0xb149cc048c3c0991ull);
+    EXPECT_EQ(imageDigest(7), 0xc7b39764041c0674ull);
 }
 
 TEST_F(ImageFixture, SyscallRunsToCompletionOnInterpreter)
