@@ -34,7 +34,7 @@ namespace
 {
 
 /** Cell body: run `profile` under Perspective with a bespoke policy
- * config; Experiment::run reports the leased policy's lookups. */
+ * config. */
 SweepCell
 configCell(const WorkloadProfile &w, core::PerspectiveConfig cfg,
            std::map<std::string, std::string> tags)
@@ -47,12 +47,7 @@ configCell(const WorkloadProfile &w, core::PerspectiveConfig cfg,
     c.tags = std::move(tags);
     c.body = [cfg](const SweepCell &cell) {
         Experiment e(cell.profile, Scheme::Perspective, cell.seed,
-                     cell.sampling);
-        core::PerspectivePolicy pol(e.kernelState().ownership(), cfg,
-                                    "ablation");
-        const auto &t = e.kernelState().task(e.mainPid());
-        pol.registerContext(t.asid, t.domain, e.isvView());
-        e.pipeline().setPolicy(&pol);
+                     cell.sampling, cfg);
         return e.run(cell.iterations, cell.warmup);
     };
     return c;
@@ -164,17 +159,10 @@ main(int argc, char **argv)
                   {"mode", flush_on_switch ? "flush-on-switch"
                                            : "asid-tagged"}};
         c.body = [flush_on_switch](const SweepCell &cell) {
-            Experiment e(cell.profile, Scheme::Perspective, cell.seed,
-                         cell.sampling);
             core::PerspectiveConfig cfg;
             cfg.flushOnContextSwitch = flush_on_switch;
-            core::PerspectivePolicy pol(e.kernelState().ownership(),
-                                        cfg, "switch");
-            for (kernel::Pid p : {e.mainPid(), e.victimPid()}) {
-                const auto &t = e.kernelState().task(p);
-                pol.registerContext(t.asid, t.domain, e.isvView());
-            }
-            e.pipeline().setPolicy(&pol);
+            Experiment e(cell.profile, Scheme::Perspective, cell.seed,
+                         cell.sampling, cfg);
             RunResult r;
             for (unsigned i = 0; i < cell.iterations; ++i) {
                 auto one = e.runRequestAs(i % 2 ? e.victimPid()
@@ -182,6 +170,7 @@ main(int argc, char **argv)
                 r.cycles += one.cycles;
                 r.instructions += one.instructions;
             }
+            core::PerspectivePolicy &pol = *e.perspectivePolicy();
             r.isvCacheHitRate = pol.isvCache().hitRate();
             r.dsvCacheHitRate = pol.dsvCache().hitRate();
             return r;
@@ -204,7 +193,10 @@ main(int argc, char **argv)
                   {"slab", "secure"}};
         c.body = [](const SweepCell &cell) {
             // Isolate the allocator: secure-slab kernel, all
-            // speculation gating off.
+            // speculation gating off. A config with both views off
+            // would still run Perspective's gate, and register its
+            // counters, on every kernel load; detaching the policy
+            // leaves exactly the Unsafe pipeline.
             Experiment e(cell.profile, Scheme::Perspective, cell.seed,
                          cell.sampling);
             e.pipeline().setPolicy(nullptr);

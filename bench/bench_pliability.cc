@@ -57,14 +57,7 @@ harvestRace(RunResult &r, Experiment &e,
     r.stats.inc("race.leaked_after_audit", race.leakedAfterAudit);
     r.stats.inc("race.update_latency_cycles", race.updateLatency);
     r.stats.inc("race.stale_allows", race.staleAllows);
-    r.leakage = e.pipeline().leakLedger().summary();
-    for (auto &g : r.leakage.topGadgets) {
-        if (g.func != sim::kNoFunc)
-            g.funcName = e.pipeline().program().func(g.func).name;
-        if (g.entryFunc != sim::kNoFunc)
-            g.entryName =
-                e.pipeline().program().func(g.entryFunc).name;
-    }
+    r.leakage = e.leakageSummary();
 }
 
 SweepCell

@@ -6,7 +6,8 @@
  * report on the deterministic metrics (cycles, instructions, fences,
  * and every counter of the cell's `stats` block, a key present on one
  * side only counting as a difference). Cells are matched by their
- * provenance config hash, so a reordered grid still lines up.
+ * provenance config hash, so a reordered grid still lines up; a cell
+ * without `provenance.config_hash` is a load error (exit 2).
  *
  *   bench_report out.json                       # summarize
  *   bench_report out.json --baseline base.json  # per-cell deltas
@@ -33,16 +34,12 @@
  *
  *   bench_report sampled.json --accuracy-baseline exact.json
  *
- * Every schema this tool has emitted still loads: fields it does not
- * read (such as schema 5's cache/shard blocks, or the per-cell time
- * series schemas before 8 carried) are ignored. A sampled
- * cell whose `cpi_ci95`/`rel_error` is null (schema 7: fewer than
+ * A sampled cell whose `cpi_ci95`/`rel_error` is null (fewer than
  * two windows) has no error estimate; it is counted, never averaged
  * in as a precise 0.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -67,7 +64,6 @@ struct Cell
     std::string workload;
     std::string scheme;
     std::string key; ///< config hash (+ duplicate suffix)
-    bool fallbackKey = false; ///< no provenance: workload|scheme key
     bool ok = false;
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
@@ -100,7 +96,6 @@ struct SweepFile
     std::string bench;
     std::string git;
     double wallSeconds = 0;
-    std::uint64_t fallbackKeys = 0; ///< cells without provenance
     std::vector<Cell> cells;
 
     /**
@@ -161,20 +156,10 @@ uintOr0(const Json &obj, const char *field)
                : 0;
 }
 
-/**
- * Load a sweep document. With @p skipHeavy (set under --check, which
- * only compares the deterministic counters) the bulk per-cell
- * sub-objects — histograms, and time series before schema 8 — are
- * syntax-checked but never materialized, so a large baseline parses
- * without allocating for payloads the comparison never reads. The
- * dependent telemetry (transient-gap percentiles) is simply absent
- * from the summary in that mode; every reader already guards on
- * presence. @p verbose
- * prints the parse cost to pin the win.
- */
+/** Load a sweep document; exits 2 when it cannot be read or a cell
+ * carries no provenance config hash. */
 SweepFile
-loadSweep(const std::string &path, bool skipHeavy = false,
-          bool verbose = false)
+loadSweep(const std::string &path)
 {
     std::ifstream is(path);
     if (!is) {
@@ -184,25 +169,7 @@ loadSweep(const std::string &path, bool skipHeavy = false,
     }
     std::ostringstream buf;
     buf << is.rdbuf();
-    const std::string &text = buf.str();
-    auto t0 = std::chrono::steady_clock::now();
-    Json doc;
-    if (skipHeavy) {
-        Json::ParseOptions opts;
-        opts.skipObjectKeys = {"histograms", "timeseries"};
-        doc = Json::parse(text, opts);
-    } else {
-        doc = Json::parse(text);
-    }
-    if (verbose) {
-        double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-        std::printf("parse %s: %zu bytes in %.1f ms%s\n",
-                    path.c_str(), text.size(), ms,
-                    skipHeavy ? " (histograms/timeseries skipped)"
-                              : "");
-    }
+    Json doc = Json::parse(buf.str());
 
     SweepFile f;
     f.path = path;
@@ -227,20 +194,17 @@ loadSweep(const std::string &path, bool skipHeavy = false,
             c.wallSeconds = cj.at("wall_seconds").asDouble();
         if (cj.contains("mips") && cj.at("mips").isNumber())
             c.mips = cj.at("mips").asDouble();
-        else if (c.wallSeconds > 0) // pre-"mips" files
-            c.mips = static_cast<double>(c.instructions) /
-                     c.wallSeconds / 1e6;
-        std::string hash;
-        if (cj.contains("provenance")) {
-            hash = cj.at("provenance").at("config_hash").asString();
-        } else {
-            // Pre-provenance files: a last-resort key that cannot
-            // tell apart cells differing only in seed/iterations/
-            // tags. Warned about below; fatal under --strict.
-            hash = c.workload + "|" + c.scheme;
-            c.fallbackKey = true;
-            ++f.fallbackKeys;
+        if (!cj.contains("provenance") ||
+            !cj.at("provenance").contains("config_hash")) {
+            std::fprintf(stderr,
+                         "bench_report: %s: cell %s/%s has no "
+                         "provenance.config_hash to match it by\n",
+                         path.c_str(), c.workload.c_str(),
+                         c.scheme.c_str());
+            std::exit(2);
         }
+        const std::string &hash =
+            cj.at("provenance").at("config_hash").asString();
         unsigned n = seen[hash]++;
         c.key = hash + "#" + std::to_string(n);
         if (cj.contains("stats")) {
@@ -306,15 +270,6 @@ loadSweep(const std::string &path, bool skipHeavy = false,
             for (const Json &d : tj.at("dropped_by_lane").asArray())
                 f.traceDroppedByLane.push_back(d.asUint());
     }
-    if (f.fallbackKeys > 0)
-        std::fprintf(
-            stderr,
-            "bench_report: WARNING: %s: %llu cell(s) carry no "
-            "provenance block; matching them by the ambiguous "
-            "workload|scheme fallback key. Re-emit the sweep with a "
-            "current build, or pass --strict to make this fatal.\n",
-            path.c_str(),
-            static_cast<unsigned long long>(f.fallbackKeys));
     return f;
 }
 
@@ -713,7 +668,7 @@ usage(int code)
 {
     std::printf(
         "usage: bench_report FILE.json [FILE2.json ...]\n"
-        "           [--baseline BASE.json] [--check] [--strict]\n"
+        "           [--baseline BASE.json] [--check]\n"
         "           [--verbose] [--perf-baseline BASE.json]\n"
         "           [--perf-threshold R]\n"
         "  --baseline F       per-cell delta of every input against"
@@ -722,11 +677,7 @@ usage(int code)
         "                     baseline in cycles, instructions,\n"
         "                     fences or any stats counter\n"
         "                     (regression gate)\n"
-        "  --strict           exit 1 if any input matches cells by\n"
-        "                     the provenance-less workload|scheme\n"
-        "                     fallback key\n"
-        "  --verbose          list identical cells too, and print\n"
-        "                     per-file parse timing\n"
+        "  --verbose          list identical cells too\n"
         "  --perf-baseline F  exit 1 if any input's aggregate MIPS\n"
         "                     falls below R x F's (timing gate)\n"
         "  --perf-threshold R minimum allowed MIPS ratio "
@@ -759,7 +710,7 @@ main(int argc, char **argv)
     std::string accuracyBaselinePath;
     double accuracyThreshold = 0.02;
     double perfThreshold = 0.80;
-    bool check = false, verbose = false, strict = false;
+    bool check = false, verbose = false;
     bool leakGateOn = false, expectLeak = false;
     std::vector<std::string> leakSchemes;
 
@@ -804,8 +755,6 @@ main(int argc, char **argv)
             expectLeak = true;
         } else if (arg == "--check") {
             check = true;
-        } else if (arg == "--strict") {
-            strict = true;
         } else if (arg == "--verbose") {
             verbose = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -839,24 +788,17 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // --check only compares the deterministic counters, so the bulk
-    // histogram/timeseries payloads need not be materialized.
-    bool skipHeavy = check;
     std::vector<SweepFile> files;
     files.reserve(inputs.size());
     for (const std::string &path : inputs)
-        files.push_back(loadSweep(path, skipHeavy, verbose));
+        files.push_back(loadSweep(path));
 
     unsigned total_diffs = 0;
-    std::uint64_t fallbacks = 0;
-    for (const SweepFile &f : files) {
+    for (const SweepFile &f : files)
         summarize(f);
-        fallbacks += f.fallbackKeys;
-    }
 
     if (!baselinePath.empty()) {
-        SweepFile base = loadSweep(baselinePath, skipHeavy, verbose);
-        fallbacks += base.fallbackKeys;
+        SweepFile base = loadSweep(baselinePath);
         std::printf("\nbaseline: ");
         summarize(base);
         if (check) {
@@ -882,15 +824,6 @@ main(int argc, char **argv)
         }
         for (const SweepFile &f : files)
             total_diffs += compare(f, base, verbose);
-    }
-
-    if (strict && fallbacks > 0) {
-        std::fprintf(stderr,
-                     "bench_report: FAIL — %llu cell(s) matched by "
-                     "the provenance-less fallback key under "
-                     "--strict\n",
-                     static_cast<unsigned long long>(fallbacks));
-        return 1;
     }
 
     unsigned perf_failures = 0;

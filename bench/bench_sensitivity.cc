@@ -38,15 +38,10 @@ unknownCell(const WorkloadProfile &w, bool block_unknown)
     c.tags = {{"section", "unknown-allocations"},
               {"block_unknown", block_unknown ? "true" : "false"}};
     c.body = [block_unknown](const SweepCell &cell) {
-        Experiment e(cell.profile, Scheme::Perspective, cell.seed,
-                     cell.sampling);
         core::PerspectiveConfig cfg;
         cfg.blockUnknown = block_unknown;
-        core::PerspectivePolicy pol(e.kernelState().ownership(), cfg,
-                                    "sensitivity");
-        const auto &t = e.kernelState().task(e.mainPid());
-        pol.registerContext(t.asid, t.domain, e.isvView());
-        e.pipeline().setPolicy(&pol);
+        Experiment e(cell.profile, Scheme::Perspective, cell.seed,
+                     cell.sampling, cfg);
         return e.run(cell.iterations, cell.warmup);
     };
     return c;

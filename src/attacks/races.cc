@@ -102,8 +102,17 @@ tryHijack(Experiment &e, int attempts)
     return false;
 }
 
-/** RAII: run a scenario under a private policy, then hand the
- * pipeline back to the experiment's own scheme. */
+/**
+ * RAII: run a scenario under a private policy, then hand the
+ * pipeline back to the experiment's own scheme. A race runs on the
+ * caller's Experiment, whose policy has the config the caller chose,
+ * so it leases one with the config the race needs. raceRevocation
+ * could not take its config through the Experiment constructor in any
+ * case: its frame must be owned before the policy mirrors ownership,
+ * and a policy built with the Experiment would see that grant
+ * deferred and sample one more "transient_gap_cycles", moving the
+ * pliability cells.
+ */
 struct PolicyLease
 {
     Experiment &e;

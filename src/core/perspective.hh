@@ -78,6 +78,8 @@ struct PerspectiveConfig
      * nonzero opens the mid-flight revocation window the pliability
      * scenarios race. Requires setClock() to take effect. */
     sim::Cycle revocationLatency = 0;
+
+    bool operator==(const PerspectiveConfig &) const = default;
 };
 
 /** @name Modeled fleet-flip latency

@@ -1,6 +1,5 @@
 #include "json.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -155,11 +154,7 @@ namespace
 class Parser
 {
   public:
-    explicit Parser(const std::string &text,
-                    const Json::ParseOptions *opts = nullptr)
-        : s_(text), opts_(opts)
-    {
-    }
+    explicit Parser(const std::string &text) : s_(text) {}
 
     Json
     parseDocument()
@@ -375,10 +370,7 @@ class Parser
             std::string key = parseString();
             skipWs();
             expect(':');
-            if (shouldSkip(key))
-                skipValue();
-            else
-                out[key] = parseValue();
+            out[key] = parseValue();
             skipWs();
             char c = peek();
             ++pos_;
@@ -389,123 +381,8 @@ class Parser
         }
     }
 
-    bool
-    shouldSkip(const std::string &key) const
-    {
-        if (!opts_)
-            return false;
-        const auto &keys = opts_->skipObjectKeys;
-        return std::find(keys.begin(), keys.end(), key) != keys.end();
-    }
-
-    /** Scan past a string without building it. Escapes only need the
-     * escaped character consumed blindly: no escape expands to an
-     * unescaped '"', so the terminator scan stays correct. */
-    void
-    skipString()
-    {
-        expect('"');
-        for (;;) {
-            if (pos_ >= s_.size())
-                fail("unterminated string");
-            char c = s_[pos_++];
-            if (c == '"')
-                return;
-            if (c == '\\') {
-                if (pos_ >= s_.size())
-                    fail("unterminated escape");
-                ++pos_;
-            }
-        }
-    }
-
-    /**
-     * Scan past one value without materializing it. Structure is
-     * still validated (delimiters, string termination, literals), so
-     * a skipped document and a parsed one accept the same inputs;
-     * number *content* is not re-validated — the win is precisely
-     * not allocating for the bulk payloads being skipped.
-     */
-    void
-    skipValue()
-    {
-        skipWs();
-        char c = peek();
-        switch (c) {
-          case '{': {
-            ++pos_;
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                return;
-            }
-            for (;;) {
-                skipWs();
-                skipString();
-                skipWs();
-                expect(':');
-                skipValue();
-                skipWs();
-                char d = peek();
-                ++pos_;
-                if (d == '}')
-                    return;
-                if (d != ',')
-                    fail("expected ',' or '}'");
-            }
-          }
-          case '[': {
-            ++pos_;
-            skipWs();
-            if (peek() == ']') {
-                ++pos_;
-                return;
-            }
-            for (;;) {
-                skipValue();
-                skipWs();
-                char d = peek();
-                ++pos_;
-                if (d == ']')
-                    return;
-                if (d != ',')
-                    fail("expected ',' or ']'");
-            }
-          }
-          case '"': skipString(); return;
-          case 't':
-            if (!consumeLiteral("true"))
-                fail("bad literal");
-            return;
-          case 'f':
-            if (!consumeLiteral("false"))
-                fail("bad literal");
-            return;
-          case 'n':
-            if (!consumeLiteral("null"))
-                fail("bad literal");
-            return;
-          default: {
-            std::size_t start = pos_;
-            if (c == '-')
-                ++pos_;
-            while (pos_ < s_.size() &&
-                   (std::isdigit(
-                        static_cast<unsigned char>(s_[pos_])) ||
-                    s_[pos_] == '.' || s_[pos_] == 'e' ||
-                    s_[pos_] == 'E' || s_[pos_] == '+' ||
-                    s_[pos_] == '-'))
-                ++pos_;
-            if (pos_ == start)
-                fail("bad number");
-            return;
-          }
-        }
-    }
-
     const std::string &s_;
     std::size_t pos_ = 0;
-    const Json::ParseOptions *opts_ = nullptr;
 };
 
 } // namespace
@@ -514,12 +391,6 @@ Json
 Json::parse(const std::string &text)
 {
     return Parser(text).parseDocument();
-}
-
-Json
-Json::parse(const std::string &text, const ParseOptions &opts)
-{
-    return Parser(text, &opts).parseDocument();
 }
 
 } // namespace perspective::harness

@@ -66,31 +66,11 @@ class Json
     void write(std::ostream &os, int indent = 0) const;
     std::string dump(int indent = 0) const;
 
-    /** Selective-parse knobs for parse(). */
-    struct ParseOptions
-    {
-        /**
-         * Object members with these keys are syntax-checked but not
-         * materialized: the value is scanned (strings, nesting and
-         * delimiters still validated) and dropped, and the key does
-         * not appear in the resulting object. Lets bulk readers
-         * (bench_report over a ~46k-line baseline) skip the heavy
-         * per-cell sub-objects (histograms, and the time series of
-         * schemas before 8) they never look at. Applies at every
-         * nesting depth.
-         */
-        std::vector<std::string> skipObjectKeys;
-    };
-
     /**
      * Parse @p text as a single JSON document. Throws
      * std::runtime_error (with byte offset) on malformed input.
      */
     static Json parse(const std::string &text);
-
-    /** parse() with selective skipping (see ParseOptions). */
-    static Json parse(const std::string &text,
-                      const ParseOptions &opts);
 
   private:
     template <typename T>

@@ -55,9 +55,12 @@ struct SweepCell
     /**
      * Optional custom cell body. When empty the runner constructs
      * Experiment(profile, scheme, seed) and calls
-     * run(iterations, warmup). Custom bodies (ablations wiring
-     * bespoke PerspectiveConfigs) must stay share-nothing: build
-     * every simulation object inside the callback.
+     * run(iterations, warmup). A body that needs a non-default
+     * PerspectiveConfig passes it to the Experiment constructor,
+     * which builds the one policy the cell runs; the config is not
+     * hashed, so such cells tell themselves apart by their tags.
+     * Custom bodies must stay share-nothing: build every simulation
+     * object inside the callback.
      */
     std::function<workloads::RunResult(const SweepCell &)> body;
 };

@@ -44,25 +44,10 @@ class Memory
     static constexpr unsigned kWordsPerPage = 1u << (kPageShift - 3);
 
     Memory() = default;
-
-    // Copies share pages copy-on-write; the caches are per-instance.
-    Memory(const Memory &o)
-        : pages_(o.pages_), unaligned_(o.unaligned_),
-          alignedWords_(o.alignedWords_)
-    {
-    }
-
-    Memory &
-    operator=(const Memory &o)
-    {
-        if (this != &o) {
-            pages_ = o.pages_;
-            unaligned_ = o.unaligned_;
-            alignedWords_ = o.alignedWords_;
-            invalidateCaches();
-        }
-        return *this;
-    }
+    /** Pages are shared only through snapshot()/restore(), which
+     * keep the one-entry write cache off a shared page. */
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
 
     /** Read the 64-bit word at @p addr (zero if never written). */
     std::uint64_t
@@ -91,31 +76,7 @@ class Memory
             unaligned_[addr] = value;
             return;
         }
-        Page *p = writablePage(addr >> kPageShift);
-        unsigned idx = wordIndex(addr);
-        std::uint64_t bit = std::uint64_t{1} << (idx & 63);
-        std::uint64_t &mask = p->written[idx >> 6];
-        if (!(mask & bit)) {
-            mask |= bit;
-            ++alignedWords_;
-        }
-        p->word[idx] = value;
-    }
-
-    /** Number of distinct words ever written. */
-    std::size_t
-    footprint() const
-    {
-        return alignedWords_ + unaligned_.size();
-    }
-
-    void
-    clear()
-    {
-        pages_.clear();
-        unaligned_.clear();
-        alignedWords_ = 0;
-        invalidateCaches();
+        writablePage(addr >> kPageShift)->word[wordIndex(addr)] = value;
     }
 
     /**
@@ -132,7 +93,6 @@ class Memory
       private:
         std::unordered_map<Addr, std::shared_ptr<Page>> pages;
         std::unordered_map<Addr, std::uint64_t> unaligned;
-        std::size_t alignedWords = 0;
     };
 
     Snapshot
@@ -141,7 +101,6 @@ class Memory
         Snapshot s;
         s.pages = pages_;
         s.unaligned = unaligned_;
-        s.alignedWords = alignedWords_;
         // Every page is now shared with the snapshot: the next write
         // to any of them must clone, so drop the writable cache.
         writeKey_ = kNoKey;
@@ -154,7 +113,6 @@ class Memory
     {
         pages_ = s.pages;
         unaligned_ = s.unaligned;
-        alignedWords_ = s.alignedWords;
         invalidateCaches();
     }
 
@@ -162,8 +120,6 @@ class Memory
     struct Page
     {
         std::array<std::uint64_t, kWordsPerPage> word{};
-        /** Footprint bookkeeping: which words were ever written. */
-        std::array<std::uint64_t, kWordsPerPage / 64> written{};
     };
 
     static unsigned
@@ -204,7 +160,6 @@ class Memory
     std::unordered_map<Addr, std::shared_ptr<Page>> pages_;
     /** Cells at non-8-aligned byte addresses (rare; see file note). */
     std::unordered_map<Addr, std::uint64_t> unaligned_;
-    std::size_t alignedWords_ = 0;
 
     // One-entry lookup caches; accesses cluster heavily by page.
     mutable Addr readKey_ = kNoKey;

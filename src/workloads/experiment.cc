@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "kernel/process.hh"
 
@@ -55,9 +56,17 @@ isPerspective(Scheme s)
 
 Experiment::Experiment(const WorkloadProfile &profile, Scheme scheme,
                        std::uint64_t seed,
-                       sim::SamplingParams sampling)
+                       sim::SamplingParams sampling,
+                       core::PerspectiveConfig perspective)
     : profile_(profile), scheme_(scheme)
 {
+    if (!isPerspective(scheme) &&
+        perspective != core::PerspectiveConfig{}) {
+        throw std::invalid_argument(
+            std::string("Experiment: scheme '") + schemeName(scheme) +
+            "' runs no PerspectivePolicy to configure");
+    }
+
     // The booted image (built once per seed per process when snapshot
     // reuse is on): restore its memory contents copy-on-write instead
     // of re-generating and re-laying-out ~28k kernel functions.
@@ -94,54 +103,44 @@ Experiment::Experiment(const WorkloadProfile &profile, Scheme scheme,
 
     // Scheme wiring.
     switch (scheme_) {
-      case Scheme::Unsafe:
-        policy_ = nullptr;
-        break;
+      case Scheme::Unsafe: break;
       case Scheme::Fence:
-        simplePolicy_ = std::make_unique<defenses::FencePolicy>();
-        policy_ = simplePolicy_.get();
+        policy_ = std::make_unique<defenses::FencePolicy>();
         break;
       case Scheme::Dom:
-        simplePolicy_ = std::make_unique<defenses::DomPolicy>();
-        policy_ = simplePolicy_.get();
+        policy_ = std::make_unique<defenses::DomPolicy>();
         break;
       case Scheme::Stt:
-        simplePolicy_ = std::make_unique<defenses::SttPolicy>();
-        policy_ = simplePolicy_.get();
+        policy_ = std::make_unique<defenses::SttPolicy>();
         break;
       case Scheme::Spot:
-        simplePolicy_ =
-            std::make_unique<defenses::SpotMitigationPolicy>();
-        policy_ = simplePolicy_.get();
+        policy_ = std::make_unique<defenses::SpotMitigationPolicy>();
         break;
       case Scheme::SpecCfi:
-        simplePolicy_ = std::make_unique<defenses::SpecCfiPolicy>();
-        policy_ = simplePolicy_.get();
+        policy_ = std::make_unique<defenses::SpecCfiPolicy>();
         break;
       case Scheme::InvisiSpec:
-        simplePolicy_ =
-            std::make_unique<defenses::InvisiSpecPolicy>();
-        policy_ = simplePolicy_.get();
+        policy_ = std::make_unique<defenses::InvisiSpecPolicy>();
         break;
       case Scheme::PerspectiveStatic:
       case Scheme::Perspective:
       case Scheme::PerspectivePlusPlus: {
         buildIsv();
-        perspective_ = std::make_unique<core::PerspectivePolicy>(
-            ks_->ownership(), core::PerspectiveConfig{},
-            schemeName(scheme_));
+        auto pol = std::make_unique<core::PerspectivePolicy>(
+            ks_->ownership(), perspective, schemeName(scheme_));
+        perspective_ = pol.get();
+        policy_ = std::move(pol);
         // Timestamp source for deferred revocations / fleet flips;
         // with the default revocationLatency of 0 every update path
         // stays synchronous and nothing changes.
         perspective_->setClock(cpu_->cyclePtr());
         registerPerspectiveContext(mainPid_);
         registerPerspectiveContext(victimPid_);
-        policy_ = perspective_.get();
         break;
       }
     }
 
-    cpu_->setPolicy(policy_);
+    cpu_->setPolicy(policy_.get());
 
     // Transient-leakage ground truth (DESIGN §5.6), armed for every
     // scheme: a speculative kernel load is "secret" when a correct,
@@ -300,6 +299,19 @@ Experiment::runSyscall(Pid pid, const kernel::SyscallInvocation &inv,
     return r;
 }
 
+sim::LeakageSummary
+Experiment::leakageSummary() const
+{
+    sim::LeakageSummary out = cpu_->leakLedger().summary();
+    for (auto &g : out.topGadgets) {
+        if (g.func != sim::kNoFunc)
+            g.funcName = cpu_->program().func(g.func).name;
+        if (g.entryFunc != sim::kNoFunc)
+            g.entryName = cpu_->program().func(g.entryFunc).name;
+    }
+    return out;
+}
+
 RunResult
 Experiment::run(unsigned iterations, unsigned warmup)
 {
@@ -342,13 +354,7 @@ Experiment::run(unsigned iterations, unsigned warmup)
         st.inc("dsvmt.mru.lookups", a->dsvmtMruLookups);
     }
     out.stats = st;
-    out.leakage = cpu_->leakLedger().summary();
-    for (auto &g : out.leakage.topGadgets) {
-        if (g.func != sim::kNoFunc)
-            g.funcName = cpu_->program().func(g.func).name;
-        if (g.entryFunc != sim::kNoFunc)
-            g.entryName = cpu_->program().func(g.entryFunc).name;
-    }
+    out.leakage = leakageSummary();
 
     // Sampled mode (DESIGN §5.8): the accumulated cycle count covers
     // only the detailed windows; the reported total is the estimate

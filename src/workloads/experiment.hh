@@ -106,10 +106,16 @@ class Experiment
      * statistical: RunResult::cycles is an extrapolated estimate
      * carrying the RunResult::sampling confidence interval, and
      * stats cover only the detailed windows.
+     *
+     * @p perspective configures the PerspectivePolicy the Perspective
+     * schemes build and run (sensitivity and ablation cells set it).
+     * @throws std::invalid_argument when any other scheme gets a
+     *         non-default @p perspective.
      */
     Experiment(const WorkloadProfile &profile, Scheme scheme,
                std::uint64_t seed = 42,
-               sim::SamplingParams sampling = {});
+               sim::SamplingParams sampling = {},
+               core::PerspectiveConfig perspective = {});
 
     /** Run @p iterations measured request iterations (after
      * @p warmup unmeasured ones) and report the aggregate. */
@@ -131,11 +137,15 @@ class Experiment
 
     /** The active ISV view (Perspective schemes only). */
     core::IsvView *isvView() { return isv_ ? &*isv_ : nullptr; }
-    core::PerspectivePolicy *perspectivePolicy()
-    {
-        return perspective_.get();
-    }
-    sim::SpeculationPolicy *policy() { return policy_; }
+    /** The scheme's policy as a PerspectivePolicy (Perspective
+     * schemes only; null otherwise). */
+    core::PerspectivePolicy *perspectivePolicy() { return perspective_; }
+    /** The scheme's policy (null for Unsafe). */
+    sim::SpeculationPolicy *policy() { return policy_.get(); }
+
+    /** The pipeline's transient-leakage summary, with each top
+     * gadget's function names resolved. */
+    sim::LeakageSummary leakageSummary() const;
 
     /** Execute one request iteration on the pipeline and return its
      * cycles/instructions (used by run() and by PoC drivers). */
@@ -191,9 +201,8 @@ class Experiment
     kernel::Pid victimPid_ = 0; ///< co-tenant with secrets
 
     std::optional<core::IsvView> isv_;
-    std::unique_ptr<core::PerspectivePolicy> perspective_;
-    std::unique_ptr<sim::SpeculationPolicy> simplePolicy_;
-    sim::SpeculationPolicy *policy_ = nullptr;
+    std::unique_ptr<sim::SpeculationPolicy> policy_;
+    core::PerspectivePolicy *perspective_ = nullptr; ///< policy_, typed
 };
 
 } // namespace perspective::workloads

@@ -83,15 +83,9 @@ TEST(Poc, RetpolineStopsV2ButNotRetbleed)
 TEST(Poc, DsvAloneStopsActiveAttacks)
 {
     // Taxonomy, active half: ownership isolation suffices.
-    Experiment e(pocProfile(), Scheme::Perspective);
-    core::PerspectiveConfig cfg;
-    cfg.enableIsv = false;
-    core::PerspectivePolicy dsv_only(e.kernelState().ownership(), cfg,
-                                     "dsv-only");
-    auto &ks = e.kernelState();
-    const auto &t = ks.task(e.mainPid());
-    dsv_only.registerContext(t.asid, t.domain, nullptr);
-    e.pipeline().setPolicy(&dsv_only);
+    core::PerspectiveConfig dsv_only;
+    dsv_only.enableIsv = false;
+    Experiment e(pocProfile(), Scheme::Perspective, 42, {}, dsv_only);
 
     for (PocKind k : {PocKind::ActiveV1Ioctl, PocKind::ActiveV1Ptrace,
                       PocKind::ActiveV1Bpf}) {
@@ -105,15 +99,9 @@ TEST(Poc, DsvAloneMissesPassiveAttacks)
     // Taxonomy, passive half: the hijacked victim reads its OWN data
     // — no ownership violation — so DSVs cannot help. This is why
     // Perspective needs ISVs (Section 4.1).
-    Experiment e(pocProfile(), Scheme::Perspective);
-    core::PerspectiveConfig cfg;
-    cfg.enableIsv = false;
-    core::PerspectivePolicy dsv_only(e.kernelState().ownership(), cfg,
-                                     "dsv-only");
-    auto &ks = e.kernelState();
-    const auto &t = ks.task(e.mainPid());
-    dsv_only.registerContext(t.asid, t.domain, nullptr);
-    e.pipeline().setPolicy(&dsv_only);
+    core::PerspectiveConfig dsv_only;
+    dsv_only.enableIsv = false;
+    Experiment e(pocProfile(), Scheme::Perspective, 42, {}, dsv_only);
 
     auto r = runPoc(PocKind::PassiveV2, e);
     EXPECT_TRUE(r.leaked) << "passive v2 must bypass DSV-only";
@@ -121,15 +109,9 @@ TEST(Poc, DsvAloneMissesPassiveAttacks)
 
 TEST(Poc, IsvAloneStopsPassiveAttacks)
 {
-    Experiment e(pocProfile(), Scheme::Perspective);
-    core::PerspectiveConfig cfg;
-    cfg.enableDsv = false;
-    core::PerspectivePolicy isv_only(e.kernelState().ownership(), cfg,
-                                     "isv-only");
-    auto &ks = e.kernelState();
-    const auto &t = ks.task(e.mainPid());
-    isv_only.registerContext(t.asid, t.domain, e.isvView());
-    e.pipeline().setPolicy(&isv_only);
+    core::PerspectiveConfig isv_only;
+    isv_only.enableDsv = false;
+    Experiment e(pocProfile(), Scheme::Perspective, 42, {}, isv_only);
 
     EXPECT_FALSE(runPoc(PocKind::PassiveV2, e).leaked);
     EXPECT_FALSE(runPoc(PocKind::PassiveRetbleed, e).leaked);

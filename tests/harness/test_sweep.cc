@@ -159,38 +159,6 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(Json::parse("\"unterminated"), std::runtime_error);
 }
 
-// Selective-skip parsing: the bench_report --check fast path.
-TEST(Json, SkipObjectKeysDropsSubtreesAtEveryDepth)
-{
-    const std::string doc = R"({
-      "bench": "x",
-      "histograms": {"h": {"p50": 1.5, "vals": [1, 2, 3]}},
-      "cells": [
-        {"cycles": 7,
-         "histograms": {"deep": "skipped \" too"},
-         "timeseries": {"cycle": [1], "value": [2]}}
-      ]
-    })";
-    Json::ParseOptions opts;
-    opts.skipObjectKeys = {"histograms", "timeseries"};
-    Json d = Json::parse(doc, opts);
-    EXPECT_FALSE(d.contains("histograms"));
-    EXPECT_EQ(d.at("bench").asString(), "x");
-    const Json &cell = d.at("cells").asArray().at(0);
-    EXPECT_EQ(cell.at("cycles").asUint(), 7u);
-    EXPECT_FALSE(cell.contains("histograms"));
-    EXPECT_FALSE(cell.contains("timeseries"));
-
-    // The skipped subtree is still syntax-checked: malformed content
-    // inside it must throw, same as a full parse.
-    Json::ParseOptions skipBad;
-    skipBad.skipObjectKeys = {"bad"};
-    EXPECT_THROW(Json::parse(R"({"bad": {"x": }})", skipBad),
-                 std::runtime_error);
-    EXPECT_THROW(Json::parse(R"({"bad": "unterminated)", skipBad),
-                 std::runtime_error);
-}
-
 // ---- Sweep determinism --------------------------------------------
 
 namespace

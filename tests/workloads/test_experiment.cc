@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 
 #include "core/perspective.hh"
 #include "sim/trace.hh"
@@ -81,6 +82,24 @@ TEST(Experiment, PerspectiveHasViewAndPolicy)
     EXPECT_GT(e.isvView()->numFunctions(), 100u);
     EXPECT_LT(e.isvView()->numFunctions(),
               e.image().numKernelFunctions() / 10);
+}
+
+TEST(Experiment, PerspectiveConfigReachesTheRunningPolicy)
+{
+    // The constructor's config configures the policy the pipeline
+    // runs, not a second, idle one.
+    core::PerspectiveConfig cfg;
+    cfg.isvCacheEntries = 32;
+    cfg.blockUnknown = false;
+    ASSERT_FALSE(cfg == core::PerspectiveConfig{});
+    Experiment e(redisProfile(), Scheme::Perspective, 42, {}, cfg);
+    ASSERT_NE(e.perspectivePolicy(), nullptr);
+    EXPECT_EQ(e.perspectivePolicy(), e.pipeline().policy());
+    EXPECT_TRUE(e.perspectivePolicy()->config() == cfg);
+
+    // A scheme without a PerspectivePolicy has nothing to configure.
+    EXPECT_THROW(Experiment(redisProfile(), Scheme::Fence, 42, {}, cfg),
+                 std::invalid_argument);
 }
 
 TEST(Experiment, StaticViewLargerThanDynamic)
@@ -213,8 +232,8 @@ TEST(Experiment, HitRatesCoverOnlyMeasuredPhase)
 TEST(Experiment, LeasedPolicyReportsItsOwnMeasuredLookups)
 {
     // A cell that leases its own PerspectivePolicy onto the pipeline
-    // (the ablation and sensitivity grids do) reports that policy's
-    // lookups, over the measured iterations only. Small view caches
+    // reports that policy's lookups, over the measured iterations
+    // only. Small view caches
     // keep the DSVMT walked in both phases.
     constexpr unsigned kWarmup = 2, kIters = 4;
     core::PerspectiveConfig cfg;
@@ -284,19 +303,14 @@ TEST(Experiment, AsidTaggingSurvivesContextSwitches)
     // compare hit rates against an untagged (flush-on-switch)
     // configuration.
     auto interleaved_hit_rate = [](bool flush_on_switch) {
-        Experiment e(memcachedProfile(), Scheme::Perspective);
         core::PerspectiveConfig cfg;
         cfg.flushOnContextSwitch = flush_on_switch;
-        core::PerspectivePolicy pol(e.kernelState().ownership(), cfg,
-                                    "switch-study");
-        for (kernel::Pid p : {e.mainPid(), e.victimPid()}) {
-            const auto &t = e.kernelState().task(p);
-            pol.registerContext(t.asid, t.domain, e.isvView());
-        }
-        e.pipeline().setPolicy(&pol);
+        Experiment e(memcachedProfile(), Scheme::Perspective, 42, {},
+                     cfg);
         for (unsigned i = 0; i < 12; ++i) {
             e.runRequestAs(i % 2 ? e.victimPid() : e.mainPid());
         }
+        core::PerspectivePolicy &pol = *e.perspectivePolicy();
         return std::make_pair(pol.isvCache().hitRate(),
                               pol.dsvCache().hitRate());
     };
