@@ -2,12 +2,12 @@
  * @file
  * Section 9.2 sensitivity analyses:
  *  - cost of blocking unknown allocations (toggle blockUnknown);
- *  - ISV/DSV cache hit rates;
  *  - DSVMT walk depths and memory footprint.
  *
- * The first two sections run their grids through the sweep runner
+ * The unknown-allocation grid runs through the sweep runner
  * (`--jobs N`, `--json PATH`); the DSVMT probe needs live access to
- * the policy's tree and stays inline.
+ * the policy's tree and stays inline. The ISV/DSV cache hit rates
+ * are read from bench_apps's Perspective cells.
  */
 
 #include <cstdio>
@@ -56,8 +56,7 @@ main(int argc, char **argv)
                                      argv));
 
     // Grid: per LEBench workload, [unsafe, block-unknown,
-    // allow-unknown]; then the four datacenter apps under
-    // Perspective for hit rates.
+    // allow-unknown].
     auto suite = lebenchSuite();
     std::vector<SweepCell> cells;
     for (const auto &w : suite) {
@@ -71,17 +70,6 @@ main(int argc, char **argv)
         cells.push_back(std::move(base));
         cells.push_back(unknownCell(w, true));
         cells.push_back(unknownCell(w, false));
-    }
-    auto apps = datacenterSuite();
-    std::size_t hit_base = cells.size();
-    for (const auto &w : apps) {
-        SweepCell c;
-        c.profile = w;
-        c.scheme = Scheme::Perspective;
-        c.iterations = kIterations;
-        c.warmup = kWarmup;
-        c.tags = {{"section", "hit-rates"}};
-        cells.push_back(std::move(c));
     }
     auto results = sweep.run(cells);
 
@@ -109,18 +97,6 @@ main(int argc, char **argv)
                 " %.1f%% of execution\n", 100.0 * overhead_sum / n);
     std::printf("[paper: unknown allocations account for ~1.5%% of "
                 "Perspective's LEBench overhead]\n");
-
-    banner("Section 9.2: Hardware structure hit rates");
-    std::printf("%-12s %-10s %-10s\n", "workload", "ISV cache",
-                "DSV cache");
-    rule(34);
-    for (std::size_t row = 0; row < apps.size(); ++row) {
-        const CellResult &r = results[hit_base + row];
-        std::printf("%-12s %8.1f%% %9.1f%%\n", r.workload.c_str(),
-                    100.0 * r.result.isvCacheHitRate,
-                    100.0 * r.result.dsvCacheHitRate);
-    }
-    std::printf("[paper: both caches ~99%% hit rate]\n");
 
     banner("Section 9.2: DSVMT characteristics");
     {

@@ -40,11 +40,8 @@ class Json
     Json(Object o) : v_(std::move(o)) {}
 
     bool isNull() const { return holds<std::nullptr_t>(); }
-    bool isBool() const { return holds<bool>(); }
     bool isUint() const { return holds<std::uint64_t>(); }
     bool isNumber() const { return isUint() || holds<double>(); }
-    bool isString() const { return holds<std::string>(); }
-    bool isArray() const { return holds<Array>(); }
     bool isObject() const { return holds<Object>(); }
 
     bool asBool() const { return std::get<bool>(v_); }

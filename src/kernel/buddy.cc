@@ -73,7 +73,6 @@ BuddyAllocator::allocPages(unsigned order, DomainId domain)
 
     orderOf_[rel] = static_cast<std::uint8_t>(order);
     allocated_ += 1ull << order;
-    ++allocCount_;
     ownership_.assignRange(firstPfn_ + rel, 1ull << order, domain);
     return firstPfn_ + rel;
 }

@@ -48,9 +48,6 @@ class BuddyAllocator
     /** Frames currently allocated. */
     std::uint64_t allocatedFrames() const { return allocated_; }
 
-    /** Allocation call count (for experiment bookkeeping). */
-    std::uint64_t allocCount() const { return allocCount_; }
-
   private:
     struct Block
     {
@@ -65,7 +62,6 @@ class BuddyAllocator
     Pfn firstPfn_;
     std::uint64_t total_;
     std::uint64_t allocated_ = 0;
-    std::uint64_t allocCount_ = 0;
     std::vector<std::vector<std::uint64_t>> freeLists_; ///< rel pfns
     std::vector<std::uint8_t> orderOf_; ///< alloc order per rel pfn
 };

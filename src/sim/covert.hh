@@ -67,7 +67,6 @@ class FlushReload
         return hit;
     }
 
-    Addr probeBase() const { return probeBase_; }
     unsigned symbols() const { return symbols_; }
 
   private:

@@ -33,7 +33,6 @@ class Tlb
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    Cycle walkLatency() const { return walkLatency_; }
 
   private:
     struct Entry
