@@ -28,19 +28,13 @@ GadgetScanner::scan(const ScannerConfig &cfg,
     std::unordered_set<FuncId> covered;
     double sim_seconds = 0;
 
-    std::vector<Sys> syscalls = cfg.syscallSet;
-    if (syscalls.empty()) {
-        for (unsigned i = 0; i < kernel::kNumSyscalls; ++i)
-            syscalls.push_back(static_cast<Sys>(i));
-    }
-
     kernel::Interpreter in(img_.program(), mem_);
     for (unsigned e = 0; e < cfg.executions; ++e) {
         // Syzkaller-style input generation: random syscall, random
         // arguments, and the error/variant knobs that steer execution
         // into cold handler paths.
         kernel::SyscallInvocation inv;
-        inv.sys = syscalls[rnd(syscalls.size())];
+        inv.sys = static_cast<Sys>(rnd(kernel::kNumSyscalls));
         inv.arg0 = rnd(64);
         inv.arg1 = rnd(32) + 1;
         inv.arg2 = rnd(4) + 1;

@@ -47,8 +47,6 @@ struct ScannerConfig
     /** Simulated seconds of taint analysis per micro-op of a newly
      * covered function. */
     double analysisCostSec = 90e-3;
-    /** Restrict fuzzing to these syscalls (empty = whole table). */
-    std::vector<kernel::Sys> syscallSet;
 };
 
 /** Outcome of a scanning campaign. */

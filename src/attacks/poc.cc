@@ -18,7 +18,23 @@ namespace
 {
 
 constexpr unsigned kVictimSecret = 0x5e; ///< written by Experiment
-constexpr unsigned kOwnSecret = 0x6b;    ///< victim's own data (passive)
+
+/** The victim's benign read(), dispatched through the vfs. */
+const SyscallInvocation kVictimRead{Sys::Read, 0, 8, 0};
+
+/** The gadget-path invocation (index argument 2: in bounds). */
+SyscallInvocation
+v1Invocation(Sys via)
+{
+    return {via, 3, 4, 2};
+}
+
+/** VA of process @p pid's secret within its context block. */
+Addr
+secretVa(Experiment &e, kernel::Pid pid)
+{
+    return e.kernelState().task(pid).ctxVa + KernelImage::kSecretCtxOff;
+}
 
 /**
  * Active Spectre-v1 attack through a reachable kernel gadget: the
@@ -26,45 +42,11 @@ constexpr unsigned kOwnSecret = 0x6b;    ///< victim's own data (passive)
  * check into the *victim tenant's* memory.
  */
 PocResult
-activeV1(Experiment &e, Sys entry_sys, FuncId gadget)
+activeV1(Experiment &e, Sys via)
 {
-    (void)gadget;
-    KernelImage &img = e.image();
-    auto &ks = e.kernelState();
-    auto &cpu = e.pipeline();
-
-    Addr attacker_ctx = ks.task(e.mainPid()).ctxVa;
-    Addr victim_secret_va = ks.task(e.victimPid()).ctxVa +
-                            KernelImage::kSecretCtxOff;
-
-    // Out-of-bounds index: &victim_secret - &attacker_table, scaled.
-    std::uint64_t oob =
-        (victim_secret_va -
-         (attacker_ctx + KernelImage::kGadgetTableOff)) /
-        8;
-
-    SyscallInvocation inv{entry_sys, 3, 4, 2};
-
-    // (1) Mistrain the bounds check with in-bounds indices.
-    for (int i = 0; i < 24; ++i)
-        e.runSyscall(e.mainPid(), inv, 0);
-
-    PocResult res;
-    res.expected = kVictimSecret;
-    for (int attempt = 0; attempt < 3 && !res.leaked; ++attempt) {
-        // (2) The victim recently touched its secret (warm line);
-        // the bound global is evicted to widen the window.
-        cpu.caches().accessData(victim_secret_va);
-        cpu.caches().flush(img.pocBoundGlobalVa());
-        FlushReload fr(cpu.caches(), kernel::kSharedProbeBase);
-        fr.prime();
-
-        // (3) Out-of-bounds invocation; (4) reload.
-        e.runSyscall(e.mainPid(), inv, 0, oob);
-        res.recovered = fr.recover();
-        res.leaked = res.recovered && *res.recovered == res.expected;
-    }
-    return res;
+    mistrainV1(e, via);
+    return probeV1(e, via, secretVa(e, e.victimPid()), kVictimSecret,
+                   3);
 }
 
 /**
@@ -76,46 +58,15 @@ activeV1(Experiment &e, Sys entry_sys, FuncId gadget)
 PocResult
 passiveV2(Experiment &e)
 {
-    KernelImage &img = e.image();
-    auto &ks = e.kernelState();
-    auto &cpu = e.pipeline();
-
     // The victim's own secret (the main process IS the victim here).
-    Addr own_secret_va =
-        ks.task(e.mainPid()).ctxVa + KernelImage::kSecretCtxOff;
-    e.memory().write(own_secret_va, kOwnSecret);
-
-    SyscallInvocation inv{Sys::Read, 0, 8, 0};
+    e.memory().write(secretVa(e, e.mainPid()), kOwnSecret);
 
     // Warm run (trains the dispatch BTB entry to the benign target).
-    e.runSyscall(e.mainPid(), inv, 0);
-
-    auto [disp_func, icall_idx] = img.vfsReadDispatch();
-    Addr icall_pc = img.program().func(disp_func).instAddr(icall_idx);
+    e.runSyscall(e.mainPid(), kVictimRead, 0);
 
     // Real transient attacks rarely win the race on the first try:
     // the first attempt warms the gadget's instruction lines.
-    PocResult res;
-    res.expected = kOwnSecret;
-    for (int attempt = 0; attempt < 3 && !res.leaked; ++attempt) {
-        // (1) Attacker injects the gadget as the predicted target of
-        // the victim's indirect call (aliased mistraining).
-        cpu.btb().update(icall_pc, img.pocHijackGadget());
-
-        // (2) Victim's secret is warm; the fops slot is evicted so
-        // the indirect call resolves late (wide transient window).
-        cpu.caches().accessData(own_secret_va);
-        cpu.caches().flush(kernel::fopsSlotVa(0, 0));
-        FlushReload fr(cpu.caches(), kernel::kSharedProbeBase);
-        fr.prime();
-
-        // (3) The victim innocently issues read().
-        e.runSyscall(e.mainPid(), inv, 0);
-
-        res.recovered = fr.recover();
-        res.leaked = res.recovered && *res.recovered == res.expected;
-    }
-    return res;
+    return probeV2(e, 3);
 }
 
 /**
@@ -130,8 +81,7 @@ passiveRetbleed(Experiment &e)
     auto &ks = e.kernelState();
     auto &cpu = e.pipeline();
 
-    Addr own_secret_va =
-        ks.task(e.mainPid()).ctxVa + KernelImage::kSecretCtxOff;
+    Addr own_secret_va = secretVa(e, e.mainPid());
     e.memory().write(own_secret_va, kOwnSecret);
 
     // (1) Poison the BTB entry consulted by the path walker's return
@@ -170,16 +120,87 @@ passiveRetbleed(Experiment &e)
 
 } // namespace
 
+void
+mistrainV1(Experiment &e, Sys via)
+{
+    for (int i = 0; i < 24; ++i)
+        e.runSyscall(e.mainPid(), v1Invocation(via), 0);
+}
+
+PocResult
+probeV1(Experiment &e, Sys via, Addr target_va, unsigned expected,
+        unsigned attempts)
+{
+    auto &cpu = e.pipeline();
+
+    // Out-of-bounds index: &target - &attacker_table, scaled.
+    Addr attacker_ctx = e.kernelState().task(e.mainPid()).ctxVa;
+    std::uint64_t oob =
+        (target_va - (attacker_ctx + KernelImage::kGadgetTableOff)) /
+        8;
+
+    PocResult res;
+    res.expected = expected;
+    for (unsigned attempt = 0; attempt < attempts && !res.leaked;
+         ++attempt) {
+        // (2) The target's owner recently touched it (warm line); the
+        // bound global is evicted to widen the window.
+        cpu.caches().accessData(target_va);
+        cpu.caches().flush(e.image().pocBoundGlobalVa());
+        FlushReload fr(cpu.caches(), kernel::kSharedProbeBase);
+        fr.prime();
+
+        // (3) Out-of-bounds invocation; (4) reload.
+        e.runSyscall(e.mainPid(), v1Invocation(via), 0, oob);
+        res.recovered = fr.recover();
+        res.leaked = res.recovered && *res.recovered == expected;
+    }
+    return res;
+}
+
+PocResult
+probeV2(Experiment &e, unsigned attempts)
+{
+    KernelImage &img = e.image();
+    auto &cpu = e.pipeline();
+    Addr own_secret_va = secretVa(e, e.mainPid());
+    auto [disp_func, icall_idx] = img.vfsReadDispatch();
+    Addr icall_pc = img.program().func(disp_func).instAddr(icall_idx);
+
+    PocResult res;
+    res.expected = kOwnSecret;
+    for (unsigned attempt = 0; attempt < attempts && !res.leaked;
+         ++attempt) {
+        // (1) Attacker injects the gadget as the predicted target of
+        // the victim's indirect call (aliased mistraining).
+        cpu.btb().update(icall_pc, img.pocHijackGadget());
+
+        // (2) Victim's secret is warm; the fops slot is evicted so
+        // the indirect call resolves late (wide transient window).
+        cpu.caches().accessData(own_secret_va);
+        cpu.caches().flush(kernel::fopsSlotVa(0, 0));
+        FlushReload fr(cpu.caches(), kernel::kSharedProbeBase);
+        fr.prime();
+
+        // (3) The victim innocently issues read().
+        e.runSyscall(e.mainPid(), kVictimRead, 0);
+
+        res.recovered = fr.recover();
+        res.leaked = res.recovered && *res.recovered == res.expected;
+    }
+    return res;
+}
+
 PocResult
 runPoc(PocKind kind, Experiment &e)
 {
     switch (kind) {
       case PocKind::ActiveV1Ioctl:
-        return activeV1(e, Sys::Ioctl, e.image().pocDriverGadget());
+        return activeV1(e, Sys::Ioctl);
       case PocKind::ActiveV1Ptrace:
-        return activeV1(e, Sys::Ptrace, e.image().pocPtraceGadget());
+        return activeV1(e, Sys::Ptrace);
       case PocKind::ActiveV1Bpf:
-        return activeV1(e, Sys::Bpf, e.image().pocBpfGadget());
+        return activeV1(e, Sys::Bpf);
       case PocKind::PassiveV2:
         return passiveV2(e);
       case PocKind::PassiveRetbleed:

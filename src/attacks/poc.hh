@@ -34,12 +34,37 @@ struct PocResult
     unsigned expected = 0;
 };
 
+/** The victim's own secret, leaked by the passive (hijack) attacks. */
+inline constexpr unsigned kOwnSecret = 0x6b;
+
 /**
  * Run PoC @p kind against the stack in @p e (its scheme decides the
  * active defense). The experiment should be built with pocProfile()
  * so the attacked syscalls are part of the workload's ISV.
  */
 PocResult runPoc(PocKind kind, workloads::Experiment &e);
+
+/** Spectre-v1 step 1: mistrain the bounds check on syscall @p via's
+ * gadget path with in-bounds indices from the main process. */
+void mistrainV1(workloads::Experiment &e, kernel::Sys via);
+
+/**
+ * Spectre-v1 steps 2-4, up to @p attempts times: warm @p target_va,
+ * evict the gadget's bound, invoke @p via with the out-of-bounds
+ * index that lands on @p target_va, and Flush+Reload the probe region
+ * for @p expected. Assumes mistrainV1() ran.
+ */
+PocResult probeV1(workloads::Experiment &e, kernel::Sys via,
+                  sim::Addr target_va, unsigned expected,
+                  unsigned attempts);
+
+/**
+ * Spectre-v2 hijack, up to @p attempts times: poison the BTB entry of
+ * the vfs read dispatch with the hijack gadget, warm the main
+ * process's own secret (kOwnSecret), evict the fops slot and let the
+ * process's own read() transiently leak it.
+ */
+PocResult probeV2(workloads::Experiment &e, unsigned attempts);
 
 /** All five PoC kinds. */
 std::vector<PocKind> allPocs();

@@ -6,7 +6,7 @@
 #include "kernel/fleet.hh"
 #include "kernel/modules.hh"
 #include "kernel/process.hh"
-#include "sim/covert.hh"
+#include "poc.hh"
 
 namespace perspective::attacks
 {
@@ -16,7 +16,6 @@ using kernel::KernelImage;
 using kernel::Sys;
 using kernel::SyscallInvocation;
 using sim::Addr;
-using sim::FlushReload;
 using sim::FuncId;
 using workloads::Experiment;
 
@@ -25,82 +24,6 @@ namespace
 
 constexpr unsigned kHandoffSecret = 0x77; ///< written post-handoff
 constexpr unsigned kGlobalSecret = 0x4d;  ///< unknown-provenance data
-constexpr unsigned kOwnSecret = 0x6b;     ///< victim's own data
-
-/** Mistrain the ioctl-path bounds check with in-bounds indices. */
-void
-mistrainIoctl(Experiment &e)
-{
-    SyscallInvocation inv{Sys::Ioctl, 3, 4, 2};
-    for (int i = 0; i < 24; ++i)
-        e.runSyscall(e.mainPid(), inv, 0);
-}
-
-/**
- * Active Spectre-v1 leak attempt against an arbitrary direct-map
- * @p target_va through the ioctl-path gadget (the activeV1 PoC with
- * a caller-chosen target). Assumes the bounds check is mistrained.
- */
-bool
-tryLeakVa(Experiment &e, Addr target_va, unsigned expected,
-          int attempts)
-{
-    KernelImage &img = e.image();
-    auto &ks = e.kernelState();
-    auto &cpu = e.pipeline();
-
-    Addr attacker_ctx = ks.task(e.mainPid()).ctxVa;
-    std::uint64_t oob =
-        (target_va - (attacker_ctx + KernelImage::kGadgetTableOff)) /
-        8;
-
-    SyscallInvocation inv{Sys::Ioctl, 3, 4, 2};
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-        cpu.caches().accessData(target_va);
-        cpu.caches().flush(img.pocBoundGlobalVa());
-        FlushReload fr(cpu.caches(), kernel::kSharedProbeBase);
-        fr.prime();
-
-        e.runSyscall(e.mainPid(), inv, 0, oob);
-        auto rec = fr.recover();
-        if (rec && *rec == expected)
-            return true;
-    }
-    return false;
-}
-
-/**
- * Passive Spectre-v2 leak attempt (the passiveV2 PoC): poison the
- * vfs read dispatch's BTB entry with the hijack gadget and let the
- * victim's own read() transiently leak its own secret.
- */
-bool
-tryHijack(Experiment &e, int attempts)
-{
-    KernelImage &img = e.image();
-    auto &cpu = e.pipeline();
-    Addr own_secret_va = e.kernelState().task(e.mainPid()).ctxVa +
-                         KernelImage::kSecretCtxOff;
-
-    SyscallInvocation inv{Sys::Read, 0, 8, 0};
-    auto [disp_func, icall_idx] = img.vfsReadDispatch();
-    Addr icall_pc =
-        img.program().func(disp_func).instAddr(icall_idx);
-
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-        cpu.btb().update(icall_pc, img.pocHijackGadget());
-        cpu.caches().accessData(own_secret_va);
-        cpu.caches().flush(kernel::fopsSlotVa(0, 0));
-        FlushReload fr(cpu.caches(), kernel::kSharedProbeBase);
-        fr.prime();
-
-        e.runSyscall(e.mainPid(), inv, 0);
-        auto rec = fr.recover();
-        if (rec && *rec == kOwnSecret)
-            return true;
-    }
-    return false;
-}
 
 /**
  * RAII: run a scenario under a private policy, then hand the
@@ -113,11 +36,25 @@ tryHijack(Experiment &e, int attempts)
  * deferred and sample one more "transient_gap_cycles", moving the
  * pliability cells.
  */
-struct PolicyLease
+struct LeasedPolicy
 {
     Experiment &e;
-    explicit PolicyLease(Experiment &ex) : e(ex) {}
-    ~PolicyLease() { e.pipeline().setPolicy(e.policy()); }
+    core::PerspectivePolicy policy;
+
+    LeasedPolicy(Experiment &ex, const core::PerspectiveConfig &cfg,
+                 const char *name)
+        : e(ex), policy(ex.kernelState().ownership(), cfg, name)
+    {
+        policy.setClock(e.pipeline().cyclePtr());
+        for (kernel::Pid p : {e.mainPid(), e.victimPid()}) {
+            const auto &t = e.kernelState().task(p);
+            policy.registerContext(t.asid, t.domain, e.isvView());
+        }
+        e.pipeline().setPolicy(&policy);
+    }
+    ~LeasedPolicy() { e.pipeline().setPolicy(e.policy()); }
+    LeasedPolicy(const LeasedPolicy &) = delete;
+    LeasedPolicy &operator=(const LeasedPolicy &) = delete;
 };
 
 } // namespace
@@ -150,17 +87,9 @@ raceRevocation(Experiment &e, sim::Cycle revocationBudget)
     // (no window), the 50M default outlives whole attack runs.
     core::PerspectiveConfig cfg;
     cfg.revocationLatency = revocationBudget;
-    core::PerspectivePolicy pol(ks.ownership(), cfg,
-                                "race-revocation");
-    pol.setClock(e.pipeline().cyclePtr());
-    for (kernel::Pid p : {e.mainPid(), e.victimPid()}) {
-        const auto &t = ks.task(p);
-        pol.registerContext(t.asid, t.domain, e.isvView());
-    }
-    PolicyLease lease(e);
-    e.pipeline().setPolicy(&pol);
+    LeasedPolicy lease(e, cfg, "race-revocation");
 
-    mistrainIoctl(e);
+    mistrainV1(e, Sys::Ioctl);
 
     // Handoff: the frame is reallocated to the victim, which
     // immediately stores a secret into it. The shootdown is pending —
@@ -168,15 +97,17 @@ raceRevocation(Experiment &e, sim::Cycle revocationBudget)
     ks.ownership().assign(*pfn, victim_dom);
     e.memory().write(va, kHandoffSecret);
     r.updateLatency = cfg.revocationLatency;
-    pol.noteUpdateLatency(cfg.revocationLatency);
+    lease.policy.noteUpdateLatency(cfg.revocationLatency);
 
-    r.leakedInWindow = tryLeakVa(e, va, kHandoffSecret, 3);
+    r.leakedInWindow =
+        probeV1(e, Sys::Ioctl, va, kHandoffSecret, 3).leaked;
     r.staleAllows = e.pipeline().stats().get(
         "perspective.revocation.stale_allows");
 
     // The shootdown lands; the stale verdicts die with it.
-    pol.flushPendingRevocations();
-    r.leakedAfterUpdate = tryLeakVa(e, va, kHandoffSecret, 3);
+    lease.policy.flushPendingRevocations();
+    r.leakedAfterUpdate =
+        probeV1(e, Sys::Ioctl, va, kHandoffSecret, 3).leaked;
 
     ks.buddy().freePages(*pfn, 0);
     return r;
@@ -200,7 +131,7 @@ raceModuleLoad(Experiment &e)
 
     // Baseline: the hijack gadget lives in an unloaded module, far
     // outside the workload's ISV — the hijack is fenced.
-    r.leakedBeforeUpdate = tryHijack(e, 2);
+    r.leakedBeforeUpdate = probeV2(e, 2).leaked;
 
     // insmod: module 0 (led by the hijack gadget) becomes reachable
     // through an ops slot. The ISV update has NOT landed yet.
@@ -209,7 +140,7 @@ raceModuleLoad(Experiment &e)
 
     // Inside the window the gap is on the safe side: the slot points
     // at module code but the ISV still excludes it.
-    r.leakedInWindow = tryHijack(e, 2);
+    r.leakedInWindow = probeV2(e, 2).leaked;
 
     // The OS completes the update: incremental recomputation from the
     // module entry. Blocked loads re-gate through the epoch wake;
@@ -221,11 +152,11 @@ raceModuleLoad(Experiment &e)
 
     // Plain extension: the gadget is now inside the view — the attack
     // surface genuinely grew with the module.
-    r.leakedAfterUpdate = tryHijack(e, 4);
+    r.leakedAfterUpdate = probeV2(e, 4).leaked;
 
     // ISV++: the load-time audit re-excludes the flagged gadget.
     core::applyAudit(*view, {e.image().pocHijackGadget()});
-    r.leakedAfterAudit = tryHijack(e, 3);
+    r.leakedAfterAudit = probeV2(e, 3).leaked;
     return r;
 }
 
@@ -239,38 +170,35 @@ raceFleetFlip(Experiment &e)
     // speculatively readable (blockUnknown off).
     core::PerspectiveConfig cfg;
     cfg.blockUnknown = false;
-    core::PerspectivePolicy pol(ks.ownership(), cfg, "race-fleet");
-    pol.setClock(e.pipeline().cyclePtr());
-    for (kernel::Pid p : {e.mainPid(), e.victimPid()}) {
-        const auto &t = ks.task(p);
-        pol.registerContext(t.asid, t.domain, e.isvView());
-    }
-    PolicyLease lease(e);
-    e.pipeline().setPolicy(&pol);
+    LeasedPolicy lease(e, cfg, "race-fleet");
 
     // The secret sits in an unknown-provenance global.
     Addr gva = ks.globalVa(7);
     e.memory().write(gva, kGlobalSecret);
 
-    mistrainIoctl(e);
-    r.leakedBeforeUpdate = tryLeakVa(e, gva, kGlobalSecret, 3);
+    mistrainV1(e, Sys::Ioctl);
+    r.leakedBeforeUpdate =
+        probeV1(e, Sys::Ioctl, gva, kGlobalSecret, 3).leaked;
 
     // Admin flip: both halves of the DEXCR-style value — the kernel's
     // global floor (inherited by fork/exec) and the policy's runtime
     // enforcement.
     ks.fleet().enforce(kernel::kFleetBlockUnknown);
-    r.updateLatency = pol.fleetTighten(ks.fleet().globalBits());
+    r.updateLatency =
+        lease.policy.fleetTighten(ks.fleet().globalBits());
 
     // One probe inside the propagation window (may or may not win the
     // race — recorded, not asserted).
-    r.leakedInWindow = tryLeakVa(e, gva, kGlobalSecret, 1);
+    r.leakedInWindow =
+        probeV1(e, Sys::Ioctl, gva, kGlobalSecret, 1).leaked;
 
     // Barrier: a benign run drives the clock past the visibility
     // point and every context's next gate check synchronizes.
     e.runSyscall(e.mainPid(), SyscallInvocation{Sys::Ioctl, 3, 4, 2},
                  0);
 
-    r.leakedAfterUpdate = tryLeakVa(e, gva, kGlobalSecret, 3);
+    r.leakedAfterUpdate =
+        probeV1(e, Sys::Ioctl, gva, kGlobalSecret, 3).leaked;
     return r;
 }
 

@@ -9,6 +9,22 @@ namespace perspective::kernel
 
 using namespace sim;
 
+namespace
+{
+
+/** Total kernel functions to synthesize (cold bulk pads to it). */
+constexpr unsigned kTargetFunctions = 28000;
+/** Kasper's gadget census. */
+constexpr unsigned kMdsGadgets = 805;
+constexpr unsigned kPortGadgets = 509;
+constexpr unsigned kCacheGadgets = 219;
+/** Probability that a generated load targets an unknown-domain
+ * global / per-cpu variable (drives the DSV fence rate). */
+constexpr double kGlobalLoadProb = 0.05;
+constexpr double kPerCpuLoadProb = 0.03;
+
+} // namespace
+
 /** Recipe for one generated function body. */
 struct KernelImage::BodyCfg
 {
@@ -22,15 +38,13 @@ struct KernelImage::BodyCfg
     std::vector<FuncId> errorCalls;   ///< behind the r14 knob
 };
 
-KernelImage::KernelImage(sim::Memory &mem, ImageParams params)
-    : mem_(mem),
-      params_(params),
-      rngState_(params.seed * 0x9e3779b97f4a7c15ull + 1)
+KernelImage::KernelImage(sim::Memory &mem, std::uint64_t seed)
+    : mem_(mem), rngState_(seed * 0x9e3779b97f4a7c15ull + 1)
 {
     // The cold bulk stops within one module tree (at most 40
     // functions) of the target, and the hijack gadget follows it;
     // workload drivers add one user function per syscall.
-    std::size_t kernel_cap = params_.targetFunctions + 64;
+    std::size_t kernel_cap = kTargetFunctions + 64;
     prog_.reserve(kernel_cap + kNumSyscalls);
     info_.reserve(kernel_cap);
     class_.reserve(kernel_cap);
@@ -143,7 +157,7 @@ KernelImage::genBody(FuncId f, const BodyCfg &cfg)
     for (unsigned i = 0; i < cfg.ctxLoads; ++i) {
         RegId dst = static_cast<RegId>(24 + i % 4);
         double p = rndReal();
-        if (p < params_.globalLoadProb) {
+        if (p < kGlobalLoadProb) {
             // Global (unknown-provenance) state is typically checked
             // right away: the dependent, always-taken branch keeps
             // younger work control-dependent on this load, so
@@ -153,12 +167,12 @@ KernelImage::genBody(FuncId f, const BodyCfg &cfg)
             unsigned chk = a.emit(branchImm(Cond::Ge, dst, 1, 0));
             a.emit(nop());
             a.patch(chk, a.here());
-        } else if (p < params_.globalLoadProb +
-                           params_.perCpuLoadProb) {
+        } else if (p < kGlobalLoadProb +
+                           kPerCpuLoadProb) {
             a.emit(load(dst, reg::kPerCpu,
                         static_cast<std::int64_t>(rnd(1024) * 8)));
-        } else if (p < params_.globalLoadProb +
-                           params_.perCpuLoadProb + 0.22) {
+        } else if (p < kGlobalLoadProb +
+                           kPerCpuLoadProb + 0.22) {
             // Pointer chase through the per-task pointer table
             // (kernel lists/ops structures): the second load's
             // address depends on speculatively-loaded data.
@@ -933,7 +947,7 @@ KernelImage::buildColdBulk()
         Subsystem::Driver, Subsystem::Crypto, Subsystem::Sound,
         Subsystem::Arch, Subsystem::Misc};
     unsigned module = 0;
-    while (info_.size() < params_.targetFunctions) {
+    while (info_.size() < kTargetFunctions) {
         Subsystem ss = kColdSs[rnd(5)];
         genTree("mod" + std::to_string(module++), ss, 3, 3, 0.0,
                 FuncClass::Cold);
@@ -987,9 +1001,9 @@ KernelImage::plantGadgets()
         double warm_frac;
     };
     const Quota quotas[3] = {
-        {GadgetKind::Mds, params_.mdsGadgets, 0.08, 0.06},
-        {GadgetKind::Port, params_.portGadgets, 0.08, 0.06},
-        {GadgetKind::Cache, params_.cacheGadgets, 0.08, 0.12},
+        {GadgetKind::Mds, kMdsGadgets, 0.08, 0.06},
+        {GadgetKind::Port, kPortGadgets, 0.08, 0.06},
+        {GadgetKind::Cache, kCacheGadgets, 0.08, 0.12},
     };
 
     auto plant = [&](const std::vector<FuncId> &pool, unsigned n,

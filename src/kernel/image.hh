@@ -80,22 +80,6 @@ struct KFuncInfo
     std::vector<GadgetKind> gadgets;
 };
 
-/** Generator configuration. */
-struct ImageParams
-{
-    std::uint64_t seed = 42;
-    /** Total kernel functions to synthesize (cold bulk pads to it). */
-    unsigned targetFunctions = 28000;
-    /** Kasper's gadget census. */
-    unsigned mdsGadgets = 805;
-    unsigned portGadgets = 509;
-    unsigned cacheGadgets = 219;
-    /** Probability that a generated load targets an unknown-domain
-     * global / per-cpu variable (drives the DSV fence rate). */
-    double globalLoadProb = 0.05;
-    double perCpuLoadProb = 0.03;
-};
-
 /** Shared probe region (user VA) monitored by Flush+Reload PoCs. */
 inline constexpr Addr kSharedProbeBase = 0x2000'0000;
 
@@ -110,7 +94,8 @@ inline constexpr Pfn kRodataFirstPfn = 72;
 class KernelImage
 {
   public:
-    explicit KernelImage(sim::Memory &mem, ImageParams params = {});
+    /** Generate the image of @p seed: the same seed, the same image. */
+    KernelImage(sim::Memory &mem, std::uint64_t seed);
 
     sim::Program &program() { return prog_; }
     const sim::Program &program() const { return prog_; }
@@ -167,8 +152,6 @@ class KernelImage
     static constexpr std::int64_t kGadgetTableOff = 0x40;
     /** VA of the global holding the PoC gadget's bound (value 16). */
     Addr pocBoundGlobalVa() const { return pocBoundVa_; }
-
-    const ImageParams &params() const { return params_; }
 
   public:
     /** Execution class a generated function falls into. */
@@ -242,7 +225,6 @@ class KernelImage
     double rndReal();
 
     sim::Memory &mem_;
-    ImageParams params_;
     sim::Program prog_;
     Assembler asm_;
     std::vector<KFuncInfo> info_;

@@ -26,9 +26,7 @@ bool reuseEnabled = true; // guarded by cacheMutex
 
 BootImage::BootImage(std::uint64_t seed) : seed_(seed)
 {
-    kernel::ImageParams ip;
-    ip.seed = seed;
-    img_ = std::make_unique<kernel::KernelImage>(bootMem_, ip);
+    img_ = std::make_unique<kernel::KernelImage>(bootMem_, seed);
     drivers_ = std::make_unique<DriverSet>(*img_);
     img_->program().layout();
     snap_ = bootMem_.snapshot();

@@ -45,7 +45,9 @@ enum class Scheme
 
 const char *schemeName(Scheme s);
 
-/** All eight (adds DOM/STT/spot comparisons of Section 9.1). */
+/** Nine schemes, every one but InvisiSpec: Unsafe, FENCE, the
+ * DOM/STT/spot comparisons of Section 9.1, SpecCFI and the three
+ * Perspective flavors. */
 std::vector<Scheme> allSchemes();
 
 /** Sampling outcome attached to a RunResult (sampled mode only). */

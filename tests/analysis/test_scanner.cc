@@ -17,7 +17,7 @@ namespace
 struct ScannerFixture : ::testing::Test
 {
     sim::Memory mem;
-    KernelImage img{mem};
+    KernelImage img{mem, 42};
     workloads::DriverSet drivers{img};
     std::unique_ptr<KernelState> ks;
     std::unique_ptr<SyscallExecutor> exec;

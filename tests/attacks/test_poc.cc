@@ -154,3 +154,36 @@ TEST(Poc, InvisiSpecBlocksAllCacheChannelPocs)
         EXPECT_FALSE(runUnder(Scheme::InvisiSpec, k).leaked)
             << pocName(k);
 }
+
+TEST(Poc, SecurityMatrixOutcomes)
+{
+    // Section 8.1/8.2's matrix as bench_security prints it: one row
+    // per scheme, one column per allPocs() entry (active v1 via
+    // ioctl, ptrace and bpf; passive v2; passive Retbleed).
+    struct Row
+    {
+        Scheme scheme;
+        bool leaked[5];
+    };
+    const Row rows[] = {
+        {Scheme::Unsafe, {true, true, true, true, true}},
+        {Scheme::Spot, {true, true, true, false, true}},
+        {Scheme::SpecCfi, {true, true, true, true, false}},
+        {Scheme::InvisiSpec, {false, false, false, false, false}},
+        {Scheme::Fence, {false, false, false, false, false}},
+        {Scheme::Dom, {false, false, false, false, false}},
+        {Scheme::Stt, {false, false, false, false, false}},
+        {Scheme::Perspective, {false, false, false, false, false}},
+        {Scheme::PerspectivePlusPlus,
+         {false, false, false, false, false}},
+    };
+    const std::vector<PocKind> pocs = allPocs();
+    ASSERT_EQ(pocs.size(), 5u);
+    for (const Row &row : rows) {
+        for (std::size_t i = 0; i < pocs.size(); ++i) {
+            EXPECT_EQ(runUnder(row.scheme, pocs[i]).leaked,
+                      row.leaked[i])
+                << schemeName(row.scheme) << " / " << pocName(pocs[i]);
+        }
+    }
+}

@@ -19,7 +19,7 @@ namespace
 struct Stack
 {
     sim::Memory mem;
-    KernelImage img{mem};
+    KernelImage img{mem, 42};
     workloads::DriverSet drivers{img};
     Stack() { img.program().layout(); }
 };

@@ -31,7 +31,7 @@ namespace
 struct Stack
 {
     sim::Memory mem;
-    KernelImage img{mem};
+    KernelImage img{mem, 42};
     Stack() { img.program().layout(); }
 };
 
@@ -139,7 +139,7 @@ TEST(Pliability, IsvUpdateLatencyModel)
 TEST(Pliability, ModuleRegistryCarvesColdBulk)
 {
     sim::Memory mem;
-    KernelImage img{mem};
+    KernelImage img{mem, 42};
     img.program().layout();
 
     ModuleRegistry mods(img, mem, /*module_size=*/12);

@@ -28,7 +28,7 @@ struct ImageFixture : ::testing::Test
     }
     static KernelImage &img()
     {
-        static KernelImage i(mem());
+        static KernelImage i(mem(), 42);
         return i;
     }
 };
@@ -125,7 +125,7 @@ TEST_F(ImageFixture, DispatchTargetsAreIndirectOnly)
 TEST_F(ImageFixture, DeterministicAcrossBuilds)
 {
     perspective::sim::Memory mem2;
-    KernelImage img2(mem2);
+    KernelImage img2(mem2, 42);
     ASSERT_EQ(img2.numKernelFunctions(), img().numKernelFunctions());
     // Spot-check some bodies.
     for (FuncId f : {FuncId{0}, FuncId{100}, FuncId{20000}}) {
@@ -182,9 +182,7 @@ std::uint64_t
 imageDigest(std::uint64_t seed)
 {
     perspective::sim::Memory mem;
-    ImageParams ip;
-    ip.seed = seed;
-    KernelImage img(mem, ip);
+    KernelImage img(mem, seed);
     img.program().layout();
     const auto &prog = img.program();
 
@@ -248,7 +246,7 @@ TEST_F(ImageFixture, SyscallRunsToCompletionOnInterpreter)
 {
     // Requires layout + a process context.
     static perspective::sim::Memory mem2;
-    static KernelImage image2(mem2);
+    static KernelImage image2(mem2, 42);
     image2.program().layout();
     KernelState ks(mem2);
     CgroupId cg = ks.createCgroup("t");
@@ -274,7 +272,7 @@ TEST_F(ImageFixture, HotPathAvoidsErrorFunctions)
     // With r14 == 0 a benign getpid must never visit err_*
     // functions; some targeted fault-injection id must.
     static perspective::sim::Memory mem3;
-    static KernelImage image3(mem3);
+    static KernelImage image3(mem3, 42);
     image3.program().layout();
     KernelState ks(mem3);
     Pid pid = ks.createProcess(ks.createCgroup("t"));

@@ -12,7 +12,7 @@ namespace
 struct ExecFixture : ::testing::Test
 {
     sim::Memory mem;
-    KernelImage img{mem};
+    KernelImage img{mem, 42};
     std::unique_ptr<KernelState> ks;
     std::unique_ptr<SyscallExecutor> exec;
     Pid pid = 0;

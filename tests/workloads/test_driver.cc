@@ -13,7 +13,7 @@ namespace
 struct DriverFixture : ::testing::Test
 {
     sim::Memory mem;
-    KernelImage img{mem};
+    KernelImage img{mem, 42};
     DriverSet drivers{img};
 
     DriverFixture() { img.program().layout(); }
