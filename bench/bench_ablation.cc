@@ -11,12 +11,15 @@
  *  5. the secure slab allocator's performance cost.
  *
  * All five ablations are planned as one sweep grid, so `--jobs N`
- * parallelizes across every cell and the shared UNSAFE baselines run
- * once instead of once per configuration. `--json PATH` dumps the
- * raw cells, each tagged with its ablation and knob values.
+ * parallelizes across every cell, and a cell that several ablations
+ * read (an UNSAFE baseline, the default configuration) runs once.
+ * `--json PATH` dumps the raw cells, each tagged with its ablation and
+ * knob values.
  */
 
+#include <array>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -33,36 +36,26 @@ using namespace perspective::workloads;
 namespace
 {
 
-/** Cell body: run `profile` under Perspective with a bespoke policy
- * config. */
+/** `w` under `scheme` and `cfg`, with the standard iteration counts. */
 SweepCell
-configCell(const WorkloadProfile &w, core::PerspectiveConfig cfg,
-           std::map<std::string, std::string> tags)
+makeCell(const WorkloadProfile &w, Scheme scheme,
+         std::map<std::string, std::string> tags,
+         core::PerspectiveConfig cfg = {})
 {
     SweepCell c;
     c.profile = w;
-    c.scheme = Scheme::Perspective;
+    c.scheme = scheme;
     c.iterations = kIterations;
     c.warmup = kWarmup;
+    c.perspective = cfg;
     c.tags = std::move(tags);
-    c.body = [cfg](const SweepCell &cell) {
-        Experiment e(cell.profile, Scheme::Perspective, cell.seed,
-                     cell.sampling, cfg);
-        return e.run(cell.iterations, cell.warmup);
-    };
     return c;
 }
 
 SweepCell
-unsafeCell(const WorkloadProfile &w, const char *ablation)
+unsafeCell(const WorkloadProfile &w)
 {
-    SweepCell c;
-    c.profile = w;
-    c.scheme = Scheme::Unsafe;
-    c.iterations = kIterations;
-    c.warmup = kWarmup;
-    c.tags = {{"ablation", ablation}, {"role", "baseline"}};
-    return c;
+    return makeCell(w, Scheme::Unsafe, {{"role", "baseline"}});
 }
 
 double
@@ -89,63 +82,74 @@ main(int argc, char **argv)
     }
 
     // ---- Plan the whole grid up front -----------------------------
+    // plan(c) returns the index of c's result. A cell whose key is
+    // already planned is not planned again; the first planning's tags
+    // stay.
     std::vector<SweepCell> cells;
+    std::map<std::string, std::size_t> planned;
+    auto plan = [&](SweepCell c) {
+        auto [it, fresh] = planned.try_emplace(
+            cellConfigHash(describeCell(c)), cells.size());
+        if (fresh)
+            cells.push_back(std::move(c));
+        return it->second;
+    };
 
     // Ablation 1: cache capacity (nginx). Baseline + 4 sizes.
     const std::vector<unsigned> kEntries = {32u, 64u, 128u, 256u};
-    std::size_t a1 = cells.size();
-    cells.push_back(unsafeCell(app, "cache-capacity"));
+    const std::size_t a1_base = plan(unsafeCell(app));
+    std::vector<std::size_t> a1;
     for (unsigned entries : kEntries) {
         core::PerspectiveConfig cfg;
         cfg.isvCacheEntries = entries;
         cfg.dsvCacheEntries = entries;
-        cells.push_back(configCell(
-            app, cfg,
+        a1.push_back(plan(makeCell(
+            app, Scheme::Perspective,
             {{"ablation", "cache-capacity"},
-             {"entries", std::to_string(entries)}}));
+             {"entries", std::to_string(entries)}},
+            cfg)));
     }
 
     // Ablation 2: fill latency (mmap). Baseline + 4 latencies.
     const std::vector<sim::Cycle> kLatencies = {
         sim::Cycle{7}, sim::Cycle{14}, sim::Cycle{28},
         sim::Cycle{56}};
-    std::size_t a2 = cells.size();
-    cells.push_back(unsafeCell(mmap_bench, "fill-latency"));
+    const std::size_t a2_base = plan(unsafeCell(mmap_bench));
+    std::vector<std::size_t> a2;
     for (sim::Cycle lat : kLatencies) {
         core::PerspectiveConfig cfg;
         cfg.fillLatency = lat;
-        cells.push_back(configCell(
-            mmap_bench, cfg,
+        a2.push_back(plan(makeCell(
+            mmap_bench, Scheme::Perspective,
             {{"ablation", "fill-latency"},
-             {"cycles", std::to_string(lat)}}));
+             {"cycles", std::to_string(lat)}},
+            cfg)));
     }
 
     // Ablation 3: view composition. Per workload: baseline,
     // DSV-only, ISV-only, both.
     const std::vector<WorkloadProfile> comp_workloads = {
         mmap_bench, bigread_bench, httpdProfile()};
-    std::size_t a3 = cells.size();
+    std::vector<std::array<std::size_t, 4>> a3;
     for (const auto &w : comp_workloads) {
-        cells.push_back(unsafeCell(w, "view-composition"));
         core::PerspectiveConfig dsv_only;
         dsv_only.enableIsv = false;
         core::PerspectiveConfig isv_only;
         isv_only.enableDsv = false;
-        core::PerspectiveConfig both;
-        cells.push_back(configCell(w, dsv_only,
-                                   {{"ablation", "view-composition"},
-                                    {"views", "dsv-only"}}));
-        cells.push_back(configCell(w, isv_only,
-                                   {{"ablation", "view-composition"},
-                                    {"views", "isv-only"}}));
-        cells.push_back(configCell(w, both,
-                                   {{"ablation", "view-composition"},
-                                    {"views", "both"}}));
+        auto views = [&](const char *name, core::PerspectiveConfig cfg) {
+            return plan(makeCell(w, Scheme::Perspective,
+                                 {{"ablation", "view-composition"},
+                                  {"views", name}},
+                                 cfg));
+        };
+        a3.push_back({plan(unsafeCell(w)),
+                      views("dsv-only", dsv_only),
+                      views("isv-only", isv_only), views("both", {})});
     }
 
     // Ablation 4: ASID tagging vs flush-on-switch. Two cells whose
     // bodies interleave two tenants' requests.
-    std::size_t a4 = cells.size();
+    std::vector<std::size_t> a4;
     for (bool flush_on_switch : {false, true}) {
         SweepCell c;
         c.profile = memcachedProfile();
@@ -155,14 +159,13 @@ main(int argc, char **argv)
         // The body sums runRequestAs() itself, outside
         // Experiment::run's extrapolation, so it always runs exact.
         c.sampling = {};
+        c.perspective.flushOnContextSwitch = flush_on_switch;
         c.tags = {{"ablation", "asid-tagging"},
                   {"mode", flush_on_switch ? "flush-on-switch"
                                            : "asid-tagged"}};
-        c.body = [flush_on_switch](const SweepCell &cell) {
-            core::PerspectiveConfig cfg;
-            cfg.flushOnContextSwitch = flush_on_switch;
-            Experiment e(cell.profile, Scheme::Perspective, cell.seed,
-                         cell.sampling, cfg);
+        c.body = [](const SweepCell &cell) {
+            Experiment e(cell.profile, cell.scheme, cell.seed,
+                         cell.sampling, cell.perspective);
             RunResult r;
             for (unsigned i = 0; i < cell.iterations; ++i) {
                 auto one = e.runRequestAs(i % 2 ? e.victimPid()
@@ -175,22 +178,17 @@ main(int argc, char **argv)
             r.dsvCacheHitRate = pol.dsvCache().hitRate();
             return r;
         };
-        cells.push_back(std::move(c));
+        a4.push_back(plan(std::move(c)));
     }
 
     // Ablation 5: secure slab cost. Per app: packed slab (UNSAFE
     // stack) vs secure slab (Perspective stack, gating disabled).
     auto apps = datacenterSuite();
-    std::size_t a5 = cells.size();
+    std::vector<std::array<std::size_t, 2>> a5;
     for (const auto &w : apps) {
-        cells.push_back(unsafeCell(w, "secure-slab"));
-        SweepCell c;
-        c.profile = w;
-        c.scheme = Scheme::Perspective;
-        c.iterations = kIterations;
-        c.warmup = kWarmup;
-        c.tags = {{"ablation", "secure-slab"},
-                  {"slab", "secure"}};
+        SweepCell c = makeCell(w, Scheme::Perspective,
+                               {{"ablation", "secure-slab"},
+                                {"slab", "secure"}});
         c.body = [](const SweepCell &cell) {
             // Isolate the allocator: secure-slab kernel, all
             // speculation gating off. A config with both views off
@@ -202,7 +200,7 @@ main(int argc, char **argv)
             e.pipeline().setPolicy(nullptr);
             return e.run(cell.iterations, cell.warmup);
         };
-        cells.push_back(std::move(c));
+        a5.push_back({plan(unsafeCell(w)), plan(std::move(c))});
     }
 
     auto results = sweep.run(cells);
@@ -213,10 +211,10 @@ main(int argc, char **argv)
                 "ISV hit", "DSV hit");
     rule(48);
     for (std::size_t k = 0; k < kEntries.size(); ++k) {
-        const CellResult &r = results[a1 + 1 + k];
+        const CellResult &r = results[a1[k]];
         std::printf("%-10u %10.1f%% %10.1f%% %10.1f%%\n",
                     kEntries[k],
-                    100.0 * (norm(r, results[a1]) - 1.0),
+                    100.0 * (norm(r, results[a1_base]) - 1.0),
                     100.0 * r.result.isvCacheHitRate,
                     100.0 * r.result.dsvCacheHitRate);
     }
@@ -228,10 +226,10 @@ main(int argc, char **argv)
     std::printf("%-10s %-12s\n", "cycles", "overhead");
     rule(24);
     for (std::size_t k = 0; k < kLatencies.size(); ++k) {
-        const CellResult &r = results[a2 + 1 + k];
+        const CellResult &r = results[a2[k]];
         std::printf("%-10llu %10.2f%%\n",
                     static_cast<unsigned long long>(kLatencies[k]),
-                    100.0 * (norm(r, results[a2]) - 1.0));
+                    100.0 * (norm(r, results[a2_base]) - 1.0));
     }
     std::printf("[allocation-heavy paths are the one place refill "
                 "speed shows: every fresh page's first access "
@@ -241,16 +239,13 @@ main(int argc, char **argv)
     std::printf("%-12s %-12s %-12s %-12s\n", "workload", "DSV-only",
                 "ISV-only", "both");
     rule(50);
-    for (std::size_t row = 0; row < comp_workloads.size(); ++row) {
-        std::size_t base = a3 + row * 4;
+    for (const auto &row : a3) {
+        const CellResult &base = results[row[0]];
         std::printf("%-12s %10.2f%% %10.2f%% %10.2f%%\n",
-                    results[base].workload.c_str(),
-                    100.0 * (norm(results[base + 1], results[base]) -
-                             1.0),
-                    100.0 * (norm(results[base + 2], results[base]) -
-                             1.0),
-                    100.0 * (norm(results[base + 3], results[base]) -
-                             1.0));
+                    base.workload.c_str(),
+                    100.0 * (norm(results[row[1]], base) - 1.0),
+                    100.0 * (norm(results[row[2]], base) - 1.0),
+                    100.0 * (norm(results[row[3]], base) - 1.0));
     }
     std::printf("[costs compose roughly additively; security "
                 "requires both halves — see bench_security]\n");
@@ -259,7 +254,7 @@ main(int argc, char **argv)
     std::printf("%-16s %-12s %-12s\n", "mode", "ISV hit", "DSV hit");
     rule(42);
     for (std::size_t k = 0; k < 2; ++k) {
-        const CellResult &r = results[a4 + k];
+        const CellResult &r = results[a4[k]];
         std::printf("%-16s %10.1f%% %10.1f%%\n",
                     r.tags.at("mode").c_str(),
                     100.0 * r.result.isvCacheHitRate,
@@ -273,8 +268,8 @@ main(int argc, char **argv)
                 "secure slab");
     rule(42);
     for (std::size_t row = 0; row < apps.size(); ++row) {
-        const CellResult &n = results[a5 + row * 2];
-        const CellResult &s = results[a5 + row * 2 + 1];
+        const CellResult &n = results[a5[row][0]];
+        const CellResult &s = results[a5[row][1]];
         double nc = static_cast<double>(n.result.cycles);
         double sc = static_cast<double>(s.result.cycles);
         std::printf("%-12s %12.0f %12.0f (%+.2f%%)\n",

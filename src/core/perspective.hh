@@ -82,6 +82,30 @@ struct PerspectiveConfig
     bool operator==(const PerspectiveConfig &) const = default;
 };
 
+/**
+ * Call @p f(name, value) for every PerspectiveConfig field, in
+ * declaration order: the one field list that the sweep cell key and
+ * the sweep JSON read. The structured binding stops compiling when a
+ * field is added to the struct and not to this list.
+ */
+template <typename F>
+void
+forEachField(const PerspectiveConfig &cfg, F &&f)
+{
+    const auto &[enable_isv, enable_dsv, block_unknown, fill_latency,
+                 isv_cache_entries, dsv_cache_entries, cache_assoc,
+                 flush_on_context_switch, revocation_latency] = cfg;
+    f("enable_isv", enable_isv);
+    f("enable_dsv", enable_dsv);
+    f("block_unknown", block_unknown);
+    f("fill_latency", fill_latency);
+    f("isv_cache_entries", isv_cache_entries);
+    f("dsv_cache_entries", dsv_cache_entries);
+    f("cache_assoc", cache_assoc);
+    f("flush_on_context_switch", flush_on_context_switch);
+    f("revocation_latency", revocation_latency);
+}
+
 /** @name Modeled fleet-flip latency
  * Cycle cost of an admin system-wide enforcement flip: a base (sysfs
  * write + broadcast IPI) plus per-registered-context resync work.

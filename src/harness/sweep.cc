@@ -64,7 +64,8 @@ executeCell(const SweepCell &cell, CellResult &slot)
             slot.result = cell.body(cell);
         } else {
             workloads::Experiment e(cell.profile, cell.scheme,
-                                    cell.seed, cell.sampling);
+                                    cell.seed, cell.sampling,
+                                    cell.perspective);
             slot.result = e.run(cell.iterations, cell.warmup);
         }
         slot.ok = true;
@@ -191,13 +192,7 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const SweepCell &cell = cells[i];
         CellResult &slot = out[i];
-        slot.workload = cell.profile.name;
-        slot.scheme = workloads::schemeName(cell.scheme);
-        slot.seed = cell.seed;
-        slot.iterations = cell.iterations;
-        slot.warmup = cell.warmup;
-        slot.sampling = cell.sampling;
-        slot.tags = cell.tags;
+        slot = describeCell(cell);
         pool_->submit([this, &cell, &slot] {
             executeCell(cell, slot);
             slot.worker = pool_->currentLane();
@@ -225,6 +220,22 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
     return out;
 }
 
+CellResult
+describeCell(const SweepCell &cell)
+{
+    CellResult r;
+    r.workload = cell.profile.name;
+    r.scheme = workloads::schemeName(cell.scheme);
+    r.seed = cell.seed;
+    r.iterations = cell.iterations;
+    r.warmup = cell.warmup;
+    r.sampling = cell.sampling;
+    r.perspective = cell.perspective;
+    r.tags = cell.tags;
+    r.customBody = static_cast<bool>(cell.body);
+    return r;
+}
+
 std::string
 cellConfigHash(const CellResult &r)
 {
@@ -245,19 +256,17 @@ cellConfigHash(const CellResult &r)
     mix(std::to_string(r.seed));
     mix(std::to_string(r.iterations));
     mix(std::to_string(r.warmup));
-    // The timing-engine field: always the detailed loop. Keeping the
-    // literal keeps exact hashes stable against committed baselines.
-    mix("detailed");
-    // Sampled cells mix their full sampling spec so sampled and
-    // exact runs can never match. Disabled sampling mixes nothing:
-    // exact cells keep hashing byte-identically to pre-sampling
-    // schemas, preserving their committed baselines.
-    if (r.sampling.enabled)
-        mix("sampled:" + r.sampling.spec());
-    for (const auto &[k, v] : r.tags) {
-        mix(k);
-        mix(v);
-    }
+    mix(r.sampling.spec());
+    core::forEachField(r.perspective, [&mix](const char *name, auto v) {
+        mix(name);
+        mix(std::to_string(v));
+    });
+    // A custom body is opaque to the runner: its tags name it.
+    if (r.customBody)
+        for (const auto &[k, v] : r.tags) {
+            mix(k);
+            mix(v);
+        }
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(h));
@@ -283,6 +292,11 @@ cellToJson(const CellResult &r, unsigned jobs)
             tags[k] = v;
         o["tags"] = std::move(tags);
     }
+    Json::Object pj;
+    core::forEachField(r.perspective, [&pj](const char *name, auto v) {
+        pj[name] = v;
+    });
+    o["perspective"] = std::move(pj);
 
     Json::Object prov;
     prov["workload"] = r.workload;

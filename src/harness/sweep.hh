@@ -41,24 +41,24 @@ struct SweepCell
     unsigned iterations = 30;
     unsigned warmup = 3;
 
-    /** Sampled simulation (statistical; DESIGN §5.8). Enabled cells
-     * mix the full sampling spec into the config hash, so a sampled
-     * cell never matches an exact one in bench_report; exact cells
-     * hash byte-identically to earlier schemas. Defaults to the
-     * PERSPECTIVE_SAMPLE environment switch. */
+    /** Sampled simulation (statistical; DESIGN §5.8). Defaults to
+     * the PERSPECTIVE_SAMPLE environment switch. */
     sim::SamplingParams sampling = sim::SamplingParams::fromEnv();
 
-    /** Free-form metadata carried into the result and the JSON
-     * emission (e.g. an ablation's config knob values). */
+    /** The PerspectivePolicy configuration the cell runs; only the
+     * Perspective schemes accept a non-default one. */
+    core::PerspectiveConfig perspective;
+
+    /** Labels carried into the result and the JSON emission (e.g. an
+     * ablation's name). They name a custom body in the cell's key
+     * and are not part of a default-body cell's key. */
     std::map<std::string, std::string> tags;
 
     /**
      * Optional custom cell body. When empty the runner constructs
-     * Experiment(profile, scheme, seed) and calls
-     * run(iterations, warmup). A body that needs a non-default
-     * PerspectiveConfig passes it to the Experiment constructor,
-     * which builds the one policy the cell runs; the config is not
-     * hashed, so such cells tell themselves apart by their tags.
+     * Experiment(profile, scheme, seed, sampling, perspective) and
+     * calls run(iterations, warmup). The runner cannot see what a
+     * custom body simulates, so such a cell's tags join its key.
      * Custom bodies must stay share-nothing: build every simulation
      * object inside the callback.
      */
@@ -76,7 +76,9 @@ struct CellResult
     /** Sampling configuration the cell ran under (disabled = exact);
      * the outcome lives in result.sampling. */
     sim::SamplingParams sampling;
+    core::PerspectiveConfig perspective;
     std::map<std::string, std::string> tags;
+    bool customBody = false; ///< ran SweepCell::body
 
     workloads::RunResult result;
     double wallSeconds = 0;
@@ -191,11 +193,14 @@ class SweepRunner
  */
 Json cellToJson(const CellResult &r, unsigned jobs);
 
-/** Deterministic FNV-1a hash of a cell's configuration
- * (workload, scheme, seed, iterations, warmup, execution mode,
- * tags) as 16 hex digits; the provenance key bench_report matches
- * cells by. Cells with custom bodies must carry distinguishing tags
- * (the grid benches' existing convention) or they alias. */
+/** @p cell's configuration as its result records it, before it
+ * runs: everything cellConfigHash reads. */
+CellResult describeCell(const SweepCell &cell);
+
+/** Deterministic FNV-1a hash, as 16 hex digits, of what a cell
+ * simulates: workload, scheme, seed, iterations, warmup, sampling
+ * spec and every PerspectiveConfig field, plus a custom body's tags
+ * as its name. The provenance key bench_report matches cells by. */
 std::string cellConfigHash(const CellResult &r);
 
 /**

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -382,21 +384,113 @@ TEST(Sweep, ConfigHashKeysCellsStably)
 
     b.seed = 2;
     EXPECT_NE(cellConfigHash(a), cellConfigHash(b));
+    // A default-body cell's tags are labels, not configuration.
     b = a;
     b.tags["variant"] = "x";
-    EXPECT_NE(cellConfigHash(a), cellConfigHash(b));
+    EXPECT_EQ(cellConfigHash(a), cellConfigHash(b));
     // Results do not feed the hash — only configuration does.
     b = a;
     b.result.instructions = 999;
     EXPECT_EQ(cellConfigHash(a), cellConfigHash(b));
 
-    // Pinned values: bench_report matches committed baselines (and
-    // every earlier sweep JSON) by this hash, so it must never drift.
-    EXPECT_EQ(cellConfigHash(a), "a937e05a3a201b5c");
+    // Pinned values: bench_report matches committed baselines by
+    // this hash, so it must not drift.
+    EXPECT_EQ(cellConfigHash(a), "775391ac91a24287");
     b = a;
     b.sampling = sim::SamplingParams::parse(
         "w=5000,warm=10000,period=400000,seed=1");
-    EXPECT_EQ(cellConfigHash(b), "56302f6e43f63ed8");
+    EXPECT_EQ(cellConfigHash(b), "6070d4315d24dcc7");
+}
+
+TEST(Sweep, ConfigHashMixesEveryPerspectiveField)
+{
+    // One flip per PerspectiveConfig field; the count check makes a
+    // new field fail here until it gets a flip of its own.
+    using Flip = void (*)(core::PerspectiveConfig &);
+    const Flip flips[] = {
+        [](core::PerspectiveConfig &c) { c.enableIsv = !c.enableIsv; },
+        [](core::PerspectiveConfig &c) { c.enableDsv = !c.enableDsv; },
+        [](core::PerspectiveConfig &c) {
+            c.blockUnknown = !c.blockUnknown;
+        },
+        [](core::PerspectiveConfig &c) { c.fillLatency += 1; },
+        [](core::PerspectiveConfig &c) { c.isvCacheEntries *= 2; },
+        [](core::PerspectiveConfig &c) { c.dsvCacheEntries *= 2; },
+        [](core::PerspectiveConfig &c) { c.cacheAssoc *= 2; },
+        [](core::PerspectiveConfig &c) {
+            c.flushOnContextSwitch = !c.flushOnContextSwitch;
+        },
+        [](core::PerspectiveConfig &c) { c.revocationLatency += 1; },
+    };
+    std::size_t fields = 0;
+    core::forEachField(core::PerspectiveConfig{},
+                       [&fields](const char *, auto) { ++fields; });
+    ASSERT_EQ(std::size(flips), fields);
+
+    CellResult a;
+    a.workload = "getpid";
+    a.scheme = "perspective";
+    const std::string base = cellConfigHash(a);
+    std::set<std::string> seen{base};
+    for (Flip flip : flips) {
+        CellResult b = a;
+        flip(b.perspective);
+        ASSERT_NE(b.perspective, a.perspective);
+        EXPECT_TRUE(seen.insert(cellConfigHash(b)).second);
+    }
+}
+
+TEST(Sweep, TagsNameOnlyCustomBodies)
+{
+    SweepCell plain;
+    plain.profile = lebenchSuite().front();
+    SweepCell tagged = plain;
+    tagged.tags = {{"role", "baseline"}};
+    EXPECT_EQ(cellConfigHash(describeCell(plain)),
+              cellConfigHash(describeCell(tagged)));
+
+    // An unnamed custom body keys as the default body; a named one
+    // keys by its tags.
+    auto body = [](const SweepCell &) { return RunResult{}; };
+    SweepCell custom = plain;
+    custom.body = body;
+    EXPECT_EQ(cellConfigHash(describeCell(plain)),
+              cellConfigHash(describeCell(custom)));
+    SweepCell named = tagged;
+    named.body = body;
+    EXPECT_NE(cellConfigHash(describeCell(custom)),
+              cellConfigHash(describeCell(named)));
+    SweepCell renamed = named;
+    renamed.tags["role"] = "other";
+    EXPECT_NE(cellConfigHash(describeCell(named)),
+              cellConfigHash(describeCell(renamed)));
+}
+
+TEST(Sweep, AblationBaselineKeysLikeTheGridCell)
+{
+    // bench_ablation plans an UNSAFE baseline as a tagged cell of its
+    // own; it must key as the Fig 9.2 grid's UNSAFE cell, which
+    // SchemeGrid plans untagged with the standard iteration counts.
+    const std::vector<WorkloadProfile> suite = lebenchSuite();
+    auto mmap = std::find_if(
+        suite.begin(), suite.end(),
+        [](const WorkloadProfile &w) { return w.name == "mmap"; });
+    ASSERT_NE(mmap, suite.end());
+    SweepCell grid;
+    grid.profile = *mmap;
+    grid.scheme = Scheme::Unsafe;
+    grid.iterations = 30;
+    grid.warmup = 3;
+    SweepCell ablation = grid;
+    ablation.tags = {{"role", "baseline"}};
+    EXPECT_EQ(cellConfigHash(describeCell(grid)),
+              cellConfigHash(describeCell(ablation)));
+    // The same cell under a non-default config keys apart.
+    ablation.scheme = Scheme::Perspective;
+    SweepCell allow = ablation;
+    allow.perspective.blockUnknown = false;
+    EXPECT_NE(cellConfigHash(describeCell(ablation)),
+              cellConfigHash(describeCell(allow)));
 }
 
 TEST(Sweep, JsonReportsMakespanAndWorkerBusyTime)
