@@ -501,33 +501,45 @@ perfCompare(const std::vector<SweepFile> &inputs,
 }
 
 /**
+ * scheme -> workload -> the first successful cell of that pair.
+ * Duplicates (the same pair run twice, e.g. simspeed's boot passes)
+ * drop out here, so every per-scheme column reads the same cells.
+ */
+using SchemeCells =
+    std::map<std::string, std::map<std::string, const Cell *>>;
+
+SchemeCells
+firstCells(const SweepFile &f)
+{
+    SchemeCells out;
+    for (const Cell &c : f.cells)
+        if (c.ok && c.cycles > 0)
+            out[c.scheme].emplace(c.workload, &c);
+    return out;
+}
+
+/**
  * Per-scheme overhead: geometric mean, over the workloads present,
  * of cycles(workload, scheme) / cycles(workload, "unsafe") within
  * the same file. The figure every results table in the paper is
  * built from, and the quantity the sampled-accuracy gate compares.
  */
 std::map<std::string, double>
-schemeOverheads(const SweepFile &f)
+schemeOverheads(const SchemeCells &cells)
 {
-    // scheme -> workload -> cycles; duplicates (the same pair run
-    // twice, e.g. simspeed's boot passes) keep the first occurrence.
-    std::map<std::string, std::map<std::string, double>> cyc;
-    for (const Cell &c : f.cells)
-        if (c.ok && c.cycles > 0)
-            cyc[c.scheme].emplace(c.workload,
-                                  static_cast<double>(c.cycles));
     std::map<std::string, double> out;
-    auto unsafeIt = cyc.find("unsafe");
-    if (unsafeIt == cyc.end())
+    auto unsafeIt = cells.find("unsafe");
+    if (unsafeIt == cells.end())
         return out;
-    for (const auto &[scheme, byWorkload] : cyc) {
+    for (const auto &[scheme, byWorkload] : cells) {
         if (scheme == "unsafe")
             continue;
         std::vector<double> ratios;
-        for (const auto &[w, cycles] : byWorkload) {
+        for (const auto &[w, c] : byWorkload) {
             auto u = unsafeIt->second.find(w);
-            if (u != unsafeIt->second.end() && u->second > 0)
-                ratios.push_back(cycles / u->second);
+            if (u != unsafeIt->second.end())
+                ratios.push_back(static_cast<double>(c->cycles) /
+                                 static_cast<double>(u->second->cycles));
         }
         if (!ratios.empty())
             out[scheme] = perspective::harness::geomean(ratios);
@@ -548,7 +560,8 @@ unsigned
 accuracyCompare(const std::vector<SweepFile> &inputs,
                 const SweepFile &base, double threshold)
 {
-    std::map<std::string, double> baseOv = schemeOverheads(base);
+    std::map<std::string, double> baseOv =
+        schemeOverheads(firstCells(base));
     std::printf("\naccuracy baseline: %s (threshold: rel. error "
                 "<= %.2f%% on per-scheme mean overhead)\n",
                 base.path.c_str(), 100.0 * threshold);
@@ -560,17 +573,20 @@ accuracyCompare(const std::vector<SweepFile> &inputs,
     }
     unsigned failures = 0;
     for (const SweepFile &f : inputs) {
-        std::map<std::string, double> ov = schemeOverheads(f);
+        SchemeCells cells = firstCells(f);
+        std::map<std::string, double> ov = schemeOverheads(cells);
         // Mean CPI-CI relative error per scheme, from the sampled
-        // cells themselves (the estimator's own precision claim,
-        // printed beside the measured-against-exact error). Cells
-        // without an estimate stay out; a scheme with none prints -.
+        // cells the overhead reads (the estimator's own precision
+        // claim, printed beside the measured-against-exact error).
+        // Cells without an estimate stay out; a scheme with none
+        // prints -.
         std::map<std::string, std::pair<double, unsigned>> ci;
-        for (const Cell &c : f.cells)
-            if (c.ok && c.sampled && c.hasErrorEstimate) {
-                ci[c.scheme].first += c.relError;
-                ci[c.scheme].second += 1;
-            }
+        for (const auto &[scheme, byWorkload] : cells)
+            for (const auto &[w, c] : byWorkload)
+                if (c->sampled && c->hasErrorEstimate) {
+                    ci[scheme].first += c->relError;
+                    ci[scheme].second += 1;
+                }
         std::printf("  %s:\n", f.path.c_str());
         std::printf("    %-20s %10s %10s %10s %10s  %s\n", "scheme",
                     "base ovh", "this ovh", "rel err", "avg ci95",

@@ -26,9 +26,7 @@
 
 using namespace perspective;
 using namespace perspective::workloads;
-using kernel::KernelImage;
 using kernel::Sys;
-using kernel::SyscallInvocation;
 using sim::Addr;
 
 namespace
@@ -190,24 +188,12 @@ lebenchNamed(const char *name)
     throw std::runtime_error(std::string("no profile ") + name);
 }
 
-/** Mistrain the ioctl-path bounds check, then read @p va through its
- * gadget out of bounds (the activeV1 PoC aimed at @p va). */
-void
-attackVa(Experiment &e, Addr va)
-{
-    const SyscallInvocation inv{Sys::Ioctl, 3, 4, 2};
-    for (int i = 0; i < 24; ++i)
-        e.runSyscall(e.mainPid(), inv, 0);
-    Addr table = e.kernelState().task(e.mainPid()).ctxVa +
-                 KernelImage::kGadgetTableOff;
-    for (int i = 0; i < 3; ++i) {
-        e.pipeline().caches().accessData(va);
-        e.pipeline().caches().flush(e.image().pocBoundGlobalVa());
-        e.runSyscall(e.mainPid(), inv, 0, (va - table) / 8);
-    }
-}
-
-/** A private Perspective policy over both tenants of @p e. */
+/**
+ * A private Perspective policy over both tenants of @p e, leased as
+ * the races in attacks/races.cc lease theirs (see LeasedPolicy
+ * there): a policy built with the Experiment would see
+ * RevocationRace's frame grant deferred.
+ */
 core::PerspectivePolicy &
 leasePolicy(Experiment &e, std::optional<core::PerspectivePolicy> &slot,
             core::PerspectiveConfig cfg)
@@ -242,17 +228,18 @@ TEST(GateOracle, PerspectiveSchemesOnGoldenWorkloads)
 
 TEST(GateOracle, NginxWithSmallViewCaches)
 {
-    // The cache-size ablation's smallest configurations: frequent
-    // misses put several loads on one in-flight fill.
+    // The cache-size ablation's smallest cells, built as
+    // bench_ablation builds them: frequent misses put several loads
+    // on one in-flight fill.
     for (unsigned entries : {32u, 64u}) {
         SCOPED_TRACE(std::to_string(entries) + " entries");
         checkScenario([&](const Install &install) {
-            Experiment e(nginxProfile(), Scheme::Perspective, 42);
             core::PerspectiveConfig cfg;
             cfg.isvCacheEntries = entries;
             cfg.dsvCacheEntries = entries;
-            std::optional<core::PerspectivePolicy> pol;
-            install(e, leasePolicy(e, pol, cfg));
+            Experiment e(nginxProfile(), Scheme::Perspective, 42, {},
+                         cfg);
+            install(e, *e.policy());
             RunResult r = e.run(30, 3);
             return Observed{r.cycles, r.stats, r.leakage};
         });
@@ -261,16 +248,17 @@ TEST(GateOracle, NginxWithSmallViewCaches)
 
 TEST(GateOracle, MemcachedTenantsTaggedAndFlushed)
 {
-    // Two tenants' requests interleaved, with ASID-tagged view caches
-    // and with a flush on every switch.
+    // The ASID-tagging ablation's cells: two tenants' requests
+    // interleaved, with ASID-tagged view caches and with a flush on
+    // every switch.
     for (bool flush : {false, true}) {
         SCOPED_TRACE(flush ? "flush-on-switch" : "asid-tagged");
         checkScenario([&](const Install &install) {
-            Experiment e(memcachedProfile(), Scheme::Perspective, 42);
             core::PerspectiveConfig cfg;
             cfg.flushOnContextSwitch = flush;
-            std::optional<core::PerspectivePolicy> pol;
-            install(e, leasePolicy(e, pol, cfg));
+            Experiment e(memcachedProfile(), Scheme::Perspective, 42, {},
+                         cfg);
+            install(e, *e.policy());
             for (unsigned i = 0; i < 24; ++i)
                 e.runRequestAs(i % 2 ? e.victimPid() : e.mainPid());
             return observe(e);
@@ -300,7 +288,8 @@ TEST(GateOracle, RevocationRace)
             Addr va = kernel::directMapVa(*pfn);
             ks.ownership().assign(*pfn, ks.task(e.victimPid()).domain);
             e.memory().write(va, 0x77);
-            attackVa(e, va);
+            attacks::mistrainV1(e, Sys::Ioctl);
+            attacks::probeV1(e, Sys::Ioctl, va, 0x77, 3);
             EXPECT_EQ(pol->pendingRevocations(), 0u);
             return observe(e);
         });
@@ -324,10 +313,14 @@ TEST(GateOracle, FleetFlip)
 
             Addr gva = e.kernelState().globalVa(7);
             e.memory().write(gva, 0x4d);
-            e.pipeline().scheduleAt(at, [&pol] {
+            bool flipped = false;
+            e.pipeline().scheduleAt(at, [&pol, &flipped] {
                 pol->fleetTighten(kernel::kFleetBlockUnknown);
+                flipped = true;
             });
-            attackVa(e, gva);
+            attacks::mistrainV1(e, Sys::Ioctl);
+            attacks::probeV1(e, Sys::Ioctl, gva, 0x4d, 3);
+            EXPECT_TRUE(flipped);
             return observe(e);
         });
     }
